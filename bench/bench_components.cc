@@ -204,7 +204,7 @@ BENCHMARK(BM_SimulatorThroughput)
 void
 BM_BatchRunnerForEach(benchmark::State &state)
 {
-    // Dispatch overhead of the worker pool: many tiny jobs, so the
+    // Dispatch overhead of the fork-join forEach: many tiny jobs, so the
     // ticket claim and thread startup dominate.
     sim::BatchRunner runner(
         static_cast<unsigned>(state.range(0)));

@@ -21,7 +21,6 @@
 #include "sim/batch_runner.hh"
 #include "sim/jobs.hh"
 #include "sim/bench_json.hh"
-#include "sim/invariants.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
@@ -187,66 +186,46 @@ isolateRequested()
 }
 
 /**
- * Run every (workload, variant) cell across the pool and return the
- * results as [workload][variant], recording each cell into @p json.
- * Program construction happens inside the cell so it parallelizes
- * with the simulation. Results are identical to the serial loops the
- * benches used to run, independent of the worker count — and of
- * whether SSMT_ISOLATE rides the cells in child processes.
+ * Run every (workload, variant) cell as one BatchRunner batch and
+ * return the results as [workload][variant], recording each cell
+ * into @p json. Each workload's program is built once and shared by
+ * its variants. Results are independent of the worker count and of
+ * whether SSMT_ISOLATE rides the cells in child processes. Any
+ * failed cell — including an invariant violation — prints the batch
+ * failure summary and exits 1.
  */
 inline std::vector<std::vector<sim::BatchResult>>
 runMatrix(const std::vector<workloads::WorkloadInfo> &suite,
           const std::vector<ConfigVariant> &variants, const Args &args,
           sim::BenchJson &json)
 {
-    sim::BatchRunner runner(args.jobs);
-    std::vector<std::vector<sim::BatchResult>> results(
-        suite.size(), std::vector<sim::BatchResult>(variants.size()));
-    if (isolateRequested()) {
-        std::vector<sim::BatchJob> batch;
-        batch.reserve(suite.size() * variants.size());
-        for (const auto &info : suite)
-            for (const ConfigVariant &variant : variants)
-                batch.push_back({info.name + "/" + variant.name,
-                                 info.make({}), variant.cfg});
-        sim::BatchPolicy policy;
-        policy.isolate = true;
-        std::vector<sim::BatchResult> flat =
-            runner.run(batch, policy);
-        for (size_t cell = 0; cell < flat.size(); cell++) {
-            if (!flat[cell].ok()) {
-                std::fprintf(stderr, "[bench] %s failed: %s\n",
-                             batch[cell].name.c_str(),
-                             flat[cell].error.c_str());
-                std::exit(1);
-            }
-            results[cell / variants.size()][cell % variants.size()] =
-                std::move(flat[cell]);
-        }
-    } else {
-        runner.forEach(
-            suite.size() * variants.size(), [&](size_t cell) {
-                size_t w = cell / variants.size();
-                size_t v = cell % variants.size();
-                auto start = std::chrono::steady_clock::now();
-                results[w][v].stats = sim::runProgram(
-                    suite[w].make({}), variants[v].cfg);
-                // Name the cell in the invariant diagnostic;
-                // runProgram's own check only knows the mode.
-                sim::StatsChecker::enforce(results[w][v].stats,
-                                           suite[w].name + "/" +
-                                               variants[v].name);
-                results[w][v].hostSeconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-            });
+    std::vector<sim::BatchJob> batch;
+    batch.reserve(suite.size() * variants.size());
+    for (const auto &info : suite) {
+        isa::Program program = info.make({});
+        for (const ConfigVariant &variant : variants)
+            batch.push_back({info.name + "/" + variant.name, program,
+                             variant.cfg});
     }
-    for (size_t w = 0; w < suite.size(); w++)
-        for (size_t v = 0; v < variants.size(); v++)
+    sim::BatchPolicy policy;
+    policy.isolate = isolateRequested();
+    std::vector<sim::BatchResult> flat =
+        sim::BatchRunner(args.jobs).run(batch, policy);
+    std::string failures = sim::BatchRunner::failureSummary(batch, flat);
+    if (!failures.empty()) {
+        std::fputs(failures.c_str(), stderr);
+        std::exit(1);
+    }
+
+    std::vector<std::vector<sim::BatchResult>> results(suite.size());
+    for (size_t w = 0; w < suite.size(); w++) {
+        for (size_t v = 0; v < variants.size(); v++) {
+            sim::BatchResult &cell = flat[w * variants.size() + v];
             json.addRun(suite[w].name, variants[v].name,
-                        results[w][v].hostSeconds,
-                        results[w][v].stats);
+                        cell.hostSeconds, cell.stats);
+            results[w].push_back(std::move(cell));
+        }
+    }
     return results;
 }
 

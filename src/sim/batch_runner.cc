@@ -4,13 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <system_error>
 #include <thread>
 
 #include "sim/jobs.hh"
 #include "sim/logging.hh"
 #include "sim/proc_runner.hh"
 #include "sim/sim_runner.hh"
-#include "sim/taskrt.hh"
 
 namespace ssmt
 {
@@ -61,28 +61,46 @@ BatchRunner::BatchRunner(unsigned jobs) : jobs_(resolveJobs(jobs))
 {
 }
 
-unsigned
-BatchRunner::resolveJobs(unsigned requested)
-{
-    return sim::resolveJobs(requested);
-}
-
 void
 BatchRunner::forEach(size_t n, const std::function<void(size_t)> &fn) const
 {
-    if (n == 0)
-        return;
-    if (jobs_ <= 1 || n == 1) {
+    if (jobs_ <= 1 || n <= 1) {
         // Serial degenerate case: same thread, same order, and
-        // exceptions propagate naturally — without ever starting
-        // the shared pool.
+        // exceptions propagate naturally.
         for (size_t i = 0; i < n; i++)
             fn(i);
         return;
     }
-    TaskRuntime &rt = TaskRuntime::shared();
-    rt.ensureWorkers(jobs_);
-    rt.forEach(n, fn, jobs_);
+    // Fork-join ticket loop: every thread, the caller included,
+    // claims the next unclaimed index until none are left.
+    std::atomic<size_t> next{0};
+    std::vector<std::exception_ptr> errors(n);
+    auto drain = [&] {
+        for (size_t i = next++; i < n; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+    const size_t helpers = std::min<size_t>(jobs_, n) - 1;
+    // Reserved up front so only thread creation can throw below: a
+    // reallocation failure would destroy started threads unjoined.
+    std::vector<std::thread> threads;
+    threads.reserve(helpers);
+    try {
+        for (size_t t = 0; t < helpers; t++)
+            threads.emplace_back(drain);
+    } catch (const std::system_error &) {
+        // Out of threads: those already started finish the work.
+    }
+    drain();
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
 }
 
 uint64_t

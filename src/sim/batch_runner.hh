@@ -3,20 +3,19 @@
  * BatchRunner: fans independent (Program, MachineConfig) simulation
  * jobs out across host cores, bounded by this runner's jobs() cap.
  *
- * Since the taskrt refactor the runner owns no threads of its own:
- * it multiplexes onto the process-wide work-stealing
- * sim::TaskRuntime pool (sim/taskrt.hh), so concurrent batches —
- * e.g. two campaigns in one ssmt_server — share workers instead of
- * oversubscribing the host. A BatchRunner is just a parallelism cap
- * plus batch/retry policy around that pool.
+ * Every batch runs on one fork-join primitive, forEach(): it starts
+ * up to jobs() threads, lets them claim indices by atomic ticket,
+ * and joins them all before returning. No thread outlives a call,
+ * so a process that is not inside forEach() is single-threaded —
+ * the property the subprocess path (sim/proc_runner.hh) relies on
+ * to fork() safely.
  *
  * Every experiment cell in the paper-reproduction suite — a workload
  * under a machine configuration — is an isolated SsmtCore, so cells
  * can run concurrently with *bit-identical* results: each job writes
  * only its own result slot, and the output order is the submission
  * order regardless of which worker finished first. `--jobs 1`
- * degenerates to a plain serial loop on the calling thread, without
- * starting the shared pool.
+ * degenerates to a plain serial loop on the calling thread.
  *
  * Worker count resolution: sim::resolveJobs (sim/jobs.hh) — explicit
  * request, then SSMT_JOBS, then host cores.
@@ -177,16 +176,15 @@ class BatchRunner
 
     unsigned jobs() const { return jobs_; }
 
-    /** Resolve a requested worker count per the header rules. */
-    static unsigned resolveJobs(unsigned requested);
-
     /**
-     * Deterministic parallel-for: invoke @p fn(i) for every
-     * i in [0, n), spread across the pool. @p fn must confine its
-     * writes to per-index state. If any invocation throws, the
-     * exception of the lowest-indexed failing job is rethrown on the
-     * calling thread after all workers have drained (no deadlock, no
-     * detached threads); jobs not yet claimed at that point still run.
+     * Deterministic parallel-for: invoke @p fn(i) exactly once for
+     * every i in [0, n), on up to jobs() threads (the caller is one
+     * of them). @p fn must confine its writes to per-index state.
+     * Exceptions are captured per index, every index still runs, and
+     * the lowest-indexed exception is rethrown on the calling thread.
+     * Every thread is joined before the call returns. Runs serially
+     * on the calling thread when jobs() <= 1 or n <= 1; calls may
+     * nest.
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 

@@ -243,8 +243,8 @@ struct CampaignOptions
      * they land — with the cell, its store key, the decoded result
      * and whether it was served from the store. Called from worker
      * threads for fresh cells (serialized with the journal/store
-     * critical section); the server layer streams cell events to
-     * clients from here.
+     * critical section); progress reporting and per-cell timing
+     * hook in here.
      */
     std::function<void(const CampaignCell &, const std::string &key,
                        const BatchResult &, bool cached)>

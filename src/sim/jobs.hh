@@ -14,7 +14,7 @@
  *                        host" metadata and the --jobs auto spelling.
  *
  *   resolveJobs(request) the worker-count resolution chain every
- *                        pool consumer shares (highest priority
+ *                        parallel consumer shares (highest priority
  *                        first): an explicit non-zero request, the
  *                        SSMT_JOBS environment variable, then
  *                        hostThreads().

@@ -18,7 +18,6 @@
 
 #include "sim/job_codec.hh"
 #include "sim/logging.hh"
-#include "sim/taskrt.hh"
 
 namespace ssmt
 {
@@ -48,18 +47,15 @@ backoffDelayMs(const BatchPolicy &policy, unsigned attempt)
 }
 
 /**
- * Scheduling state of one job in the parent. The attempt chain lives
- * in a TaskGraph: each attempt is a node, and a retry/resume is a new
- * node with a dependency edge on its predecessor — so
- * checkpoint→resume sequencing is explicit graph structure, the same
- * shape the in-process TaskRuntime schedules. `node` always names the
- * job's *current* attempt; graph.done(node) means the whole job is
- * finished (its final attempt was completed with no successor).
+ * Scheduling state of one job in the parent. Attempts run strictly
+ * one after another: a retry (or checkpoint→resume) is launched only
+ * once its predecessor's child has been reaped, so the chain needs
+ * no more than `attempt` plus a `finished` flag.
  */
 struct JobState
 {
-    TaskId node = 0;                ///< current attempt's graph node
-    bool running = false;           ///< a child is live for `node`
+    bool running = false;           ///< a child is live for `attempt`
+    bool finished = false;          ///< final attempt sealed
     unsigned attempt = 0;           ///< next attempt to launch
     std::string checkpoint;         ///< watchdog-resume snapshot
     Clock::time_point eligibleAt{}; ///< backoff gate (pending only)
@@ -188,38 +184,24 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
     if (n == 0)
         return results;
 
-    // Quiesce the shared TaskRuntime (if one ever started) for the
-    // whole forking section: no pool worker may be mid-task when we
-    // fork, or the child could inherit a held lock. Parked workers
-    // are harmless — the children never touch the runtime.
-    TaskRuntime::ForkGuard fork_guard;
-
     const size_t max_children =
         std::max<size_t>(1, std::min<size_t>(workers, n));
     std::vector<JobState> jobs(n);
-    // Attempt chains as explicit graph structure; single-threaded
-    // scheduler, so no lock (see TaskGraph).
-    TaskGraph graph;
-    for (size_t i = 0; i < n; i++)
-        jobs[i].node = graph.add();
     std::vector<ChildSlot> slots;
     slots.reserve(max_children);
     size_t done = 0;
     bool cancelled = false;
 
     auto pending = [&](size_t i) {
-        return !jobs[i].running && !graph.done(jobs[i].node);
+        return !jobs[i].running && !jobs[i].finished;
     };
 
-    // Retire the current attempt node and chain the next one behind
-    // it (the completed edge releases it immediately; eligibleAt adds
-    // the wall-clock backoff gate the graph doesn't model).
+    // Queue the next attempt behind its wall-clock backoff gate. The
+    // previous attempt's child is already reaped, so the retry is
+    // ready to launch the moment the gate opens.
     auto chainNextAttempt = [&](size_t i) {
-        TaskId next = graph.add({jobs[i].node});
-        graph.complete(jobs[i].node);
-        SSMT_ASSERT(graph.ready(next),
-                    "isolate: retry node not released");
-        jobs[i].node = next;
+        SSMT_ASSERT(pending(i), "isolate: retry chained for a job "
+                                "that is running or finished");
         jobs[i].attempt++;
         jobs[i].eligibleAt =
             Clock::now() +
@@ -228,7 +210,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
     };
 
     auto completeJob = [&](size_t i) {
-        graph.complete(jobs[i].node);
+        jobs[i].finished = true;
         done++;
         results[i].hostSeconds = secondsSince(jobs[i].startedAt);
         if (!results[i].ok()) {
@@ -375,8 +357,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
             auto now = Clock::now();
             for (size_t i = 0;
                  i < n && slots.size() < max_children; i++) {
-                if (pending(i) && graph.ready(jobs[i].node) &&
-                    jobs[i].eligibleAt <= now)
+                if (pending(i) && jobs[i].eligibleAt <= now)
                     spawn(i);
             }
         }

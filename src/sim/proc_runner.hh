@@ -11,9 +11,9 @@
  * a single-threaded event loop — poll() over child pipes, nonblocking
  * drains, wall-clock deadline SIGKILLs, waitpid reaping — that
  * schedules up to `workers` concurrent children and drives retries
- * with exponential backoff. Each job's attempt chain (retry,
- * checkpoint→resume) is sequenced through a sim::TaskGraph: every
- * attempt is a node, a retry is a node depending on its predecessor.
+ * with exponential backoff. A job's attempts (retry, checkpoint→
+ * resume) run one after another: the next child starts only after
+ * the previous one has been reaped.
  *
  * Containment contract: a child that segfaults, aborts, OOMs, hangs
  * past its deadline or exits without a result becomes a typed error
@@ -24,11 +24,11 @@
  *
  * fork() without exec() is only safe when no other thread is mid-
  * operation holding a lock the child would inherit. BatchRunner never
- * spawns pool work in isolate mode, and runBatchIsolated additionally
- * holds a TaskRuntime::ForkGuard for its whole run, so any shared-
- * pool workers started by earlier batches are quiesced (parked, no
- * task in flight) across every fork(). Callers must not invoke this
- * concurrently with unrelated thread activity of their own.
+ * starts threads in isolate mode, and BatchRunner::forEach joins
+ * every thread it starts before returning, so no library thread is
+ * alive across a fork() here and no guard is needed. Callers must
+ * not invoke this concurrently with thread activity of their own
+ * (for example from inside a forEach body).
  */
 
 #ifndef SSMT_SIM_PROC_RUNNER_HH

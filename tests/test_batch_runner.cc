@@ -2,19 +2,25 @@
  * @file
  * Tests for the BatchRunner parallel simulation engine: parallel
  * batches must be bit-identical to serial execution, `--jobs 1` must
- * degenerate to a plain serial loop, and a throwing job must surface
- * its exception on the calling thread without deadlocking the pool.
+ * degenerate to a plain serial loop, forEach must run every index
+ * exactly once and join all its threads before returning, and a
+ * throwing job must surface its exception on the calling thread
+ * without deadlocking.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "sim/batch_runner.hh"
+#include "sim/jobs.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
@@ -141,18 +147,82 @@ TEST(BatchRunnerTest, JobsOneRunsSeriallyOnCallingThread)
 TEST(BatchRunnerTest, ResolveJobsPriority)
 {
     // Explicit request wins over everything.
-    EXPECT_EQ(sim::BatchRunner::resolveJobs(3), 3u);
+    EXPECT_EQ(sim::resolveJobs(3), 3u);
 
     // SSMT_JOBS is the fallback for an unspecified count.
     ::setenv("SSMT_JOBS", "5", 1);
-    EXPECT_EQ(sim::BatchRunner::resolveJobs(0), 5u);
-    EXPECT_EQ(sim::BatchRunner::resolveJobs(2), 2u);
+    EXPECT_EQ(sim::resolveJobs(0), 5u);
+    EXPECT_EQ(sim::resolveJobs(2), 2u);
+    EXPECT_EQ(sim::BatchRunner(0).jobs(), 5u);
 
     // Nonsense values fall through to the host core count (>= 1).
     ::setenv("SSMT_JOBS", "bogus", 1);
-    EXPECT_GE(sim::BatchRunner::resolveJobs(0), 1u);
+    EXPECT_GE(sim::resolveJobs(0), 1u);
     ::unsetenv("SSMT_JOBS");
-    EXPECT_GE(sim::BatchRunner::resolveJobs(0), 1u);
+    EXPECT_GE(sim::resolveJobs(0), 1u);
+}
+
+TEST(BatchRunnerTest, ForEachRunsEveryIndexExactlyOnce)
+{
+    for (unsigned jobs : {1u, 2u, 3u, 8u}) {
+        sim::BatchRunner runner(jobs);
+        for (size_t n : {size_t{1}, size_t{7}, size_t{5000}}) {
+            std::vector<std::atomic<int>> hits(n);
+            runner.forEach(n, [&](size_t i) { hits[i].fetch_add(1); });
+            for (size_t i = 0; i < n; i++)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << "index " << i << " of " << n << ", jobs " << jobs;
+        }
+
+        // A forEach inside a forEach body fans out on its own threads
+        // and still covers its whole index space once per outer index.
+        std::vector<std::atomic<int>> inner(8 * 16);
+        runner.forEach(8, [&](size_t outer) {
+            runner.forEach(16, [&](size_t i) {
+                inner[outer * 16 + i].fetch_add(1);
+            });
+        });
+        for (size_t i = 0; i < inner.size(); i++)
+            ASSERT_EQ(inner[i].load(), 1)
+                << "nested cell " << i << ", jobs " << jobs;
+    }
+}
+
+size_t
+liveThreads()
+{
+    namespace fs = std::filesystem;
+    return static_cast<size_t>(std::distance(
+        fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
+TEST(BatchRunnerTest, NoThreadOutlivesForEach)
+{
+    // proc_runner fork()s with no guard because of this property:
+    // forEach joins every thread it starts before returning.
+    const size_t before = liveThreads();
+
+    // Hold four bodies in flight together while each one counts the
+    // threads, so the count provably sees the call's full fan-out.
+    auto barrier = [](std::atomic<int> &count) {
+        count.fetch_add(1);
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (count.load() < 4 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    };
+    std::atomic<int> arrived{0};
+    std::atomic<int> measured{0};
+    std::vector<size_t> during(4);
+    sim::BatchRunner(4).forEach(4, [&](size_t i) {
+        barrier(arrived);
+        during[i] = liveThreads();
+        barrier(measured);
+    });
+    for (size_t count : during)
+        EXPECT_EQ(count, before + 3);
+    EXPECT_EQ(liveThreads(), before);
 }
 
 TEST(BatchRunnerTest, ExceptionSurfacesWithoutDeadlock)

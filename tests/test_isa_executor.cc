@@ -47,32 +47,38 @@ TEST_P(AluSemantics, MatchesReference)
         << opcodeName(c.op) << " a=" << c.a << " b=" << c.b;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOps, AluSemantics,
-    testing::Values(
-        AluCase{Opcode::Add, 5, 7, 12},
-        AluCase{Opcode::Add, ~0ull, 1, 0},
-        AluCase{Opcode::Sub, 5, 7, static_cast<uint64_t>(-2)},
-        AluCase{Opcode::And, 0xff00, 0x0ff0, 0x0f00},
-        AluCase{Opcode::Or, 0xff00, 0x0ff0, 0xfff0},
-        AluCase{Opcode::Xor, 0xff00, 0x0ff0, 0xf0f0},
-        AluCase{Opcode::Sll, 1, 12, 1 << 12},
-        AluCase{Opcode::Sll, 1, 64 + 3, 8},      // shift amount mod 64
-        AluCase{Opcode::Srl, 0x8000, 15, 1},
-        AluCase{Opcode::Srl, ~0ull, 63, 1},
-        AluCase{Opcode::Sra, static_cast<uint64_t>(-64), 3,
-                static_cast<uint64_t>(-8)},
-        AluCase{Opcode::Mul, 7, 6, 42},
-        AluCase{Opcode::Div, 42, 6, 7},
-        AluCase{Opcode::Div, static_cast<uint64_t>(-42), 6,
-                static_cast<uint64_t>(-7)},
-        AluCase{Opcode::Div, 5, 0, ~0ull},       // defined div-by-0
-        AluCase{Opcode::Slt, static_cast<uint64_t>(-1), 0, 1},
-        AluCase{Opcode::Slt, 0, static_cast<uint64_t>(-1), 0},
-        AluCase{Opcode::Sltu, static_cast<uint64_t>(-1), 0, 0},
-        AluCase{Opcode::Sltu, 0, 1, 1},
-        AluCase{Opcode::Cmpeq, 9, 9, 1},
-        AluCase{Opcode::Cmpeq, 9, 8, 0}));
+// Static storage zero-fills the padding after `op`. gtest prints a
+// parameter with no printer as its raw bytes, and the test's name is
+// made from that dump, so padding left uninitialised would change the
+// names from one build to the next.
+const AluCase kAluCases[] = {
+    AluCase{Opcode::Add, 5, 7, 12},
+    AluCase{Opcode::Add, ~0ull, 1, 0},
+    AluCase{Opcode::Sub, 5, 7, static_cast<uint64_t>(-2)},
+    AluCase{Opcode::And, 0xff00, 0x0ff0, 0x0f00},
+    AluCase{Opcode::Or, 0xff00, 0x0ff0, 0xfff0},
+    AluCase{Opcode::Xor, 0xff00, 0x0ff0, 0xf0f0},
+    AluCase{Opcode::Sll, 1, 12, 1 << 12},
+    AluCase{Opcode::Sll, 1, 64 + 3, 8},      // shift amount mod 64
+    AluCase{Opcode::Srl, 0x8000, 15, 1},
+    AluCase{Opcode::Srl, ~0ull, 63, 1},
+    AluCase{Opcode::Sra, static_cast<uint64_t>(-64), 3,
+            static_cast<uint64_t>(-8)},
+    AluCase{Opcode::Mul, 7, 6, 42},
+    AluCase{Opcode::Div, 42, 6, 7},
+    AluCase{Opcode::Div, static_cast<uint64_t>(-42), 6,
+            static_cast<uint64_t>(-7)},
+    AluCase{Opcode::Div, 5, 0, ~0ull},       // defined div-by-0
+    AluCase{Opcode::Slt, static_cast<uint64_t>(-1), 0, 1},
+    AluCase{Opcode::Slt, 0, static_cast<uint64_t>(-1), 0},
+    AluCase{Opcode::Sltu, static_cast<uint64_t>(-1), 0, 0},
+    AluCase{Opcode::Sltu, 0, 1, 1},
+    AluCase{Opcode::Cmpeq, 9, 9, 1},
+    AluCase{Opcode::Cmpeq, 9, 8, 0},
+};
+
+INSTANTIATE_TEST_SUITE_P(AllOps, AluSemantics,
+                         testing::ValuesIn(kAluCases));
 
 TEST(ExecutorTest, RegisterZeroAlwaysReadsZero)
 {

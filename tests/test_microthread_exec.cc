@@ -137,16 +137,22 @@ TEST_P(EvalStorePCache, ConditionSemantics)
     EXPECT_EQ(out.target, 99u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Conditions, EvalStorePCache,
-    testing::Values(
-        CondCase{Opcode::Beq, 5, 5, true},
-        CondCase{Opcode::Beq, 5, 6, false},
-        CondCase{Opcode::Bne, 5, 6, true},
-        CondCase{Opcode::Blt, static_cast<uint64_t>(-1), 0, true},
-        CondCase{Opcode::Bge, 0, static_cast<uint64_t>(-1), true},
-        CondCase{Opcode::Bltu, static_cast<uint64_t>(-1), 0, false},
-        CondCase{Opcode::Bgeu, static_cast<uint64_t>(-1), 0, true}));
+// Static storage zero-fills the padding. gtest prints a parameter with
+// no printer as its raw bytes, and the test's name is made from that
+// dump, so padding left uninitialised would change the names from one
+// build to the next.
+const CondCase kCondCases[] = {
+    CondCase{Opcode::Beq, 5, 5, true},
+    CondCase{Opcode::Beq, 5, 6, false},
+    CondCase{Opcode::Bne, 5, 6, true},
+    CondCase{Opcode::Blt, static_cast<uint64_t>(-1), 0, true},
+    CondCase{Opcode::Bge, 0, static_cast<uint64_t>(-1), true},
+    CondCase{Opcode::Bltu, static_cast<uint64_t>(-1), 0, false},
+    CondCase{Opcode::Bgeu, static_cast<uint64_t>(-1), 0, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(Conditions, EvalStorePCache,
+                         testing::ValuesIn(kCondCases));
 
 TEST(EvalStorePCacheTest, IndirectTargetIsRegisterValue)
 {

@@ -1,13 +1,7 @@
 #include "cli_common.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "sim/fsio.hh"
 #include "sim/jobs.hh"
@@ -243,100 +237,6 @@ resolveWorkloads(const std::vector<std::string> &names,
         }
     }
     return out;
-}
-
-LineSocket &
-LineSocket::operator=(LineSocket &&other) noexcept
-{
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        buffer_ = std::move(other.buffer_);
-        other.fd_ = -1;
-    }
-    return *this;
-}
-
-bool
-LineSocket::connectTo(const std::string &path)
-{
-    close();
-    struct sockaddr_un addr;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        errno = ENAMETOOLONG;
-        return false;
-    }
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return false;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        int saved = errno;
-        ::close(fd);
-        errno = saved;
-        return false;
-    }
-    fd_ = fd;
-    return true;
-}
-
-bool
-LineSocket::sendLine(const std::string &line)
-{
-    if (fd_ < 0)
-        return false;
-    std::string framed = line;
-    framed += '\n';
-    const char *data = framed.data();
-    size_t left = framed.size();
-    while (left > 0) {
-        ssize_t wrote = ::send(fd_, data, left, MSG_NOSIGNAL);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += wrote;
-        left -= static_cast<size_t>(wrote);
-    }
-    return true;
-}
-
-bool
-LineSocket::recvLine(std::string *out)
-{
-    if (fd_ < 0)
-        return false;
-    for (;;) {
-        size_t nl = buffer_.find('\n');
-        if (nl != std::string::npos) {
-            out->assign(buffer_, 0, nl);
-            buffer_.erase(0, nl + 1);
-            return true;
-        }
-        char buf[65536];
-        ssize_t got = ::recv(fd_, buf, sizeof(buf), 0);
-        if (got > 0) {
-            buffer_.append(buf, static_cast<size_t>(got));
-            continue;
-        }
-        if (got < 0 && errno == EINTR)
-            continue;
-        return false;   // EOF or hard error mid-line
-    }
-}
-
-void
-LineSocket::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    buffer_.clear();
 }
 
 } // namespace cli

@@ -149,53 +149,6 @@ std::vector<workloads::WorkloadInfo>
 resolveWorkloads(const std::vector<std::string> &names,
                  const std::string &argv0);
 
-/**
- * A line-delimited message stream over a Unix-domain socket: the
- * client side of the ssmt-server-v1 wire protocol (DESIGN.md §9) and
- * the server's per-connection transport. One message = one JSON
- * object = one '\n'-terminated line; recvLine() buffers partial
- * reads, sendLine() appends the terminator and retries short writes.
- * SIGPIPE is suppressed per-send (MSG_NOSIGNAL), so a vanished peer
- * surfaces as a false return, never a signal.
- */
-class LineSocket
-{
-  public:
-    LineSocket() = default;
-    /** Adopt an already-connected fd (server side). */
-    explicit LineSocket(int fd) : fd_(fd) {}
-    ~LineSocket() { close(); }
-
-    LineSocket(LineSocket &&other) noexcept
-        : fd_(other.fd_), buffer_(std::move(other.buffer_))
-    {
-        other.fd_ = -1;
-    }
-    LineSocket &operator=(LineSocket &&other) noexcept;
-    LineSocket(const LineSocket &) = delete;
-    LineSocket &operator=(const LineSocket &) = delete;
-
-    /** Connect to the Unix socket at @p path. @return false (with
-     *  errno intact) on failure. */
-    bool connectTo(const std::string &path);
-
-    bool connected() const { return fd_ >= 0; }
-    int fd() const { return fd_; }
-
-    /** Send @p line + '\n'. @return false when the peer is gone. */
-    bool sendLine(const std::string &line);
-
-    /** Receive the next line (terminator stripped) into @p out.
-     *  Blocks. @return false on EOF/error with no complete line. */
-    bool recvLine(std::string *out);
-
-    void close();
-
-  private:
-    int fd_ = -1;
-    std::string buffer_;    ///< bytes past the last returned line
-};
-
 } // namespace cli
 } // namespace ssmt
 

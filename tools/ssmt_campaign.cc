@@ -33,10 +33,8 @@
 #include "sim/campaign.hh"
 #include "sim/faultinject.hh"
 #include "sim/fsio.hh"
-#include "sim/json_text.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
-#include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -93,11 +91,7 @@ const char kUsage[] =
     "  --jobs N|auto         parallel cells\n"
     "  --force               restart on a spec mismatch\n"
     "  --cancel-after N      stop after N cells finish (test hook)\n"
-    "  --quiet               suppress per-cell progress lines\n"
-    "  --server SOCK         submit to a running ssmt_server over\n"
-    "                        its Unix socket instead of running\n"
-    "                        in-process (run only); the streamed\n"
-    "                        manifest is written to --dir\n";
+    "  --quiet               suppress per-cell progress lines\n";
 
 struct Options
 {
@@ -109,7 +103,6 @@ struct Options
     bool force = false;
     uint64_t cancelAfter = 0;   ///< 0 = never
     bool quiet = false;
-    std::string server;         ///< non-empty: thin-client mode
 };
 
 Options
@@ -141,8 +134,7 @@ parseOptions(int argc, char **argv)
                          {"--jobs", nullptr, true},
                          {"--force", nullptr, false},
                          {"--cancel-after", nullptr, true},
-                         {"--quiet", nullptr, false},
-                         {"--server", nullptr, true}});
+                         {"--quiet", nullptr, false}});
     Options opt;
     if (args.positionals().size() != 1)
         args.fail("expected exactly one of run|resume|status|gc");
@@ -247,13 +239,6 @@ parseOptions(int argc, char **argv)
     opt.force = args.has("--force");
     opt.cancelAfter = args.u64("--cancel-after", 0);
     opt.quiet = args.has("--quiet");
-    opt.server = args.str("--server");
-    if (!opt.server.empty() && opt.command != "run")
-        args.fail("--server only applies to run (a re-submitted run "
-                  "resumes naturally server-side)");
-    if (!opt.server.empty() && spec.isolate)
-        args.fail("--isolate campaigns cannot run via --server (the "
-                  "daemon refuses fork-based isolation)");
 
     if (opt.command == "run" && spec.workloads.empty())
         args.fail("run needs --workloads a,b,... (or 'all')");
@@ -291,98 +276,6 @@ journalSpec(const std::string &dir, sim::CampaignSpec *spec,
         return false;
     }
     return true;
-}
-
-/**
- * Thin-client mode: submit the spec to a running ssmt_server over
- * the ssmt-server-v1 line protocol, stream its progress to stderr,
- * and write the returned manifest under --dir. The spec travels as
- * its canonical JSON, so the server-side campaign directory is keyed
- * by the exact same identity a local run would pin in its journal.
- */
-int
-cmdRunServer(const Options &opt)
-{
-    cli::LineSocket sock;
-    if (!sock.connectTo(opt.server)) {
-        std::fprintf(stderr,
-                     "ssmt_campaign: cannot connect to server at "
-                     "'%s'\n",
-                     opt.server.c_str());
-        return 2;
-    }
-    sim::SnapshotWriter req;
-    req.beginObject();
-    req.str("schema", "ssmt-server-v1");
-    req.str("cmd", "campaign");
-    req.str("spec", sim::specJson(opt.spec));
-    req.endObject();
-    if (!sock.sendLine(req.text())) {
-        std::fprintf(stderr, "ssmt_campaign: server send failed\n");
-        return 2;
-    }
-
-    bool ok = false;
-    bool done = false;
-    std::string line;
-    while (!done && sock.recvLine(&line)) {
-        sim::JsonValue event;
-        if (!sim::parseJson(line, event)) {
-            std::fprintf(stderr,
-                         "ssmt_campaign: unparsable server event\n");
-            return 2;
-        }
-        std::string kind = event.str("event");
-        if (kind == "progress") {
-            if (!opt.quiet)
-                std::fprintf(stderr, "[campaign] %s\n",
-                             event.str("line").c_str());
-        } else if (kind == "cell") {
-            // Bookkeeping only: the server's progress lines already
-            // narrate each cell, so re-printing would double up.
-        } else if (kind == "manifest") {
-            std::string path = opt.dir + "/manifest.json";
-            if (sim::ensureDir(opt.dir) &&
-                cli::writeFile(path, event.str("text"))) {
-                if (!opt.quiet)
-                    std::fprintf(stderr,
-                                 "[campaign] manifest: %s\n",
-                                 path.c_str());
-            } else {
-                std::fprintf(stderr,
-                             "ssmt_campaign: cannot write %s\n",
-                             path.c_str());
-            }
-        } else if (kind == "error") {
-            std::fprintf(stderr, "ssmt_campaign: server: %s\n",
-                         event.str("message").c_str());
-            return 2;
-        } else if (kind == "done") {
-            const sim::JsonValue *okv = event.find("ok");
-            ok = okv && okv->kind == sim::JsonValue::Kind::Bool &&
-                 okv->boolean;
-            std::fprintf(
-                stderr,
-                "[campaign] %llu cells: %llu cached, %llu "
-                "executed, %llu failed (server %s)\n",
-                static_cast<unsigned long long>(event.u64("cells")),
-                static_cast<unsigned long long>(
-                    event.u64("cacheHits")),
-                static_cast<unsigned long long>(
-                    event.u64("executed")),
-                static_cast<unsigned long long>(event.u64("failed")),
-                event.str("dir").c_str());
-            done = true;
-        }
-    }
-    if (!done) {
-        std::fprintf(stderr,
-                     "ssmt_campaign: server closed the connection "
-                     "mid-campaign (it keeps running; re-submit to "
-                     "stream the rest as cache hits)\n");
-        return 1;
-    }
-    return ok ? 0 : 1;
 }
 
 int
@@ -537,8 +430,6 @@ main(int argc, char **argv)
             return cmdStatus(opt);
         if (opt.command == "gc")
             return cmdGc(opt);
-        if (!opt.server.empty())
-            return cmdRunServer(opt);
         return cmdRun(opt);
     } catch (const ssmt::sim::SimError &err) {
         std::fprintf(stderr, "ssmt_campaign: %s\n", err.what());

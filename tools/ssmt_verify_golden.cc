@@ -17,18 +17,10 @@
  * full oracle leaves zero used mispredictions, and used-prediction
  * accuracy is monotone — oracle >= realistic >= baseline.
  *
- * --server SOCK executes the batches on a running ssmt_server
- * instead of in-process: the suite travels as a ssmt-server-v1 batch
- * request, results come back as ssmt-job-result-v1 documents and
- * decode against the locally-built golden geometry, and the
- * comparison logic below never learns which side simulated. Since
- * both paths are bit-deterministic, --server passing certifies the
- * daemon's results are byte-faithful to local execution.
- *
  * Usage:
  *   ssmt_verify_golden [--golden-dir D] [--jobs N] [--update]
  *                      [--allowlist F] [--workloads a,b,...]
- *                      [--differential] [--server SOCK]
+ *                      [--differential]
  *
  * Exit status: 0 clean, 1 drift/relation failure or any errored
  * batch job (all failures are reported, not just the first), 2 bad
@@ -43,10 +35,6 @@
 #include "sim/batch_runner.hh"
 #include "sim/golden.hh"
 #include "sim/invariants.hh"
-#include "sim/job_codec.hh"
-#include "sim/json_text.hh"
-#include "sim/sim_error.hh"
-#include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -59,7 +47,6 @@ struct Options
     std::string goldenDir = "golden";
     std::string allowlistPath;      // default: <goldenDir>/ALLOWLIST
     std::vector<std::string> workloads;
-    std::string server;     // non-empty: run batches on a daemon
     unsigned jobs = 0;
     bool update = false;
     bool differential = false;
@@ -70,7 +57,7 @@ const char kUsage[] =
     " [--update]\n"
     "          [--allowlist F] [--workloads a,b,...]"
     " [--differential]\n"
-    "          [--server SOCK] [--list-workloads]\n";
+    "          [--list-workloads]\n";
 
 Options
 parseOptions(int argc, char **argv)
@@ -81,7 +68,6 @@ parseOptions(int argc, char **argv)
          {"--allowlist", nullptr, true},
          {"--workloads", nullptr, true},
          {"--jobs", nullptr, true},
-         {"--server", nullptr, true},
          {"--update"},
          {"--differential"}});
     if (!args.positionals().empty())
@@ -98,121 +84,11 @@ parseOptions(int argc, char **argv)
             args.fail("--jobs must be >= 1");
         opt.jobs = static_cast<unsigned>(jobs);
     }
-    opt.server = args.str("--server");
     opt.update = args.has("--update");
     opt.differential = args.has("--differential");
-    if (!opt.server.empty() && opt.update)
-        args.fail("--update runs locally; drop --server");
     if (opt.allowlistPath.empty())
         opt.allowlistPath = opt.goldenDir + "/ALLOWLIST";
     return opt;
-}
-
-/**
- * Execute @p batch on the ssmt_server at @p socket_path. Every job
- * here is the pinned golden config plus a mode, so each cell travels
- * as {workload, mode, config:"golden"} and the returned
- * ssmt-job-result-v1 doc decodes against the job's own config (the
- * geometry never travels — both sides derive it from "golden").
- * @return false (after reporting) on any transport/protocol failure;
- * decoded results land in @p results in batch order.
- */
-bool
-runServerBatch(const std::string &socket_path,
-               const std::vector<sim::BatchJob> &batch,
-               std::vector<sim::BatchResult> *results)
-{
-    cli::LineSocket sock;
-    if (!sock.connectTo(socket_path)) {
-        std::fprintf(stderr,
-                     "[verify-golden] cannot connect to server at "
-                     "'%s'\n",
-                     socket_path.c_str());
-        return false;
-    }
-    sim::SnapshotWriter req;
-    req.beginObject();
-    req.str("schema", "ssmt-server-v1");
-    req.str("cmd", "batch");
-    req.beginArray("cells");
-    for (const sim::BatchJob &job : batch) {
-        // job.name is "<workload>" or "<workload>/<suffix>"; the
-        // server rebuilds the program from the workload registry.
-        std::string workload = job.name.substr(0, job.name.find('/'));
-        req.beginObject();
-        req.str("workload", workload);
-        req.str("mode", sim::modeName(job.config.mode));
-        req.str("config", "golden");
-        req.str("name", job.name);
-        req.endObject();
-    }
-    req.endArray();
-    req.endObject();
-    if (!sock.sendLine(req.text())) {
-        std::fprintf(stderr,
-                     "[verify-golden] server send failed\n");
-        return false;
-    }
-
-    results->assign(batch.size(), sim::BatchResult{});
-    std::vector<char> got(batch.size(), 0);
-    std::string line;
-    while (sock.recvLine(&line)) {
-        sim::JsonValue event;
-        if (!sim::parseJson(line, event)) {
-            std::fprintf(stderr,
-                         "[verify-golden] unparsable server event\n");
-            return false;
-        }
-        std::string kind = event.str("event");
-        if (kind == "error") {
-            std::fprintf(stderr, "[verify-golden] server: %s\n",
-                         event.str("message").c_str());
-            return false;
-        }
-        if (kind == "job") {
-            size_t index =
-                static_cast<size_t>(event.u64("index", batch.size()));
-            if (index >= batch.size()) {
-                std::fprintf(stderr,
-                             "[verify-golden] job index out of "
-                             "range\n");
-                return false;
-            }
-            std::string checkpoint;
-            bool final_attempt = false;
-            try {
-                sim::decodeJobResult(event.str("doc"),
-                                     batch[index].config,
-                                     &(*results)[index], &checkpoint,
-                                     &final_attempt);
-            } catch (const sim::SimError &e) {
-                std::fprintf(stderr,
-                             "[verify-golden] cell %s: undecodable "
-                             "result doc: %s\n",
-                             batch[index].name.c_str(), e.what());
-                return false;
-            }
-            got[index] = 1;
-            continue;
-        }
-        if (kind == "done") {
-            for (size_t i = 0; i < batch.size(); i++) {
-                if (!got[i]) {
-                    std::fprintf(stderr,
-                                 "[verify-golden] server never "
-                                 "returned cell %zu (%s)\n",
-                                 i, batch[i].name.c_str());
-                    return false;
-                }
-            }
-            return true;
-        }
-    }
-    std::fprintf(stderr,
-                 "[verify-golden] server closed the connection "
-                 "mid-batch\n");
-    return false;
 }
 
 /**
@@ -304,11 +180,7 @@ main(int argc, char **argv)
         batch.push_back({info.name, info.make({}), golden_cfg});
 
     sim::BatchRunner runner(opt.jobs);
-    std::vector<sim::BatchResult> results;
-    if (opt.server.empty())
-        results = runner.run(batch);
-    else if (!runServerBatch(opt.server, batch, &results))
-        return 2;
+    std::vector<sim::BatchResult> results = runner.run(batch);
     // Collect every failed job before bailing so one bad workload
     // does not mask the rest of the report.
     std::string failed_jobs =
@@ -428,12 +300,8 @@ main(int argc, char **argv)
             diff_batch.push_back({info.name + "/oracle-all", prog,
                                   oracle_all_cfg});
         }
-        std::vector<sim::BatchResult> diff_results;
-        if (opt.server.empty())
-            diff_results = runner.run(diff_batch);
-        else if (!runServerBatch(opt.server, diff_batch,
-                                 &diff_results))
-            return 2;
+        std::vector<sim::BatchResult> diff_results =
+            runner.run(diff_batch);
         std::string failed_diff = sim::BatchRunner::failureSummary(
             diff_batch, diff_results);
         if (!failed_diff.empty()) {
