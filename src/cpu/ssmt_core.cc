@@ -1603,7 +1603,7 @@ SsmtCore::restore(sim::SnapshotReader &r)
 }
 
 static_assert(sim::SnapshotterLike<SsmtCore>);
-SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3912);
+SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3848);
 
 } // namespace cpu
 } // namespace ssmt

@@ -293,7 +293,9 @@ class SsmtCore : public sim::Snapshotter
     };
 
     // ---- Construction-order state ----
-    isa::Program prog_;     ///< owned copy: callers may pass temporaries
+    /** Shares the caller's immutable program body (a reference-count
+     *  bump, not an image copy), so callers may pass temporaries. */
+    isa::Program prog_;
     sim::MachineConfig cfg_;
     isa::MemoryImage mem_;
     isa::RegFile regs_;

@@ -1,5 +1,7 @@
 #include "isa/builder.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -173,6 +175,13 @@ ProgramBuilder::raw(const Inst &inst)
 }
 
 ProgramBuilder &
+ProgramBuilder::reserveData(size_t words)
+{
+    data_.reserve(data_.size() + words);
+    return *this;
+}
+
+ProgramBuilder &
 ProgramBuilder::initWord(uint64_t addr, uint64_t value)
 {
     data_.push_back(DataInit{addr, value});
@@ -183,6 +192,11 @@ ProgramBuilder &
 ProgramBuilder::initWords(uint64_t addr,
                           const std::vector<uint64_t> &values)
 {
+    // Grow geometrically: an exact reserve would reallocate on every
+    // call of a builder that lays out many small regions.
+    const size_t need = data_.size() + values.size();
+    if (need > data_.capacity())
+        data_.reserve(std::max(need, 2 * data_.capacity()));
     for (size_t i = 0; i < values.size(); i++)
         data_.push_back(DataInit{addr + 8 * i, values[i]});
     return *this;
@@ -215,7 +229,8 @@ ProgramBuilder::build(std::string name)
         data_[fixup.dataIndex].value = it->second;
     }
     dataFixups_.clear();
-    return Program(std::move(name), code_, data_);
+    labels_.clear();
+    return Program(std::move(name), std::move(code_), std::move(data_));
 }
 
 } // namespace isa

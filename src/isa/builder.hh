@@ -111,6 +111,9 @@ class ProgramBuilder
     ProgramBuilder &raw(const Inst &inst);
 
     // Initial data image
+    /** Make room for @p words more data words, so a generator that
+     *  knows its image size fills it without regrowing it. */
+    ProgramBuilder &reserveData(size_t words);
     ProgramBuilder &initWord(uint64_t addr, uint64_t value);
     ProgramBuilder &initWords(uint64_t addr,
                               const std::vector<uint64_t> &values);
@@ -121,6 +124,10 @@ class ProgramBuilder
     /**
      * Resolve all label fixups and produce the program.
      * Calls SSMT_FATAL on unbound labels.
+     *
+     * Consumes the builder: the code and data image move into the
+     * Program rather than being copied, and the builder is left
+     * empty (no instructions, data or labels).
      */
     Program build(std::string name);
 

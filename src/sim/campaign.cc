@@ -417,8 +417,11 @@ CampaignJournal::appendHeader(const std::string &spec_json)
     return appendLine(w.text());
 }
 
-bool
-CampaignJournal::appendCell(const JournalCell &cell)
+namespace
+{
+
+std::string
+cellLine(const JournalCell &cell)
 {
     SnapshotWriter w;
     w.beginObject();
@@ -427,7 +430,26 @@ CampaignJournal::appendCell(const JournalCell &cell)
     w.str("errorCode", errorCodeName(cell.errorCode));
     w.boolean("cached", cell.cached);
     w.endObject();
-    return appendLine(w.text());
+    return w.text();
+}
+
+} // namespace
+
+bool
+CampaignJournal::appendCell(const JournalCell &cell)
+{
+    return appendLine(cellLine(cell));
+}
+
+bool
+CampaignJournal::appendCells(const std::vector<JournalCell> &cells)
+{
+    if (cells.empty())
+        return true;
+    std::string lines = cellLine(cells.front());
+    for (size_t i = 1; i < cells.size(); i++)
+        lines += "\n" + cellLine(cells[i]);
+    return appendLine(lines);
 }
 
 bool
@@ -540,6 +562,33 @@ logLine(const CampaignOptions &opts, const std::string &msg)
         opts.log(msg);
 }
 
+/** One workload of a spec, built and hashed once: every cell of the
+ *  workload shares the program's body and its store-key hash. */
+struct BuiltWorkload
+{
+    isa::Program program;
+    uint64_t hash = 0;
+};
+
+/** Build each of @p spec's workloads and hash its program, in
+ *  parallel (generators are independent and deterministic). */
+std::map<std::string, BuiltWorkload>
+buildWorkloads(const CampaignSpec &spec, const BatchRunner &runner)
+{
+    workloads::WorkloadParams params;
+    params.scale = spec.scale;
+    std::vector<BuiltWorkload> built(spec.workloads.size());
+    runner.forEach(built.size(), [&](size_t w) {
+        built[w].program =
+            workloads::makeWorkload(spec.workloads[w], params);
+        built[w].hash = programHash(built[w].program);
+    });
+    std::map<std::string, BuiltWorkload> by_name;
+    for (size_t w = 0; w < built.size(); w++)
+        by_name.emplace(spec.workloads[w], built[w]);
+    return by_name;
+}
+
 } // namespace
 
 CampaignOutcome
@@ -576,18 +625,8 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
 
     BatchRunner runner(opts.jobs);
 
-    // Build each workload program once (in parallel — generators are
-    // independent and deterministic); cells share it by reference.
-    workloads::WorkloadParams params;
-    params.scale = spec.scale;
-    std::vector<isa::Program> built(spec.workloads.size());
-    runner.forEach(spec.workloads.size(), [&](size_t w) {
-        built[w] = workloads::makeWorkload(spec.workloads[w], params);
-    });
-    std::map<std::string, isa::Program> programs;
-    for (size_t w = 0; w < spec.workloads.size(); w++)
-        programs.emplace(spec.workloads[w], std::move(built[w]));
-    built.clear();
+    const std::map<std::string, BuiltWorkload> built =
+        buildWorkloads(spec, runner);
 
     // The journal pins the spec: resuming under a different spec
     // would silently mix incompatible cells into one campaign.
@@ -625,27 +664,35 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
     }
 
     // Cell identities, then the store pass: anything already
-    // persisted is a cache hit and never re-simulated.
+    // persisted is a cache hit and never re-simulated. The hits are
+    // journaled with one write and one fsync rather than one each:
+    // the store already holds every one of them, so a crash before
+    // that sync loses nothing a rerun would not serve again.
     ResultStore store(store_dir);
     std::vector<std::string> keys(n);
     std::vector<MachineConfig> configs(n);
     std::vector<bool> have(n, false);
+    std::vector<JournalCell> hits;
     for (size_t i = 0; i < n; i++) {
         const CampaignCell &cell = outcome.cells[i];
         configs[i] = cellConfig(spec, cell);
-        keys[i] = ResultStore::cellKey(
-            programHash(programs.at(cell.workload)), configs[i],
-            cell.seed);
+        keys[i] = ResultStore::cellKey(built.at(cell.workload).hash,
+                                       configs[i], cell.seed);
         if (store.load(keys[i], configs[i], &outcome.results[i])) {
             have[i] = true;
             outcome.cacheHits++;
-            journal.appendCell({cell.name, keys[i],
-                                outcome.results[i].errorCode,
-                                true});
-            logLine(opts, cell.name + ": cached");
-            if (opts.onCell)
-                opts.onCell(cell, keys[i], outcome.results[i], true);
+            hits.push_back({cell.name, keys[i],
+                            outcome.results[i].errorCode, true});
         }
+    }
+    journal.appendCells(hits);
+    for (size_t i = 0; i < n; i++) {
+        if (!have[i])
+            continue;
+        const CampaignCell &cell = outcome.cells[i];
+        logLine(opts, cell.name + ": cached");
+        if (opts.onCell)
+            opts.onCell(cell, keys[i], outcome.results[i], true);
     }
 
     // Everything else runs through BatchRunner, with per-cell
@@ -660,7 +707,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
         const CampaignCell &cell = outcome.cells[i];
         BatchJob job;
         job.name = cell.name;
-        job.program = programs.at(cell.workload);
+        job.program = built.at(cell.workload).program;
         job.config = configs[i];
         job.crash = cell.crash;
         batch.push_back(std::move(job));
@@ -764,17 +811,11 @@ std::vector<std::string>
 campaignGc(const CampaignSpec &spec, const std::string &dir)
 {
     ResultStore store(dir + "/store");
+    const std::map<std::string, BuiltWorkload> built =
+        buildWorkloads(spec, BatchRunner());
     std::set<std::string> live;
-    workloads::WorkloadParams params;
-    params.scale = spec.scale;
-    std::map<std::string, uint64_t> hashes;
-    for (const std::string &workload : spec.workloads) {
-        hashes.emplace(workload,
-                       programHash(workloads::makeWorkload(workload,
-                                                           params)));
-    }
     for (const CampaignCell &cell : campaignCells(spec)) {
-        live.insert(ResultStore::cellKey(hashes.at(cell.workload),
+        live.insert(ResultStore::cellKey(built.at(cell.workload).hash,
                                          cellConfig(spec, cell),
                                          cell.seed));
     }

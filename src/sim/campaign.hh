@@ -14,9 +14,11 @@
  *    manifest, failures included.
  *
  *  - CampaignJournal — an append-only JSONL log (header with the
- *    full spec, then one line per finished cell) written with
- *    fsync-per-line, so a `kill -9` at any instant loses at most the
- *    line being written. Reading tolerates a truncated final line.
+ *    full spec, then one line per finished cell). An executed cell's
+ *    line is fsynced as it is written, and a run's cache hits share
+ *    one write and one fsync, so a `kill -9` at any instant loses at
+ *    most the lines being written. Reading tolerates a truncated
+ *    final line.
  *
  *  - runCampaign — enumerate the spec's cells in a fixed order,
  *    serve already-stored cells as cache hits, run the rest through
@@ -185,8 +187,8 @@ struct JournalContents
 };
 
 /**
- * The append-only campaign journal. Every append writes one complete
- * JSONL line and fsyncs before returning, so the file is a prefix of
+ * The append-only campaign journal. Every append writes complete
+ * JSONL lines and fsyncs before returning, so the file is a prefix of
  * the truth at every instant.
  */
 class CampaignJournal
@@ -213,6 +215,8 @@ class CampaignJournal
 
     bool appendHeader(const std::string &spec_json);
     bool appendCell(const JournalCell &cell);
+    /** Append every line of @p cells with one write and one fsync. */
+    bool appendCells(const std::vector<JournalCell> &cells);
     bool appendEnd();
 
     void close();

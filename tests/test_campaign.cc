@@ -5,13 +5,15 @@
  * cache hits and the final manifest byte-identical to an
  * uninterrupted run — failures included. Also covers the canonical
  * spec serialization, cell enumeration, journal tail tolerance, spec
- * identity pinning, and store garbage collection.
+ * identity pinning, store garbage collection, and the store-key
+ * formula existing stores depend on.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "sim/campaign.hh"
 #include "sim/fsio.hh"
 #include "sim/sim_error.hh"
+#include "sim/snapshot.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -279,6 +283,45 @@ TEST(Campaign, GcRemovesOnlyUnreferencedEntries)
     EXPECT_EQ(outcome.executed, 0u);
 }
 
+TEST(Campaign, StoreKeysMatchPerCellFormula)
+{
+    // Stores written by any version must keep serving hits, so every
+    // key is cellKey(programHash of the freshly built workload, the
+    // cell's config, its seed). Two workloads at scale 2 catch a hash
+    // served for the wrong program or the wrong scale.
+    sim::CampaignSpec spec = smallSpec();
+    spec.workloads = {"comp", "go"};
+    spec.scale = 2;
+    spec.sampleInterval = 0;
+    spec.maxInsts = 20000;
+
+    std::string dir = freshDir("keys");
+    sim::CampaignOptions opts;
+    opts.jobs = 2;
+    std::set<std::string> hooked;
+    opts.onCell = [&](const sim::CampaignCell &, const std::string &key,
+                      const sim::BatchResult &, bool) {
+        hooked.insert(key);
+    };
+    ASSERT_TRUE(sim::runCampaign(spec, dir, opts).completed);
+
+    workloads::WorkloadParams params;
+    params.scale = spec.scale;
+    std::set<std::string> expected;
+    for (const sim::CampaignCell &cell : sim::campaignCells(spec)) {
+        expected.insert(sim::ResultStore::cellKey(
+            sim::programHash(workloads::makeWorkload(cell.workload,
+                                                     params)),
+            sim::cellConfig(spec, cell), cell.seed));
+    }
+    ASSERT_EQ(expected.size(), 8u);
+    std::vector<std::string> stored =
+        sim::ResultStore(dir + "/store").list();
+    EXPECT_EQ(std::set<std::string>(stored.begin(), stored.end()),
+              expected);
+    EXPECT_EQ(hooked, expected);
+}
+
 TEST(Campaign, OnCellHookSeesEveryCellWithCacheState)
 {
     sim::CampaignSpec spec = smallSpec();
@@ -305,6 +348,44 @@ TEST(Campaign, OnCellHookSeesEveryCellWithCacheState)
     ASSERT_EQ(seen.size(), 4u);
     for (const auto &entry : seen)
         EXPECT_TRUE(entry.second) << entry.first;
+}
+
+TEST(Campaign, ReplayJournalsEveryHitInCellOrder)
+{
+    // A replay journals its hits in one append; the file must still
+    // read back as one line per cell, in cell order, after the cold
+    // pass's lines.
+    sim::CampaignSpec spec = smallSpec();
+    std::string dir = freshDir("hits");
+    sim::CampaignOptions opts;
+    opts.jobs = 1;
+    ASSERT_TRUE(sim::runCampaign(spec, dir, opts).completed);
+    sim::CampaignOutcome replay = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(replay.completed);
+    ASSERT_EQ(replay.cacheHits, 4u);
+
+    const std::string path = dir + "/journal.jsonl";
+    sim::JournalContents journal = sim::CampaignJournal::read(path);
+    EXPECT_TRUE(journal.headerOk);
+    EXPECT_TRUE(journal.ended);
+    EXPECT_EQ(journal.corruptLines, 0u);
+    std::vector<sim::CampaignCell> cells = sim::campaignCells(spec);
+    ASSERT_EQ(journal.cells.size(), 2 * cells.size());
+    for (size_t i = 0; i < cells.size(); i++) {
+        const sim::JournalCell &hit = journal.cells[cells.size() + i];
+        EXPECT_EQ(hit.cell, cells[i].name);
+        EXPECT_TRUE(hit.cached) << hit.cell;
+        EXPECT_FALSE(journal.cells[i].cached) << journal.cells[i].cell;
+        EXPECT_EQ(hit.key, journal.cells[i].key) << hit.cell;
+    }
+
+    // Appending no cells writes nothing.
+    const std::string before = sim::readFileOrEmpty(path);
+    sim::CampaignJournal appender(path);
+    ASSERT_TRUE(appender.open(false));
+    EXPECT_TRUE(appender.appendCells({}));
+    appender.close();
+    EXPECT_EQ(sim::readFileOrEmpty(path), before);
 }
 
 TEST(Campaign, JournalLagCountsStoredButUnjournaledCells)

@@ -1,9 +1,12 @@
 /**
  * @file
- * Unit tests for the ProgramBuilder mini-assembler.
+ * Unit tests for the ProgramBuilder mini-assembler and the Program
+ * values it builds.
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "isa/builder.hh"
 #include "isa/memory_image.hh"
@@ -105,6 +108,31 @@ TEST(BuilderTest, DataImageLoaded)
     EXPECT_EQ(mem.load(0x2010), 3u);
 }
 
+TEST(BuilderTest, ReserveDataLeavesTheImageUnchanged)
+{
+    // Words written one by one into a reserved image match the same
+    // words laid out by initWords, in the same order.
+    ProgramBuilder reserved;
+    reserved.initWord(0x1000, 42);
+    reserved.reserveData(3);
+    for (uint64_t i = 0; i < 3; i++)
+        reserved.initWord(0x2000 + 8 * i, i + 1);
+    reserved.halt();
+    Program p = reserved.build("t");
+
+    ProgramBuilder staged;
+    staged.initWord(0x1000, 42);
+    staged.initWords(0x2000, {1, 2, 3});
+    staged.halt();
+    Program q = staged.build("t");
+
+    ASSERT_EQ(p.data().size(), q.data().size());
+    for (size_t i = 0; i < p.data().size(); i++) {
+        EXPECT_EQ(p.data()[i].addr, q.data()[i].addr) << i;
+        EXPECT_EQ(p.data()[i].value, q.data()[i].value) << i;
+    }
+}
+
 TEST(BuilderTest, DataLabelFixupStoresPc)
 {
     ProgramBuilder b;
@@ -117,6 +145,58 @@ TEST(BuilderTest, DataLabelFixupStoresPc)
     MemoryImage mem;
     p.loadData(mem);
     EXPECT_EQ(mem.load(0x3000), 2u);
+}
+
+TEST(ProgramTest, DefaultConstructedIsEmpty)
+{
+    Program p;
+    EXPECT_EQ(p.name(), "");
+    EXPECT_EQ(p.size(), 0u);
+    EXPECT_TRUE(p.code().empty());
+    EXPECT_TRUE(p.data().empty());
+    EXPECT_EQ(p.disassemble(), "");
+}
+
+TEST(ProgramTest, CopiesShareOneBody)
+{
+    ProgramBuilder b;
+    b.initWords(0x1000, {5, 6, 7});
+    b.li(R(1), 3);
+    b.halt();
+    Program p = b.build("shared");
+
+    Program copy = p;
+    Program assigned;
+    assigned = p;
+    for (const Program *q : {&copy, &assigned}) {
+        EXPECT_EQ(q->name(), "shared");
+        EXPECT_EQ(q->code().data(), p.code().data());
+        EXPECT_EQ(q->data().data(), p.data().data());
+    }
+
+    // A copy outlives its source, and moving from a Program leaves
+    // the source readable.
+    Program survivor = std::move(copy);
+    p = Program();
+    EXPECT_EQ(copy.name(), "shared");
+    EXPECT_EQ(survivor.size(), 2u);
+    ASSERT_EQ(survivor.data().size(), 3u);
+    EXPECT_EQ(survivor.data()[2].value, 7u);
+    EXPECT_TRUE(p.code().empty());
+}
+
+TEST(BuilderTest, BuildConsumesTheBuilder)
+{
+    ProgramBuilder b;
+    b.label("top");
+    b.initWord(0x1000, 1);
+    b.j("top");
+    Program p = b.build("t");
+    EXPECT_EQ(p.size(), 1u);
+    EXPECT_EQ(p.data().size(), 1u);
+    EXPECT_EQ(b.here(), 0u);
+    b.halt();
+    EXPECT_EQ(b.build("again").size(), 1u);
 }
 
 TEST(BuilderDeathTest, UnboundLabelIsFatal)

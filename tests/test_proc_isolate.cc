@@ -125,12 +125,13 @@ TEST(ProcIsolate, HungChildKilledByWallDeadline)
 }
 
 // RLIMIT_AS-based OOM containment conflicts with AddressSanitizer's
-// shadow-memory reservation, so the sanitizer preset skips it.
-#if !defined(__SANITIZE_ADDRESS__) && !defined(SSMT_ASAN_SKIP_OOM)
-#if defined(__has_feature)
+// shadow-memory reservation, so ASan builds skip it. GCC announces
+// ASan with __SANITIZE_ADDRESS__, Clang with __has_feature.
+#if defined(__SANITIZE_ADDRESS__)
+#define SSMT_ASAN_SKIP_OOM 1
+#elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SSMT_ASAN_SKIP_OOM 1
-#endif
 #endif
 #endif
 #ifndef SSMT_ASAN_SKIP_OOM
