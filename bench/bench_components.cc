@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the hot hardware structures:
  * the Path_Id hash, path tracker, branch predictors, value
  * predictor, caches, Path Cache, Prediction Cache, microthread
- * builder, and the end-to-end simulator throughput.
+ * builder, and BatchRunner's fork-join dispatch. End-to-end
+ * simulator speed is perfbench's measurement (perfbench/).
  */
 
 #include <benchmark/benchmark.h>
@@ -20,11 +21,8 @@
 #include "core/path_tracker.hh"
 #include "core/prediction_cache.hh"
 #include "core/uthread_builder.hh"
-#include "cpu/ssmt_core.hh"
 #include "memory/hierarchy.hh"
-#include "sim/sim_runner.hh"
 #include "vpred/value_predictor.hh"
-#include "workloads/workloads.hh"
 
 namespace
 {
@@ -177,29 +175,6 @@ BM_MicrothreadBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MicrothreadBuild);
-
-void
-BM_SimulatorThroughput(benchmark::State &state)
-{
-    // End-to-end simulated instructions per second on the synthetic
-    // kernel, per machine mode.
-    workloads::SyntheticSpec spec;
-    spec.iters = 20;
-    isa::Program prog = workloads::makeSynthetic(spec);
-    sim::MachineConfig cfg;
-    cfg.mode = static_cast<sim::Mode>(state.range(0));
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        sim::Stats stats = sim::runProgram(prog, cfg);
-        insts += stats.retiredInsts;
-    }
-    state.counters["sim_inst/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulatorThroughput)
-    ->Arg(static_cast<int>(sim::Mode::Baseline))
-    ->Arg(static_cast<int>(sim::Mode::Microthread))
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_BatchRunnerForEach(benchmark::State &state)

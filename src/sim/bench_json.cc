@@ -1,11 +1,11 @@
 #include "sim/bench_json.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "sim/fsio.hh"
 #include "sim/jobs.hh"
+#include "sim/json_text.hh"
 
 namespace ssmt
 {
@@ -36,59 +36,21 @@ BenchJson::addRun(const std::string &workload,
                   const std::string &config, double host_seconds,
                   const Stats &stats)
 {
-    runs_.push_back(
-        {workload, config, host_seconds, true, stats, {}});
-}
-
-void
-BenchJson::addRun(const std::string &workload,
-                  const std::string &config, double host_seconds,
-                  const Stats &stats, const MetricsSeries &series)
-{
-    runs_.push_back(
-        {workload, config, host_seconds, true, stats, series});
+    runs_.push_back({workload, config, host_seconds, true, stats});
 }
 
 void
 BenchJson::addTiming(const std::string &workload,
                      const std::string &config, double host_seconds)
 {
-    runs_.push_back(
-        {workload, config, host_seconds, false, Stats{}, {}});
+    runs_.push_back({workload, config, host_seconds, false, Stats{}});
 }
 
 std::string
 BenchJson::escape(const std::string &text)
 {
     std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    appendJsonEscaped(out, text);
     return out;
 }
 
@@ -150,8 +112,6 @@ BenchJson::str() const
             appendField(out, "pcacheLookupHits", s.pcacheLookupHits,
                         false);
         }
-        if (run.series.enabled())
-            out << ", \"series\": " << seriesJson(run.series);
         out << "}";
     }
     out << (runs_.empty() ? "]" : "\n  ]") << "\n}\n";

@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/metrics.hh"
 #include "sim/stats.hh"
 
 namespace ssmt
@@ -65,14 +64,6 @@ class BenchJson
     /** Record one simulation cell. */
     void addRun(const std::string &workload, const std::string &config,
                 double host_seconds, const Stats &stats);
-
-    /** Record a cell that also captured an interval time-series; the
-     *  run's entry gains a versioned `"series"` block (schema
-     *  `ssmt-series-v1`). A disabled series degrades to the plain
-     *  addRun so callers can pass artifacts unconditionally. */
-    void addRun(const std::string &workload, const std::string &config,
-                double host_seconds, const Stats &stats,
-                const MetricsSeries &series);
 
     /** Record a cell with timing but no simulator stats (profiler
      *  passes and other non-SsmtCore measurements). */
@@ -97,7 +88,8 @@ class BenchJson
      */
     std::string writeFile(const std::string &dir = "") const;
 
-    /** JSON string escaping (exposed for tests). */
+    /** @p text escaped for a JSON string literal, as a new string
+     *  (sim::appendJsonEscaped appends in place). */
     static std::string escape(const std::string &text);
 
   private:
@@ -108,7 +100,6 @@ class BenchJson
         double hostSeconds;
         bool hasStats;
         Stats stats;
-        MetricsSeries series;   ///< empty unless sampling was on
     };
 
     std::string bench_;

@@ -42,9 +42,12 @@ writeFileAtomic(const std::string &path, const std::string &body)
         left -= static_cast<size_t>(wrote);
     }
     // Durability before visibility: the data must be on disk before
-    // the rename can make it the canonical content.
-    if (::fsync(fd) != 0 || ::close(fd) != 0) {
-        ::close(fd);
+    // the rename can make it the canonical content. Close exactly
+    // once: Linux releases the descriptor even when close fails, so a
+    // second close could hit a descriptor another thread just opened.
+    bool synced = ::fsync(fd) == 0;
+    bool closed = ::close(fd) == 0;
+    if (!synced || !closed) {
         ::unlink(tmp.c_str());
         return false;
     }

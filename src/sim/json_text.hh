@@ -2,7 +2,8 @@
  * @file
  * A minimal JSON reader for the simulator's own machine-readable
  * artifacts (`ssmt-bench-v1` bench records and `ssmt-golden-v1`
- * golden-stats snapshots).
+ * golden-stats snapshots), plus the string escaper their writers
+ * share.
  *
  * This is deliberately not a general-purpose JSON library: it parses
  * the documents our emitters write (objects, arrays, strings,
@@ -65,6 +66,16 @@ struct JsonValue
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string *err = nullptr);
+
+/**
+ * Append @p text to @p out as the body of a JSON string literal
+ * (without the quotes): `"` and `\` get a backslash, newline, tab
+ * and carriage return their short forms, and every other control
+ * character a `\u00XX` escape. SnapshotWriter and BenchJson (and
+ * the golden writer through it) share this one escape set, so keys
+ * and labels serialize canonically.
+ */
+void appendJsonEscaped(std::string &out, const std::string &text);
 
 } // namespace sim
 } // namespace ssmt

@@ -10,6 +10,7 @@
 
 #include "cpu/ssmt_core.hh"
 #include "isa/program.hh"
+#include "sim/json_text.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_error.hh"
 
@@ -26,31 +27,6 @@ const char kSnapshotSchema[] = "ssmt-snapshot-v1";
 
 namespace
 {
-
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    // Same escape set as BenchJson/goldenJson: keys and labels are
-    // ASCII identifiers, so the short form suffices and stays
-    // canonical.
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
 
 void
 appendU64(std::string &out, uint64_t value)
@@ -172,7 +148,7 @@ SnapshotWriter::str(const char *key, const std::string &value)
 {
     emitKey(key);
     out_ += '"';
-    appendEscaped(out_, value);
+    appendJsonEscaped(out_, value);
     out_ += '"';
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the ssmt-bench-v1 emitter: the document it produces must
  * parse back (via sim/json_text) with every field intact, string
- * escaping must round-trip, and writeFile must honor the
- * SSMT_BENCH_JSON_DIR redirect/disable contract.
+ * escaping must round-trip, writeFile must honor the
+ * SSMT_BENCH_JSON_DIR redirect/disable contract, and every committed
+ * results/ file must be an ssmt-bench-v1 document.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "sim/bench_json.hh"
+#include "sim/fsio.hh"
 #include "sim/json_text.hh"
+#include "sim/snapshot.hh"
 
 namespace
 {
@@ -133,6 +137,45 @@ TEST(BenchJsonTest, EscapedStringsRoundTrip)
     ASSERT_NE(runs, nullptr);
     ASSERT_EQ(runs->items.size(), 1u);
     EXPECT_EQ(runs->items[0].str("workload"), nasty);
+
+    // SnapshotWriter appends through the same escaper.
+    sim::SnapshotWriter w;
+    w.beginObject();
+    w.str("label", nasty);
+    w.endObject();
+    EXPECT_NE(w.text().find(sim::BenchJson::escape(nasty)),
+              std::string::npos);
+    EXPECT_EQ(sim::SnapshotReader(w.text()).str("label"), nasty);
+}
+
+TEST(BenchJsonTest, EveryCommittedResultIsBenchV1)
+{
+    // One schema for every published measurement: each file under
+    // results/ parses as ssmt-bench-v1 with named runs.
+    const std::string dir = SSMT_RESULTS_DIR;
+    std::vector<std::string> files = sim::listDir(dir);
+    ASSERT_FALSE(files.empty()) << "no files in " << dir;
+    for (const std::string &name : files) {
+        SCOPED_TRACE(name);
+        sim::JsonValue root;
+        std::string err;
+        if (!sim::parseJson(sim::readFileOrEmpty(dir + "/" + name), root,
+                            &err)) {
+            ADD_FAILURE() << "does not parse: " << err;
+            continue;
+        }
+        EXPECT_EQ(root.str("schema"), "ssmt-bench-v1");
+        EXPECT_FALSE(root.str("bench").empty());
+        const sim::JsonValue *runs = root.find("runs");
+        if (!runs || runs->kind != sim::JsonValue::Kind::Array) {
+            ADD_FAILURE() << "no runs array";
+            continue;
+        }
+        for (const sim::JsonValue &run : runs->items) {
+            EXPECT_FALSE(run.str("workload").empty());
+            EXPECT_FALSE(run.str("config").empty());
+        }
+    }
 }
 
 /** RAII guard: set/unset SSMT_BENCH_JSON_DIR, restore on exit. */

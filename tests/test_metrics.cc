@@ -3,14 +3,13 @@
  * Tests for the interval time-series metrics layer: sampler
  * semantics, histogram bucketing, end-of-run agreement with the
  * final Stats, determinism across BatchRunner worker counts, the
- * bench-record series block, and the config-knob validation.
+ * series JSON, and the config-knob validation.
  */
 
 #include <gtest/gtest.h>
 
 #include "cpu/ssmt_core.hh"
 #include "sim/batch_runner.hh"
-#include "sim/bench_json.hh"
 #include "sim/golden.hh"
 #include "sim/json_text.hh"
 #include "sim/metrics.hh"
@@ -214,34 +213,6 @@ TEST(MetricsTest, SeriesJsonParsesWithSchemaAndCounters)
     EXPECT_EQ(root.str("schema"), "ssmt-series-v1");
     EXPECT_EQ(root.str("workload"), "wl");
     EXPECT_EQ(root.str("config"), "cfg");
-}
-
-TEST(MetricsTest, BenchJsonEmitsVersionedSeriesBlock)
-{
-    sim::MachineConfig cfg;
-    cfg.mode = sim::Mode::Microthread;
-    cfg.sampleInterval = 500;
-    cpu::SsmtCore core(testProgram(), cfg);
-    const sim::Stats &stats = core.run();
-
-    sim::BenchJson bench("metrics_test", 1, true);
-    bench.addRun("synthetic", "microthread", 0.5, stats,
-                 core.series());
-    // A disabled series degrades to the plain record.
-    bench.addRun("synthetic", "baseline", 0.5, stats,
-                 sim::MetricsSeries{});
-
-    sim::JsonValue root;
-    std::string err;
-    ASSERT_TRUE(sim::parseJson(bench.str(), root, &err)) << err;
-    const sim::JsonValue *runs = root.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_EQ(runs->items.size(), 2u);
-    const sim::JsonValue *series = runs->items[0].find("series");
-    ASSERT_NE(series, nullptr);
-    EXPECT_EQ(series->str("schema"), "ssmt-series-v1");
-    EXPECT_EQ(series->u64("interval", 0), 500u);
-    EXPECT_EQ(runs->items[1].find("series"), nullptr);
 }
 
 TEST(MetricsTest, ConfigValidatesObservabilityKnobs)

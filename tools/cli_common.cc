@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sim/fsio.hh"
 #include "sim/jobs.hh"
 
 namespace ssmt
@@ -182,29 +181,6 @@ splitCommas(const std::string &arg)
         pos = comma + 1;
     }
     return out;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "r");
-    if (!file)
-        return "";
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        text.append(buf, got);
-    std::fclose(file);
-    return text;
-}
-
-bool
-writeFile(const std::string &path, const std::string &body)
-{
-    // Atomic (temp + fsync + rename): an interrupted tool must never
-    // leave a truncated golden/results/snapshot file behind.
-    return sim::writeFileAtomic(path, body);
 }
 
 std::vector<std::string>

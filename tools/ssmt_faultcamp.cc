@@ -33,6 +33,7 @@
 #include "cli_common.hh"
 #include "sim/batch_runner.hh"
 #include "sim/faultinject.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -206,7 +207,7 @@ runCampaign(const Options &opt)
             continue;
         std::string path = opt.goldenDir + "/" +
                            sim::goldenFileName(suite[w].name);
-        std::string text = cli::readFile(path);
+        std::string text = sim::readFileOrEmpty(path);
         sim::GoldenRun want;
         std::string err;
         if (text.empty() || !sim::parseGolden(text, want, &err)) {
@@ -312,7 +313,7 @@ runCampaign(const Options &opt)
     if (!opt.outPath.empty()) {
         // Atomic: a report half-written when the campaign host dies
         // must not masquerade as a finished one.
-        if (!cli::writeFile(opt.outPath, json)) {
+        if (!sim::writeFileAtomic(opt.outPath, json)) {
             std::fprintf(stderr, "cannot write %s\n",
                          opt.outPath.c_str());
             return 2;

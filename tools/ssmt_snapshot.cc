@@ -49,6 +49,7 @@
 
 #include "cli_common.hh"
 #include "sim/batch_runner.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -210,7 +211,7 @@ runSave(const Options &opt)
             }
             std::string path =
                 opt.outDir + "/" + name + ".snapshot.json";
-            if (!cli::writeFile(path, artifacts.snapshot)) {
+            if (!sim::writeFileAtomic(path, artifacts.snapshot)) {
                 errors[i] = "cannot write " + path;
                 return;
             }
@@ -239,7 +240,7 @@ runSave(const Options &opt)
 int
 runFanout(const Options &opt)
 {
-    std::string snapshot = cli::readFile(opt.snapshotPath);
+    std::string snapshot = sim::readFileOrEmpty(opt.snapshotPath);
     if (snapshot.empty()) {
         std::fprintf(stderr, "cannot read %s\n",
                      opt.snapshotPath.c_str());
@@ -345,7 +346,7 @@ runVerify(const Options &opt)
             if (!opt.goldenDir.empty()) {
                 std::string path = opt.goldenDir + "/" +
                                    sim::goldenFileName(name);
-                std::string want = cli::readFile(path);
+                std::string want = sim::readFileOrEmpty(path);
                 if (want.empty()) {
                     errors[i] = "cannot read " + path;
                     return;

@@ -35,6 +35,7 @@
 #include "cli_common.hh"
 #include "cpu/trace.hh"
 #include "sim/batch_runner.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/metrics.hh"
 #include "workloads/workloads.hh"
@@ -194,9 +195,8 @@ main(int argc, char **argv)
         if (opt.traceCapacity > 0) {
             std::string path =
                 opt.outDir + "/" + name + ".trace.json";
-            if (!cli::writeFile(path,
-                                cpu::chromeTraceJson(
-                                    result.artifacts.trace))) {
+            if (!sim::writeFileAtomic(
+                    path, cpu::chromeTraceJson(result.artifacts.trace))) {
                 std::fprintf(stderr, "%s: cannot write %s\n",
                              name.c_str(), path.c_str());
                 failures++;

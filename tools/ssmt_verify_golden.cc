@@ -33,6 +33,7 @@
 
 #include "cli_common.hh"
 #include "sim/batch_runner.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/invariants.hh"
 #include "workloads/workloads.hh"
@@ -222,7 +223,7 @@ main(int argc, char **argv)
         const std::string &name = suite[i].name;
         std::string path =
             opt.goldenDir + "/" + sim::goldenFileName(name);
-        std::string text = cli::readFile(path);
+        std::string text = sim::readFileOrEmpty(path);
         if (text.empty()) {
             std::fprintf(stderr,
                          "missing golden snapshot %s (run "
