@@ -21,20 +21,16 @@ main(int argc, char **argv)
                    : std::vector<std::string>{"comp", "go", "perl",
                                               "crafty_2k",
                                               "twolf_2k"});
-    bench::SuiteRun suite_run("ablation_buildlat", args);
+    bench::BenchRun run("ablation_buildlat", args);
 
     const int lats[] = {0, 10, 100, 1000, 10000, 100000};
-    std::vector<bench::ConfigVariant> variants;
-    variants.push_back({"baseline", sim::MachineConfig{}});
+    std::vector<sim::CampaignVariant> variants = {{"baseline", {}}};
     for (int lat : lats) {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::Microthread;
-        cfg.buildLatency = lat;
-        variants.push_back({"buildlat-" + std::to_string(lat), cfg});
+        variants.push_back({"buildlat-" + std::to_string(lat),
+                            {"mode=microthread",
+                             "buildLatency=" + std::to_string(lat)}});
     }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    auto results = run.grid(suite, variants);
 
     std::printf("Ablation: build-latency sensitivity (Section 4.2.2 "
                 "claim)\n\n");
@@ -55,6 +51,6 @@ main(int argc, char **argv)
     std::printf("\nExpected shape: flat across moderate latencies; "
                 "only extreme values (which\nstarve the MicroRAM of "
                 "routines, especially in our short runs) hurt.\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

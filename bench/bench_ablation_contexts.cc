@@ -22,21 +22,17 @@ main(int argc, char **argv)
                    : std::vector<std::string>{"comp", "go", "perl",
                                               "crafty_2k", "twolf_2k",
                                               "mcf_2k"});
-    bench::SuiteRun suite_run("ablation_contexts", args);
+    bench::BenchRun run("ablation_contexts", args);
 
     const uint32_t context_counts[] = {1, 2, 4, 8, 16, 32};
-    std::vector<bench::ConfigVariant> variants;
-    variants.push_back({"baseline", sim::MachineConfig{}});
+    std::vector<sim::CampaignVariant> variants = {{"baseline", {}}};
     for (uint32_t contexts : context_counts) {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::Microthread;
-        cfg.numMicrocontexts = contexts;
         variants.push_back(
-            {"contexts-" + std::to_string(contexts), cfg});
+            {"contexts-" + std::to_string(contexts),
+             {"mode=microthread",
+              "numMicrocontexts=" + std::to_string(contexts)}});
     }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    auto results = run.grid(suite, variants);
 
     std::printf("Ablation: microcontext count (n = 10, T = .10, "
                 "no pruning)\n\n");
@@ -68,6 +64,6 @@ main(int argc, char **argv)
                 "so spawn demand outstrips the\npaper-era context "
                 "budget; the no-context abort column quantifies "
                 "it.\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

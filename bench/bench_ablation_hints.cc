@@ -10,7 +10,6 @@
  * deliver a timely prediction.
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -28,34 +27,23 @@ main(int argc, char **argv)
                                               "crafty_2k",
                                               "parser_2k", "twolf_2k",
                                               "li"});
-    bench::SuiteRun suite_run("ablation_hints", args);
+    bench::BenchRun run("ablation_hints", args);
     sim::BatchRunner runner(args.jobs);
 
     // Phase 1: profile every workload concurrently — the hinted
     // configs below depend on each workload's own difficult set, so
     // this cannot be expressed as a shared-variant matrix.
     std::vector<std::vector<core::PathId>> hints(suite.size());
-    std::vector<double> profile_seconds(suite.size());
     runner.forEach(suite.size(), [&](size_t w) {
-        auto start = std::chrono::steady_clock::now();
         sim::PathProfiler profiler({10});
         profiler.profile(suite[w].make({}), 20'000'000);
         hints[w] = profiler.difficultPathIds(10, 0.10);
-        profile_seconds[w] = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 start)
-                                 .count();
     });
-    for (size_t w = 0; w < suite.size(); w++)
-        suite_run.json().addTiming(suite[w].name, "profile",
-                                   profile_seconds[w]);
 
     // Phase 2: four runs per workload (baseline / dynamic / hinted /
     // hinted+throttle), all cells across the pool.
-    const char *const variant_names[4] = {"baseline", "dynamic",
-                                          "hinted", "hinted+throttle"};
-    std::vector<std::vector<sim::BatchResult>> results(
-        suite.size(), std::vector<sim::BatchResult>(4));
+    std::vector<std::vector<sim::Stats>> results(
+        suite.size(), std::vector<sim::Stats>(4));
     runner.forEach(suite.size() * 4, [&](size_t cell) {
         size_t w = cell / 4;
         size_t v = cell % 4;
@@ -66,19 +54,8 @@ main(int argc, char **argv)
             cfg.staticDifficultHints = hints[w];
         if (v == 3)
             cfg.throttleEnabled = true;
-        auto start = std::chrono::steady_clock::now();
-        results[w][v].stats =
-            sim::runProgram(suite[w].make({}), cfg);
-        results[w][v].hostSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
+        results[w][v] = sim::runProgram(suite[w].make({}), cfg);
     });
-    for (size_t w = 0; w < suite.size(); w++)
-        for (size_t v = 0; v < 4; v++)
-            suite_run.json().addRun(suite[w].name, variant_names[v],
-                                    results[w][v].hostSeconds,
-                                    results[w][v].stats);
 
     std::printf("Ablation: dynamic vs profile-hinted promotion, and "
                 "the usefulness throttle\n(n = 10, T = .10)\n\n");
@@ -87,10 +64,10 @@ main(int argc, char **argv)
     bench::hr(76);
 
     for (size_t w = 0; w < suite.size(); w++) {
-        const sim::Stats &base = results[w][0].stats;
-        const sim::Stats &dynamic = results[w][1].stats;
-        const sim::Stats &hinted = results[w][2].stats;
-        const sim::Stats &both = results[w][3].stats;
+        const sim::Stats &base = results[w][0];
+        const sim::Stats &dynamic = results[w][1];
+        const sim::Stats &hinted = results[w][2];
+        const sim::Stats &both = results[w][3];
         std::printf("%-12s | %8.3f %8.3f %8.3f | %9llu %9llu\n",
                     suite[w].name.c_str(), sim::speedup(dynamic, base),
                     sim::speedup(hinted, base),
@@ -104,6 +81,6 @@ main(int argc, char **argv)
                 "runs and usually match or\nbeat dynamic "
                 "identification; the throttle trims spawn traffic "
                 "without giving\nup the delivered predictions.\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

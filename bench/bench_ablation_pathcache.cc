@@ -24,31 +24,27 @@ main(int argc, char **argv)
                                               "crafty_2k",
                                               "parser_2k",
                                               "twolf_2k"});
-    bench::SuiteRun suite_run("ablation_pathcache", args);
+    bench::BenchRun run("ablation_pathcache", args);
 
     const uint32_t entry_counts[] = {512, 2048, 8192, 32768};
     const uint32_t intervals[] = {8, 16, 32, 64, 128};
 
     // One matrix covers both sweeps: column 0 is the shared baseline,
     // then the capacity points, then the training-interval points.
-    std::vector<bench::ConfigVariant> variants;
-    variants.push_back({"baseline", sim::MachineConfig{}});
+    std::vector<sim::CampaignVariant> variants = {{"baseline", {}}};
     for (uint32_t entries : entry_counts) {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::Microthread;
-        cfg.pathCacheEntries = entries;
-        variants.push_back({"entries-" + std::to_string(entries), cfg});
+        variants.push_back(
+            {"entries-" + std::to_string(entries),
+             {"mode=microthread",
+              "pathCacheEntries=" + std::to_string(entries)}});
     }
     for (uint32_t interval : intervals) {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::Microthread;
-        cfg.trainingInterval = interval;
         variants.push_back(
-            {"interval-" + std::to_string(interval), cfg});
+            {"interval-" + std::to_string(interval),
+             {"mode=microthread",
+              "trainingInterval=" + std::to_string(interval)}});
     }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    auto results = run.grid(suite, variants);
 
     std::printf("Ablation: microthread-mode speed-up vs Path Cache "
                 "geometry (n = 10, T = .10)\n\n");
@@ -89,6 +85,6 @@ main(int argc, char **argv)
                 "(slow\nreaction); our short runs amplify the "
                 "long-interval penalty relative to the\npaper's "
                 "billion-instruction runs.\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

@@ -13,7 +13,6 @@
  * (higher is better). Path indexing should dominate.
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -102,23 +101,15 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("confidence", args);
+    bench::BenchRun run("confidence", args);
     sim::BatchRunner runner(args.jobs);
 
-    // The measurement loop is bespoke (no Stats), so fan it out with
-    // forEach into per-index slots and record timings only.
+    // The measurement loop is bespoke (no Stats, no campaign), so
+    // fan it out with forEach into per-index slots.
     std::vector<ConfidenceResult> rows(suite.size());
-    std::vector<double> seconds(suite.size());
     runner.forEach(suite.size(), [&](size_t w) {
-        auto start = std::chrono::steady_clock::now();
         rows[w] = measure(suite[w].make({}), 20'000'000);
-        seconds[w] = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
     });
-    for (size_t w = 0; w < suite.size(); w++)
-        suite_run.json().addTiming(suite[w].name, "jrs-confidence",
-                                   seconds[w]);
 
     std::printf("Confidence substrate ([10], JRS): high-confidence "
                 "coverage and misprediction\nleakage, pc-indexed vs "
@@ -150,6 +141,6 @@ main(int argc, char **argv)
     std::printf("\nClaim to check: path indexing leaks fewer "
                 "mispredictions into the\nhigh-confidence class — "
                 "predictability follows the path.\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

@@ -19,23 +19,15 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("fig6_potential", args);
+    bench::BenchRun run("fig6_potential", args);
 
-    std::vector<bench::ConfigVariant> variants;
-    {
-        sim::MachineConfig cfg;
-        variants.push_back({"baseline", cfg});
-        for (int n : {4, 10, 16}) {
-            sim::MachineConfig oracle_cfg;
-            oracle_cfg.mode = sim::Mode::OracleDifficultPath;
-            oracle_cfg.pathN = n;
-            variants.push_back(
-                {"oracle-paths-n" + std::to_string(n), oracle_cfg});
-        }
+    std::vector<sim::CampaignVariant> variants = {{"baseline", {}}};
+    for (int n : {4, 10, 16}) {
+        variants.push_back({"oracle-paths-n" + std::to_string(n),
+                            {"mode=oracle-difficult-path",
+                             "pathN=" + std::to_string(n)}});
     }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    auto results = run.grid(suite, variants);
 
     std::printf("Figure 6: potential speed-up from perfect prediction "
                 "of difficult paths\n(8K-entry Path Cache, training "
@@ -71,6 +63,6 @@ main(int argc, char **argv)
                 "prediction because the realistic Path Cache cannot "
                 "track the\nsheer number of difficult paths "
                 "(Section 5.2).\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

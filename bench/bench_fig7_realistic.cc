@@ -28,23 +28,13 @@ main(int argc, char **argv)
     }
 
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("fig7_realistic", args);
-
-    std::vector<bench::ConfigVariant> variants;
-    {
-        sim::MachineConfig cfg;
-        variants.push_back({"baseline", cfg});
-        cfg.mode = sim::Mode::Microthread;
-        variants.push_back({"microthread", cfg});
-        cfg.builder.pruningEnabled = true;
-        variants.push_back({"microthread+pruning", cfg});
-        cfg.builder.pruningEnabled = false;
-        cfg.mode = sim::Mode::MicrothreadNoPredictions;
-        variants.push_back({"overhead", cfg});
-    }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    bench::BenchRun run("fig7_realistic", args);
+    auto results = run.grid(
+        suite,
+        {{"baseline", {}},
+         {"microthread", {"mode=microthread"}},
+         {"microthread+pruning", {"mode=microthread", "pruningEnabled=1"}},
+         {"overhead", {"mode=microthread-no-predictions"}}});
 
     std::printf("Figure 7: realistic speed-up (n = 10, T = .10, "
                 "build latency 100)\n\n");
@@ -99,6 +89,6 @@ main(int argc, char **argv)
                     "%5.1f%%   (paper: 66%%)\n",
                     100.0 * post_abort_sum / abort_count);
     }
-    suite_run.finish();
+    run.finish();
     return 0;
 }

@@ -16,19 +16,11 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("fig8_routines", args);
-
-    std::vector<bench::ConfigVariant> variants;
-    {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::Microthread;
-        variants.push_back({"microthread", cfg});
-        cfg.builder.pruningEnabled = true;
-        variants.push_back({"microthread+pruning", cfg});
-    }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    bench::BenchRun run("fig8_routines", args);
+    auto results = run.grid(
+        suite,
+        {{"microthread", {"mode=microthread"}},
+         {"microthread+pruning", {"mode=microthread", "pruningEnabled=1"}}});
 
     std::printf("Figure 8: average routine size and longest "
                 "dependency chain, +/- pruning\n\n");
@@ -69,6 +61,6 @@ main(int argc, char **argv)
                 "(e.g. compress) Ap_Inst insertion can\nlengthen the "
                 "routine while still shortening the chain "
                 "(Section 5.4).\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

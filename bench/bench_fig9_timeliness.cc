@@ -40,19 +40,11 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("fig9_timeliness", args);
-
-    std::vector<bench::ConfigVariant> variants;
-    {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::Microthread;
-        variants.push_back({"microthread", cfg});
-        cfg.builder.pruningEnabled = true;
-        variants.push_back({"microthread+pruning", cfg});
-    }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    bench::BenchRun run("fig9_timeliness", args);
+    auto results = run.grid(
+        suite,
+        {{"microthread", {"mode=microthread"}},
+         {"microthread+pruning", {"mode=microthread", "pruningEnabled=1"}}});
 
     std::printf("Figure 9: prediction timeliness, left = no pruning, "
                 "right = pruning\n(fractions of early / late / "
@@ -103,6 +95,6 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: pruning increases early and useful "
                 "(early+late) predictions,\nyet the majority still "
                 "arrive after the branch is fetched (Section 5.4).\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

@@ -21,20 +21,11 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("oracle_bound", args);
-
-    std::vector<bench::ConfigVariant> variants;
-    {
-        sim::MachineConfig cfg;
-        variants.push_back({"baseline", cfg});
-        cfg.mode = sim::Mode::OracleAllBranches;
-        variants.push_back({"oracle-all", cfg});
-        cfg.mode = sim::Mode::OracleDifficultPath;
-        variants.push_back({"oracle-paths", cfg});
-    }
-
+    bench::BenchRun run("oracle_bound", args);
     auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+        run.grid(suite, {{"baseline", {}},
+                         {"oracle-all", {"mode=oracle-all-branches"}},
+                         {"oracle-paths", {"mode=oracle-difficult-path"}}});
 
     std::printf("Perfect-prediction bound (paper introduction) vs "
                 "the difficult-path oracle\n\n");
@@ -60,6 +51,6 @@ main(int argc, char **argv)
     std::printf("%-12s %8s %8s | %8.3fx %8.3fx   (arith mean; paper "
                 "intro: ~2x bound)\n",
                 "Average", "", "", sim::mean(bound), sim::mean(dp));
-    suite_run.finish();
+    run.finish();
     return 0;
 }

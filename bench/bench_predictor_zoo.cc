@@ -26,22 +26,19 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("predictor_zoo", args);
+    bench::BenchRun run("predictor_zoo", args);
 
-    // [backend][mode]: variant order fixes the JSON/result layout.
+    // [backend][mode]: variant order fixes the manifest/result layout.
     const auto &kinds = bpred::allPredictorKinds();
-    std::vector<bench::ConfigVariant> variants;
+    std::vector<sim::CampaignVariant> variants;
     for (bpred::PredictorKind kind : kinds) {
-        sim::MachineConfig cfg;
-        cfg.predictor = kind;
         std::string backend = bpred::predictorKindName(kind);
-        variants.push_back({backend + "/baseline", cfg});
-        cfg.mode = sim::Mode::Microthread;
-        variants.push_back({backend + "/microthread", cfg});
+        variants.push_back(
+            {backend + "-baseline", {"predictor=" + backend}});
+        variants.push_back({backend + "-microthread",
+                            {"predictor=" + backend, "mode=microthread"}});
     }
-
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    auto results = run.grid(suite, variants);
 
     std::printf("Predictor zoo: difficult-path microthreads over "
                 "each direction backend\n\n");
@@ -98,6 +95,6 @@ main(int argc, char **argv)
                     100.0 * acc, sim::geomean(speedups[k]));
     }
 
-    suite_run.finish();
+    run.finish();
     return 0;
 }

@@ -9,7 +9,6 @@
  * (the paper reports ~45% for an 8K-entry cache).
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -37,16 +36,14 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("table1_paths", args);
+    bench::BenchRun run("table1_paths", args);
     sim::BatchRunner runner(args.jobs);
     const int ns[3] = {4, 10, 16};
 
     // Phase 1: profile every workload concurrently; each slot is
     // written only by its own index.
     std::vector<ProfileRow> rows(suite.size());
-    std::vector<double> profile_seconds(suite.size());
     runner.forEach(suite.size(), [&](size_t w) {
-        auto start = std::chrono::steady_clock::now();
         sim::PathProfiler profiler({4, 10, 16});
         profiler.profile(suite[w].make({}), 20'000'000);
         for (int i = 0; i < 3; i++) {
@@ -56,14 +53,7 @@ main(int argc, char **argv)
             rows[w].t10[i] = profiler.difficultPaths(ns[i], 0.10);
             rows[w].t15[i] = profiler.difficultPaths(ns[i], 0.15);
         }
-        profile_seconds[w] = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 start)
-                                 .count();
     });
-    for (size_t w = 0; w < suite.size(); w++)
-        suite_run.json().addTiming(suite[w].name, "profile",
-                                   profile_seconds[w]);
 
     std::printf("Table 1: unique paths, average scope, and difficult "
                 "paths by n and T\n");
@@ -115,14 +105,9 @@ main(int argc, char **argv)
 
     // ---- Section 4.1: allocations avoided by mispredict-only
     // allocation on a realistic 8K-entry Path Cache.
-    std::vector<bench::ConfigVariant> variants;
-    {
-        sim::MachineConfig cfg;
-        cfg.mode = sim::Mode::OracleDifficultPath;  // tracks paths
-        variants.push_back({"oracle-paths", cfg});
-    }
-    auto results =
-        bench::runMatrix(suite, variants, args, suite_run.json());
+    // The difficult-path oracle mode tracks paths.
+    auto results = run.grid(
+        suite, {{"oracle-paths", {"mode=oracle-difficult-path"}}});
 
     std::printf("Section 4.1: Path Cache allocations skipped by "
                 "mispredict-only allocation (8K entries, n=10)\n");
@@ -144,6 +129,6 @@ main(int argc, char **argv)
     }
     std::printf("  %-12s %5.1f%% skipped   (paper: ~45%%)\n",
                 "Average", 100.0 * skip_sum / skip_count);
-    suite_run.finish();
+    run.finish();
     return 0;
 }

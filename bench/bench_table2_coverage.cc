@@ -9,7 +9,6 @@
  * coverage."
  */
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 
@@ -23,29 +22,18 @@ main(int argc, char **argv)
 {
     auto args = bench::parseArgs(argc, argv);
     auto suite = bench::benchSuite(args.quick);
-    bench::SuiteRun suite_run("table2_coverage", args);
+    bench::BenchRun run("table2_coverage", args);
     sim::BatchRunner runner(args.jobs);
 
     // One profile per workload serves all three thresholds; run them
     // concurrently, then read the coverages serially below.
     std::vector<std::unique_ptr<sim::PathProfiler>> profilers(
         suite.size());
-    std::vector<double> profile_seconds(suite.size());
     runner.forEach(suite.size(), [&](size_t w) {
-        auto start = std::chrono::steady_clock::now();
-        auto profiler =
-            std::make_unique<sim::PathProfiler>(
-                std::vector<int>{4, 10, 16});
-        profiler->profile(suite[w].make({}), 20'000'000);
-        profilers[w] = std::move(profiler);
-        profile_seconds[w] = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 start)
-                                 .count();
+        profilers[w] = std::make_unique<sim::PathProfiler>(
+            std::vector<int>{4, 10, 16});
+        profilers[w]->profile(suite[w].make({}), 20'000'000);
     });
-    for (size_t w = 0; w < suite.size(); w++)
-        suite_run.json().addTiming(suite[w].name, "profile",
-                                   profile_seconds[w]);
 
     std::printf("Table 2: misprediction%% / execution%% coverage of "
                 "difficult branches vs difficult paths\n\n");
@@ -93,6 +81,6 @@ main(int argc, char **argv)
     std::printf("Paper's claim to check: path misprediction coverage "
                 "rises with n while\nexecution coverage falls "
                 "relative to the difficult-branch columns.\n");
-    suite_run.finish();
+    run.finish();
     return 0;
 }

@@ -2,25 +2,31 @@
  * @file
  * Shared helpers for the paper-reproduction bench binaries.
  *
- * Every bench parses its flags in one pass (parseArgs), fans its
- * (workload, config) cells across host cores (runMatrix /
- * sim::BatchRunner), and records wall-clock plus per-cell host
- * timing into a BENCH_<name>.json file (SuiteRun / sim::BenchJson).
+ * Every bench parses its flags in one pass (parseArgs). A results
+ * table is a grid of (workload, config variant) cells, and
+ * BenchRun::grid runs it as one sim::runCampaign: a bench cell has
+ * the same config builder, store key and ssmt-campaign-v1 manifest
+ * as an `ssmt_campaign run` cell.
  */
 
 #ifndef SSMT_BENCH_BENCH_UTIL_HH
 #define SSMT_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include <stdlib.h>
+
 #include "sim/batch_runner.hh"
+#include "sim/campaign.hh"
 #include "sim/jobs.hh"
-#include "sim/bench_json.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
@@ -31,27 +37,41 @@ namespace bench
 {
 
 /**
- * Flags shared by every bench binary:
- *   --quick    run a third of the suite for smoke checks
- *   --jobs N   worker threads (default: SSMT_JOBS, then all cores)
- * plus any binary-specific flags passed via @p extra. Unknown flags
- * are an error, not a silent no-op.
+ * Flags shared by every bench binary (see usage()) plus any
+ * binary-specific flags passed via @p extra. Unknown flags are an
+ * error, not a silent no-op.
  */
 struct Args
 {
     bool quick = false;
     unsigned jobs = 1;                  ///< resolved worker count
+    std::string dir;                    ///< --dir; empty = temporary
     std::vector<std::string> flags;     ///< extra flags seen
 
     bool
     has(const char *flag) const
     {
-        for (const std::string &f : flags)
-            if (f == flag)
-                return true;
-        return false;
+        return std::find(flags.begin(), flags.end(), flag) != flags.end();
     }
 };
+
+inline void
+usage(std::FILE *out, const char *argv0,
+      std::initializer_list<const char *> extra)
+{
+    std::fprintf(out, "usage: %s [--quick] [--jobs N] [--dir D]", argv0);
+    for (const char *f : extra)
+        std::fprintf(out, " [%s]", f);
+    std::fputs(
+        "\n  --quick   run a third of the suite for smoke checks\n"
+        "  --jobs N  worker threads (default: SSMT_JOBS, then all cores)\n"
+        "  --dir D   keep the campaign (journal, store, manifest.json)\n"
+        "            in D, not in a temporary directory; a rerun serves\n"
+        "            the stored cells, a different grid is refused.\n"
+        "            Store keys do not hash the simulator code: clear D\n"
+        "            after changing the simulator.\n",
+        out);
+}
 
 /** Single pass over argv; exits with status 2 on a bad command line. */
 inline Args
@@ -66,11 +86,19 @@ parseArgs(int argc, char **argv,
             args.quick = true;
             continue;
         }
-        if (arg == "--jobs") {
+        if (arg == "--help" || arg == "-h") {
+            usage(stdout, argv[0], extra);
+            std::exit(0);
+        }
+        if (arg == "--jobs" || arg == "--dir") {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --jobs needs a value\n",
-                             argv[0]);
+                std::fprintf(stderr, "%s: %s needs a value\n",
+                             argv[0], arg.c_str());
                 std::exit(2);
+            }
+            if (arg == "--dir") {
+                args.dir = argv[++i];
+                continue;
             }
             long parsed = std::strtol(argv[++i], nullptr, 10);
             if (parsed <= 0) {
@@ -83,22 +111,13 @@ parseArgs(int argc, char **argv,
             requested = static_cast<unsigned>(parsed);
             continue;
         }
-        bool known = false;
-        for (const char *f : extra) {
-            if (arg == f) {
-                args.flags.push_back(arg);
-                known = true;
-                break;
-            }
-        }
-        if (known)
+        if (std::find(extra.begin(), extra.end(), arg) != extra.end()) {
+            args.flags.push_back(arg);
             continue;
+        }
         std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
                      arg.c_str());
-        std::fprintf(stderr, "accepted: --quick, --jobs N");
-        for (const char *f : extra)
-            std::fprintf(stderr, ", %s", f);
-        std::fprintf(stderr, "\n");
+        usage(stderr, argv[0], extra);
         std::exit(2);
     }
     args.jobs = sim::resolveJobs(requested);
@@ -132,102 +151,110 @@ suiteFromNames(const std::vector<std::string> &names)
     return out;
 }
 
-/** One named machine configuration (a column of a results table). */
-struct ConfigVariant
-{
-    std::string name;
-    sim::MachineConfig cfg;
-};
-
 /**
- * Wall-clock scope + JSON emission for one bench binary. Construct
- * before the work, call finish() after the last cell: it stamps the
- * suite wall time, writes BENCH_<name>.json and prints a one-line
- * timing summary.
+ * One bench binary's run: its wall clock, its campaign and the
+ * `[bench]` footer. Construct before the work and call finish()
+ * after the last table.
  */
-class SuiteRun
+class BenchRun
 {
   public:
-    SuiteRun(const char *bench_name, const Args &args)
-        : json_(bench_name, args.jobs, args.quick),
+    BenchRun(std::string name, const Args &args)
+        : name_(std::move(name)), args_(args),
           start_(std::chrono::steady_clock::now())
     {
     }
 
-    sim::BenchJson &json() { return json_; }
+    /**
+     * Run every (workload, variant) cell of @p suite, each variant's
+     * settings applied to the default MachineConfig, as one
+     * sim::runCampaign named after the bench, in --dir or else in a
+     * temporary directory. @return [workload][variant] results,
+     * independent of the worker count. A failed cell or a refused
+     * spec (a --dir journal recording another grid) exits 1.
+     */
+    std::vector<std::vector<sim::BatchResult>>
+    grid(const std::vector<workloads::WorkloadInfo> &suite,
+         const std::vector<sim::CampaignVariant> &variants)
+    {
+        sim::CampaignSpec spec;
+        spec.name = name_;
+        for (const auto &info : suite)
+            spec.workloads.push_back(info.name);
+        spec.variants = variants;
 
+        // A fresh directory, so a default run never reads cells
+        // stored by another build.
+        std::string dir = args_.dir;
+        if (dir.empty()) {
+            dir = (std::filesystem::temp_directory_path() /
+                   ("ssmt-bench-" + name_ + "-XXXXXX"))
+                      .string();
+            if (!::mkdtemp(dir.data())) {
+                std::perror("mkdtemp");
+                std::exit(1);
+            }
+        }
+        sim::CampaignOptions opts;
+        opts.jobs = args_.jobs;
+        sim::CampaignOutcome outcome;
+        std::string error;
+        try {
+            outcome = sim::runCampaign(spec, dir, opts);
+            if (!outcome.completed || outcome.failed > 0)
+                error = "campaign did not finish cleanly:\n" +
+                        outcome.failureSummary;
+        } catch (const sim::SimError &err) {
+            error = err.what();
+        }
+        if (args_.dir.empty())
+            std::filesystem::remove_all(dir);
+        if (!error.empty()) {
+            std::fprintf(stderr, "bench %s: %s\n", name_.c_str(),
+                         error.c_str());
+            std::exit(1);
+        }
+        cells_ += outcome.cells.size();
+        cacheHits_ += outcome.cacheHits;
+        manifest_ = outcome.manifestPath;
+
+        std::vector<std::vector<sim::BatchResult>> results(suite.size());
+        for (size_t w = 0; w < suite.size(); w++)
+            for (size_t v = 0; v < variants.size(); v++)
+                results[w].push_back(std::move(
+                    outcome.results[w * variants.size() + v]));
+        return results;
+    }
+
+    /** Print the footer: cells and cache hits of the campaign (if
+     *  the bench ran one), jobs, wall time and the manifest kept in
+     *  --dir. */
     void
-    finish()
+    finish() const
     {
         double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start_)
                           .count();
-        json_.setSuiteWallSeconds(wall);
-        std::string path = json_.writeFile();
-        std::printf("\n[bench] %zu runs, %u jobs, wall %.2fs%s%s\n",
-                    json_.runCount(), json_.jobs(), wall,
-                    path.empty() ? "" : ", wrote ",
-                    path.c_str());
+        std::printf("\n[bench] ");
+        if (!manifest_.empty())
+            std::printf("%zu cells (%zu cached), ", cells_, cacheHits_);
+        std::printf("%u jobs, wall %.2fs", args_.jobs, wall);
+        if (!args_.dir.empty())
+            std::printf(", %s%s",
+                        manifest_.empty() ? "--dir unused: no campaign"
+                                          : "manifest ",
+                        manifest_.c_str());
+        std::printf("\n");
     }
 
   private:
-    sim::BenchJson json_;
+    std::string name_;
+    Args args_;
     std::chrono::steady_clock::time_point start_;
+    size_t cells_ = 0;
+    size_t cacheHits_ = 0;
+    std::string manifest_;
 };
-
-/** SSMT_ISOLATE=1 routes every bench cell through the subprocess
- *  isolation path (sandboxed child per cell). Counters are identical
- *  either way; only the host timings differ. */
-inline bool
-isolateRequested()
-{
-    const char *env = std::getenv("SSMT_ISOLATE");
-    return env && *env != '\0' && std::string(env) != "0";
-}
-
-/**
- * Run every (workload, variant) cell as one BatchRunner batch and
- * return the results as [workload][variant], recording each cell
- * into @p json. Each workload's program is built once and shared by
- * its variants. Results are independent of the worker count and of
- * whether SSMT_ISOLATE rides the cells in child processes. Any
- * failed cell — including an invariant violation — prints the batch
- * failure summary and exits 1.
- */
-inline std::vector<std::vector<sim::BatchResult>>
-runMatrix(const std::vector<workloads::WorkloadInfo> &suite,
-          const std::vector<ConfigVariant> &variants, const Args &args,
-          sim::BenchJson &json)
-{
-    std::vector<sim::BatchJob> batch;
-    batch.reserve(suite.size() * variants.size());
-    for (const auto &info : suite) {
-        isa::Program program = info.make({});
-        for (const ConfigVariant &variant : variants)
-            batch.push_back({info.name + "/" + variant.name, program,
-                             variant.cfg});
-    }
-    sim::BatchPolicy policy;
-    policy.isolate = isolateRequested();
-    std::vector<sim::BatchResult> flat =
-        sim::BatchRunner(args.jobs).run(batch, policy);
-    std::string failures = sim::BatchRunner::failureSummary(batch, flat);
-    if (!failures.empty()) {
-        std::fputs(failures.c_str(), stderr);
-        std::exit(1);
-    }
-
-    std::vector<std::vector<sim::BatchResult>> results(suite.size());
-    for (size_t w = 0; w < suite.size(); w++) {
-        for (size_t v = 0; v < variants.size(); v++) {
-            sim::BatchResult &cell = flat[w * variants.size() + v];
-            json.addRun(suite[w].name, variants[v].name,
-                        cell.hostSeconds, cell.stats);
-            results[w].push_back(std::move(cell));
-        }
-    }
-    return results;
-}
 
 inline void
 hr(int width = 78)

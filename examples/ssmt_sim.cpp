@@ -21,7 +21,6 @@
 #include <string>
 
 #include "sim/batch_runner.hh"
-#include "sim/bench_json.hh"
 #include "sim/path_profiler.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
@@ -131,6 +130,10 @@ main(int argc, char **argv)
             cfg.throttleEnabled = true;
         } else if (arg == "--scale") {
             params.scale = std::strtoull(next(), nullptr, 10);
+            if (params.scale == 0) {
+                std::fprintf(stderr, "--scale must be >= 1\n");
+                return 2;
+            }
         } else if (arg == "--seed") {
             params.seed = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--hints") {
@@ -165,7 +168,6 @@ main(int argc, char **argv)
                           std::chrono::steady_clock::now() - start)
                           .count();
 
-        sim::BenchJson json("ssmt_sim", runner.jobs(), false);
         for (size_t i = 0; i < batch.size(); i++) {
             const sim::Stats &stats = results[i].stats;
             std::printf("%-12s %-12s IPC %.4f over %9llu insts / "
@@ -178,14 +180,9 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(stats.cycles),
                         stats.usedMispredictRate(),
                         results[i].hostSeconds);
-            json.addRun(batch[i].name, sim::modeName(cfg.mode),
-                        results[i].hostSeconds, stats);
         }
-        json.setSuiteWallSeconds(wall);
-        std::string path = json.writeFile();
-        std::printf("[suite] %zu workloads, %u jobs, wall %.2fs%s%s\n",
-                    batch.size(), runner.jobs(), wall,
-                    path.empty() ? "" : ", wrote ", path.c_str());
+        std::printf("[suite] %zu workloads, %u jobs, wall %.2fs\n",
+                    batch.size(), runner.jobs(), wall);
         return 0;
     }
 

@@ -70,6 +70,22 @@ writeSpecFields(SnapshotWriter &w, const CampaignSpec &spec)
         w.endObject();
     }
     w.endArray();
+    // Written only when set, so every variant-less spec (and with it
+    // each journal, cell name, store key and manifest) keeps its
+    // bytes.
+    if (!spec.variants.empty()) {
+        w.beginArray("variants");
+        for (const CampaignVariant &variant : spec.variants) {
+            w.beginObject();
+            w.str("name", variant.name);
+            w.beginArray("set");
+            for (const std::string &entry : variant.set)
+                w.str(entry);
+            w.endArray();
+            w.endObject();
+        }
+        w.endArray();
+    }
     w.u64Array("seeds", spec.seeds);
     w.u64("scale", spec.scale);
     w.u64("sampleInterval", spec.sampleInterval);
@@ -103,6 +119,48 @@ writeSpecFields(SnapshotWriter &w, const CampaignSpec &spec)
 specParseFail(const std::string &what)
 {
     throw SimError(ErrorCode::ParseError, "campaign-spec", what);
+}
+
+[[noreturn]] void
+specInvalid(const std::string &what)
+{
+    throw SimError(ErrorCode::ConfigInvalid, "campaign", what);
+}
+
+/** Reject what runCampaign cannot run, before anything touches the
+ *  campaign directory. */
+void
+checkSpec(const CampaignSpec &spec)
+{
+    if (spec.modes.empty() == spec.variants.empty())
+        specInvalid("spec needs modes or variants, not both");
+    if (spec.workloads.empty() || spec.seeds.empty())
+        specInvalid("spec needs at least one workload and one seed");
+    for (const std::string &workload : spec.workloads) {
+        bool known = false;
+        for (const auto &info : workloads::allWorkloads())
+            known = known || info.name == workload;
+        if (!known) {
+            throw SimError(ErrorCode::UnknownWorkload, "campaign",
+                           "unknown workload '" + workload + "'");
+        }
+    }
+    // Scale 0 would wrap the workloads' pass counters and run every
+    // cell to the maxInsts safety stop.
+    if (spec.scale == 0)
+        specInvalid("scale must be >= 1");
+    std::set<std::string> names;
+    for (const CampaignVariant &variant : spec.variants) {
+        if (variant.name.empty() ||
+            variant.name.find('/') != std::string::npos ||
+            !names.insert(variant.name).second) {
+            specInvalid("variant name '" + variant.name +
+                        "' must be non-empty, unique and free of '/'");
+        }
+        MachineConfig config;
+        for (const std::string &entry : variant.set)
+            applyConfigSetting(config, entry);
+    }
 }
 
 } // namespace
@@ -143,6 +201,15 @@ parseSpec(const std::string &text)
         r.leave();
     }
     r.leave();
+    if (r.has("variants")) {
+        n = r.enterArray("variants");
+        for (size_t i = 0; i < n; i++) {
+            r.enterItem(i);
+            spec.variants.push_back({r.str("name"), r.strArray("set")});
+            r.leave();
+        }
+        r.leave();
+    }
     spec.seeds = r.u64Array("seeds");
     spec.scale = r.u64("scale");
     spec.sampleInterval = r.u64("sampleInterval");
@@ -183,15 +250,20 @@ parseSpec(const std::string &text)
 std::vector<CampaignCell>
 campaignCells(const CampaignSpec &spec)
 {
+    // The modes shorthand is one variant per mode, setting only mode.
+    std::vector<CampaignVariant> variants = spec.variants;
+    for (Mode mode : spec.modes)
+        variants.push_back(
+            {modeName(mode), {std::string("mode=") + modeName(mode)}});
     std::vector<CampaignCell> cells;
     for (const std::string &workload : spec.workloads) {
-        for (Mode mode : spec.modes) {
+        for (const CampaignVariant &variant : variants) {
             for (uint64_t seed : spec.seeds) {
                 CampaignCell cell;
                 cell.workload = workload;
-                cell.mode = mode;
+                cell.variant = variant;
                 cell.seed = seed;
-                cell.name = workload + "/" + modeName(mode) + "/s" +
+                cell.name = workload + "/" + variant.name + "/s" +
                             std::to_string(seed);
                 for (const auto &crash : spec.crashes)
                     if (crash.first == cell.name)
@@ -207,13 +279,14 @@ MachineConfig
 cellConfig(const CampaignSpec &spec, const CampaignCell &cell)
 {
     MachineConfig config;
-    config.mode = cell.mode;
     config.sampleInterval = spec.sampleInterval;
     if (spec.maxInsts > 0)
         config.maxInsts = spec.maxInsts;
     config.faults = spec.faults;
     if (cell.seed != 0)
         config.faults.seed = cell.seed;
+    for (const std::string &entry : cell.variant.set)
+        applyConfigSetting(config, entry);
     return config;
 }
 
@@ -498,7 +571,7 @@ campaignManifest(const CampaignSpec &spec,
         w.beginObject();
         w.str("name", cell.name);
         w.str("workload", cell.workload);
-        w.str("mode", modeName(cell.mode));
+        w.str("mode", modeName(cellConfig(spec, cell).mode));
         w.u64("seed", cell.seed);
         w.str("errorCode", errorCodeName(result.errorCode));
         w.str("error", result.error);
@@ -595,21 +668,7 @@ CampaignOutcome
 runCampaign(const CampaignSpec &spec, const std::string &dir,
             const CampaignOptions &opts)
 {
-    if (spec.workloads.empty() || spec.modes.empty() ||
-        spec.seeds.empty()) {
-        throw SimError(ErrorCode::ConfigInvalid, "campaign",
-                       "spec needs at least one workload, one mode "
-                       "and one seed");
-    }
-    for (const std::string &workload : spec.workloads) {
-        bool known = false;
-        for (const auto &info : workloads::allWorkloads())
-            known = known || info.name == workload;
-        if (!known) {
-            throw SimError(ErrorCode::UnknownWorkload, "campaign",
-                           "unknown workload '" + workload + "'");
-        }
-    }
+    checkSpec(spec);
 
     const std::string store_dir = dir + "/store";
     if (!ensureDir(dir) || !ensureDir(store_dir)) {

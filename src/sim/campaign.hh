@@ -1,8 +1,8 @@
 /**
  * @file
  * Crash-contained experiment campaigns: a durable, resumable layer
- * over BatchRunner for the workload × mode × seed grids every paper
- * figure is built from.
+ * over BatchRunner for the workload × config variant × seed grids
+ * every paper figure and bench table is built from.
  *
  * Three pieces compose into the durability story:
  *
@@ -56,6 +56,15 @@ namespace sim
 extern const char kCampaignSchema[];        ///< "ssmt-campaign-v1"
 extern const char kCampaignJournalSchema[]; ///< journal header schema
 
+/** One named machine configuration of a campaign grid (a column of
+ *  a bench table): `key=value` overrides applied in order through
+ *  applyConfigSetting, on top of the cell's default config. */
+struct CampaignVariant
+{
+    std::string name;               ///< non-empty, unique, no '/'
+    std::vector<std::string> set;
+};
+
 /** The complete, serializable description of one campaign: the cell
  *  grid plus every knob that shapes results. Two specs are the same
  *  campaign iff their specJson() is byte-identical — that string is
@@ -64,7 +73,10 @@ struct CampaignSpec
 {
     std::string name = "campaign";
     std::vector<std::string> workloads;
+    /** Shorthand for one variant per mode, named after it, setting
+     *  only `mode`. A spec sets modes or variants, never both. */
     std::vector<Mode> modes;
+    std::vector<CampaignVariant> variants;
     /** Fault-seed axis; the default single 0 means "one cell per
      *  (workload, mode), using the fault plan's own seed". */
     std::vector<uint64_t> seeds = {0};
@@ -98,16 +110,17 @@ struct CampaignSpec
 std::string specJson(const CampaignSpec &spec);
 
 /** Inverse of specJson. Throws SimError(ParseError) on malformed
- *  text or unknown mode/crash/fault-site names. */
+ *  text or unknown mode/crash/fault-site names. Variant entries are
+ *  checked by runCampaign, not here. */
 CampaignSpec parseSpec(const std::string &text);
 
 /** One cell of the campaign grid, in enumeration order
- *  (workload-major, then mode, then seed). */
+ *  (workload-major, then variant, then seed). */
 struct CampaignCell
 {
-    std::string name;       ///< "<workload>/<mode>/s<seed>"
+    std::string name;       ///< "<workload>/<variant>/s<seed>"
     std::string workload;
-    Mode mode = Mode::Baseline;
+    CampaignVariant variant;
     uint64_t seed = 0;
     CrashKind crash = CrashKind::None;
 };
@@ -115,7 +128,8 @@ struct CampaignCell
 /** Enumerate @p spec's cells in canonical order. */
 std::vector<CampaignCell> campaignCells(const CampaignSpec &spec);
 
-/** The MachineConfig cell @p cell runs under. */
+/** The MachineConfig cell @p cell runs under: the spec's run knobs,
+ *  then the variant's settings (a bad one throws ConfigInvalid). */
 MachineConfig cellConfig(const CampaignSpec &spec,
                          const CampaignCell &cell);
 
@@ -273,10 +287,11 @@ struct CampaignOutcome
 /**
  * Run (or resume — same call) @p spec under `<dir>/`:
  * `journal.jsonl`, `store/`, and on completion `manifest.json`.
- * Throws SimError(ConfigInvalid) on an unknown workload, an invalid
- * spec, or a journal recording a *different* spec (unless
- * opts.force), and SimError(IoError) when the directory cannot be
- * prepared.
+ * Throws SimError(UnknownWorkload) on an unknown workload,
+ * SimError(ConfigInvalid) on an invalid spec (scale 0, modes and
+ * variants together, a bad variant name or setting) or a journal
+ * recording a *different* spec (unless opts.force), and
+ * SimError(IoError) when the directory cannot be prepared.
  */
 CampaignOutcome runCampaign(const CampaignSpec &spec,
                             const std::string &dir,

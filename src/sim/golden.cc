@@ -1,9 +1,7 @@
 #include "sim/golden.hh"
 
 #include <cstdio>
-#include <sstream>
 
-#include "sim/bench_json.hh"
 #include "sim/fsio.hh"
 #include "sim/json_text.hh"
 #include "sim/sim_error.hh"
@@ -178,22 +176,21 @@ statsFromValues(Stats &out, const std::vector<uint64_t> &values)
 std::string
 goldenJson(const GoldenRun &run)
 {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"schema\": \"" << kGoldenSchema << "\",\n";
-    out << "  \"workload\": \"" << BenchJson::escape(run.workload)
-        << "\",\n";
-    out << "  \"config\": \"" << BenchJson::escape(run.config)
-        << "\",\n";
-    out << "  \"counters\": {\n";
+    std::string out = "{\n  \"schema\": \"";
+    out += kGoldenSchema;
+    out += "\",\n  \"workload\": \"";
+    appendJsonEscaped(out, run.workload);
+    out += "\",\n  \"config\": \"";
+    appendJsonEscaped(out, run.config);
+    out += "\",\n  \"counters\": {\n";
     auto counters = flattenStats(run.stats);
     for (size_t i = 0; i < counters.size(); i++) {
-        out << "    \"" << counters[i].first
-            << "\": " << counters[i].second
-            << (i + 1 < counters.size() ? ",\n" : "\n");
+        out += "    \"" + counters[i].first +
+               "\": " + std::to_string(counters[i].second) +
+               (i + 1 < counters.size() ? ",\n" : "\n");
     }
-    out << "  }\n}\n";
-    return out.str();
+    out += "  }\n}\n";
+    return out;
 }
 
 bool

@@ -4,8 +4,8 @@
  * under a pinned MachineConfig, serialized canonically so that any
  * later commit can be diffed against it counter by counter.
  *
- * Schema (`"schema": "ssmt-golden-v1"`, a sibling of the
- * `ssmt-bench-v1` bench emitter and sharing its string escaping):
+ * Schema (`"schema": "ssmt-golden-v1"`, escaped through
+ * sim::appendJsonEscaped like every other writer):
  *
  *   {
  *     "schema": "ssmt-golden-v1",

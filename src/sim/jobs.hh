@@ -3,10 +3,10 @@
  * Centralized worker-count resolution.
  *
  * std::thread::hardware_concurrency() may legally return 0 ("not
- * computable"). BatchRunner, the --jobs auto spelling in cli_common,
- * the hostThreads metadata in bench_json and perfbench's defaults
- * all need a worker or host thread count; rather than each carrying
- * its own fallback, they share the two helpers here:
+ * computable"). BatchRunner, the --jobs auto spelling in cli_common
+ * and perfbench's host line and defaults all need a worker or host
+ * thread count; rather than each carrying its own fallback, they
+ * share the two helpers here:
  *
  *   hostThreads()        hardware_concurrency with an explicit >= 1
  *                        fallback; use for "how parallel is this

@@ -14,6 +14,14 @@ namespace sim
 namespace
 {
 
+/** Deepest container nesting parseJson accepts. Our own documents
+ *  nest at most 8 levels (golden/ 2, results/ manifests and store
+ *  entries 5, machine snapshots 8); the cap bounds the parser's
+ *  recursion (and the tree's recursive destruction) far below what a
+ *  worker thread's stack holds, so hostile input fails instead of
+ *  overflowing it. */
+constexpr size_t kMaxJsonDepth = 256;
+
 struct Parser
 {
     const std::string &text;
@@ -160,13 +168,17 @@ struct Parser
         return true;
     }
 
+    /** @p depth counts the containers enclosing this value. */
     bool
-    parseValue(JsonValue &out)
+    parseValue(JsonValue &out, size_t depth)
     {
         skipWs();
         if (pos >= text.size())
             return fail("unexpected end of document");
         char c = text[pos];
+        if ((c == '{' || c == '[') && depth >= kMaxJsonDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxJsonDepth) + " levels");
         if (c == '{') {
             pos++;
             out.kind = JsonValue::Kind::Object;
@@ -182,7 +194,7 @@ struct Parser
                 if (!consume(':'))
                     return false;
                 JsonValue member;
-                if (!parseValue(member))
+                if (!parseValue(member, depth + 1))
                     return false;
                 out.members.emplace_back(std::move(key),
                                          std::move(member));
@@ -205,7 +217,7 @@ struct Parser
             }
             for (;;) {
                 JsonValue item;
-                if (!parseValue(item))
+                if (!parseValue(item, depth + 1))
                     return false;
                 out.items.push_back(std::move(item));
                 skipWs();
@@ -282,7 +294,7 @@ parseJson(const std::string &text, JsonValue &out, std::string *err)
 {
     Parser parser{text, 0, {}};
     out = JsonValue{};
-    if (!parser.parseValue(out)) {
+    if (!parser.parseValue(out, 0)) {
         if (err)
             *err = parser.error;
         return false;

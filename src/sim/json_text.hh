@@ -1,9 +1,9 @@
 /**
  * @file
  * A minimal JSON reader for the simulator's own machine-readable
- * artifacts (`ssmt-bench-v1` bench records and `ssmt-golden-v1`
- * golden-stats snapshots), plus the string escaper their writers
- * share.
+ * artifacts (`ssmt-golden-v1` golden-stats snapshots, campaign
+ * specs, journals and manifests, machine snapshots), plus the string
+ * escaper their writers share.
  *
  * This is deliberately not a general-purpose JSON library: it parses
  * the documents our emitters write (objects, arrays, strings,
@@ -62,7 +62,8 @@ struct JsonValue
 /**
  * Parse @p text into @p out. @return true on success; on failure
  * @p err (if non-null) receives a message with the byte offset.
- * Trailing non-whitespace after the document is an error.
+ * Trailing non-whitespace after the document is an error, and so is
+ * nesting deeper than a fixed cap far above any document we write.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string *err = nullptr);
@@ -71,9 +72,9 @@ bool parseJson(const std::string &text, JsonValue &out,
  * Append @p text to @p out as the body of a JSON string literal
  * (without the quotes): `"` and `\` get a backslash, newline, tab
  * and carriage return their short forms, and every other control
- * character a `\u00XX` escape. SnapshotWriter and BenchJson (and
- * the golden writer through it) share this one escape set, so keys
- * and labels serialize canonically.
+ * character a `\u00XX` escape. SnapshotWriter, the golden writer
+ * and perfbench (through BenchJson::escape) share this one escape
+ * set, so keys and labels serialize canonically.
  */
 void appendJsonEscaped(std::string &out, const std::string &text);
 

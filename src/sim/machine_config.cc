@@ -1,6 +1,11 @@
 #include "sim/machine_config.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
 
 #include "sim/sim_error.hh"
 
@@ -46,6 +51,208 @@ parseMode(const std::string &name, Mode *out)
         }
     }
     return false;
+}
+
+namespace
+{
+
+// ---- The MachineConfig field table --------------------------------
+//
+// One entry per structural knob: the fingerprint prints through it
+// and applyConfigSetting parses through it, so the two share one key
+// set and one value syntax. Order is part of the fingerprint format:
+// append new knobs at the end of their section. Excluded on purpose:
+// mode (warmup fan-out restores into any mode), maxInsts/maxCycles
+// (run control; budget extension on resume), traceCapacity/tracePath
+// (observability only).
+
+template <typename T>
+void
+printValue(std::string &out, const T &value)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        out += value ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, bpred::PredictorKind>) {
+        out += bpred::predictorKindName(value);
+    } else if constexpr (std::is_same_v<T, FaultSite>) {
+        out += faultSiteName(value);
+    } else if constexpr (std::is_same_v<T, std::vector<uint64_t>>) {
+        for (size_t i = 0; i < value.size(); i++) {
+            out += i ? "," : "";
+            printValue(out, value[i]);
+        }
+    } else {
+        // Integers, and doubles in shortest round-trip form: two
+        // distinct thresholds never share a fingerprint.
+        char buf[32];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    }
+}
+
+template <typename T>
+bool
+parseValue(std::string_view text, T &value)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        value = text == "1";
+        return value || text == "0";
+    } else if constexpr (std::is_same_v<T, bpred::PredictorKind>) {
+        return bpred::parsePredictorKind(std::string(text), &value);
+    } else if constexpr (std::is_same_v<T, FaultSite>) {
+        return parseFaultSite(std::string(text), &value);
+    } else if constexpr (std::is_same_v<T, std::vector<uint64_t>>) {
+        // One more hint than commas; none for an empty list.
+        std::vector<uint64_t> hints(
+            std::count(text.begin(), text.end(), ',') + !text.empty());
+        for (uint64_t &hint : hints) {
+            const size_t comma = std::min(text.find(','), text.size());
+            if (!parseValue(text.substr(0, comma), hint))
+                return false;
+            text.remove_prefix(std::min(comma + 1, text.size()));
+        }
+        value = std::move(hints);
+        return true;
+    } else {
+        // Integers, and finite doubles.
+        T parsed{};
+        const char *end = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+        if (ec != std::errc() || ptr != end ||
+            !std::isfinite(static_cast<double>(parsed)))
+            return false;
+        value = parsed;
+        return true;
+    }
+}
+
+struct ConfigField
+{
+    const char *key;
+    void (*print)(const MachineConfig &, std::string &);
+    bool (*parse)(MachineConfig &, std::string_view);
+};
+
+/** The entry for the member @p Path names: a MachineConfig field, or
+ *  a nested struct's field (&MachineConfig::mem, then its own). */
+template <auto... Path>
+constexpr ConfigField
+field(const char *key)
+{
+    return {key,
+            [](const MachineConfig &config, std::string &out) {
+                printValue(out, (config .* ... .* Path));
+            },
+            [](MachineConfig &config, std::string_view text) {
+                return parseValue(text, (config .* ... .* Path));
+            }};
+}
+
+using MC = MachineConfig;
+using Mem = memory::HierarchyConfig;
+using Builder = core::BuilderConfig;
+
+constexpr ConfigField kConfigFields[] = {
+    field<&MC::fetchWidth>("fetchWidth"),
+    field<&MC::maxBranchPredsPerCycle>("maxBranchPredsPerCycle"),
+    field<&MC::maxICacheLinesPerCycle>("maxICacheLinesPerCycle"),
+    field<&MC::frontendDepth>("frontendDepth"),
+    field<&MC::redirectPenalty>("redirectPenalty"),
+    field<&MC::windowSize>("windowSize"),
+    field<&MC::numFUs>("numFUs"),
+    field<&MC::l1dReadPorts>("l1dReadPorts"),
+    field<&MC::mem, &Mem::l1iSize>("l1iSize"),
+    field<&MC::mem, &Mem::l1iAssoc>("l1iAssoc"),
+    field<&MC::mem, &Mem::l1dSize>("l1dSize"),
+    field<&MC::mem, &Mem::l1dAssoc>("l1dAssoc"),
+    field<&MC::mem, &Mem::l2Size>("l2Size"),
+    field<&MC::mem, &Mem::l2Assoc>("l2Assoc"),
+    field<&MC::mem, &Mem::lineBytes>("lineBytes"),
+    field<&MC::mem, &Mem::l1Latency>("l1Latency"),
+    field<&MC::mem, &Mem::l2Latency>("l2Latency"),
+    field<&MC::mem, &Mem::dramLatency>("dramLatency"),
+    field<&MC::bpredComponentEntries>("bpredComponentEntries"),
+    field<&MC::bpredSelectorEntries>("bpredSelectorEntries"),
+    field<&MC::targetCacheEntries>("targetCacheEntries"),
+    field<&MC::rasDepth>("rasDepth"),
+    field<&MC::predictor>("predictor"),
+    field<&MC::bpredHistoryBits>("bpredHistoryBits"),
+    field<&MC::pathN>("pathN"),
+    field<&MC::difficultyThreshold>("difficultyThreshold"),
+    field<&MC::pathCacheEntries>("pathCacheEntries"),
+    field<&MC::pathCacheAssoc>("pathCacheAssoc"),
+    field<&MC::trainingInterval>("trainingInterval"),
+    field<&MC::microRamEntries>("microRamEntries"),
+    field<&MC::predictionCacheEntries>("predictionCacheEntries"),
+    field<&MC::prbEntries>("prbEntries"),
+    field<&MC::builder, &Builder::mcbEntries>("mcbEntries"),
+    field<&MC::builder, &Builder::moveElimination>("moveElimination"),
+    field<&MC::builder, &Builder::constantPropagation>(
+        "constantPropagation"),
+    field<&MC::builder, &Builder::pruningEnabled>("pruningEnabled"),
+    field<&MC::numMicrocontexts>("numMicrocontexts"),
+    field<&MC::buildLatency>("buildLatency"),
+    field<&MC::rebuildOnViolation>("rebuildOnViolation"),
+    field<&MC::throttleEnabled>("throttleEnabled"),
+    field<&MC::throttleWindow>("throttleWindow"),
+    field<&MC::throttleMinUseful>("throttleMinUseful"),
+    field<&MC::staticDifficultHints>("staticDifficultHints"),
+    field<&MC::vpredEntries>("vpredEntries"),
+    field<&MC::vpredConfMax>("vpredConfMax"),
+    field<&MC::vpredConfThresh>("vpredConfThresh"),
+    field<&MC::vpInstLatency>("vpInstLatency"),
+    field<&MC::sampleInterval>("sampleInterval"),
+    field<&MC::faults, &FaultPlan::site>("faultSite"),
+    field<&MC::faults, &FaultPlan::seed>("faultSeed"),
+    field<&MC::faults, &FaultPlan::count>("faultCount"),
+    field<&MC::faults, &FaultPlan::startCycle>("faultStartCycle"),
+    field<&MC::faults, &FaultPlan::period>("faultPeriod"),
+};
+
+[[noreturn]] void
+settingFail(const std::string &entry, const std::string &why)
+{
+    throw SimError(ErrorCode::ConfigInvalid, "machine_config",
+                   "config setting '" + entry + "': " + why);
+}
+
+} // namespace
+
+std::string
+configFingerprint(const MachineConfig &config)
+{
+    std::string out = "v1;";
+    out.reserve(1024);
+    for (const ConfigField &f : kConfigFields) {
+        out += f.key;
+        out += '=';
+        f.print(config, out);
+        out += ';';
+    }
+    return out;
+}
+
+void
+applyConfigSetting(MachineConfig &config, const std::string &entry)
+{
+    const size_t eq = entry.find('=');
+    if (eq == std::string::npos)
+        settingFail(entry, "expected key=value");
+    const std::string_view key(entry.data(), eq);
+    const std::string_view value(entry.data() + eq + 1,
+                                 entry.size() - eq - 1);
+    if (key == "mode") {
+        if (!parseMode(std::string(value), &config.mode))
+            settingFail(entry, "unknown mode");
+        return;
+    }
+    for (const ConfigField &f : kConfigFields) {
+        if (key == f.key) {
+            if (!f.parse(config, value))
+                settingFail(entry, "unparsable value");
+            return;
+        }
+    }
+    settingFail(entry, "unknown key");
 }
 
 std::vector<std::string>

@@ -163,6 +163,25 @@ struct MachineConfig
     std::string toString() const;
 };
 
+/**
+ * Structural fingerprint of @p config, `v1;key=value;...` over every
+ * knob that shapes the serialized machine state; every store key and
+ * snapshot hashes these bytes. Deliberately *excludes* the mechanism
+ * mode (so one warmup snapshot fans out across modes) and the pure
+ * run-control knobs (maxInsts/maxCycles, trace capture).
+ */
+std::string configFingerprint(const MachineConfig &config);
+
+/**
+ * Apply one `key=value` override to @p config. Keys and value syntax
+ * are the fingerprint's own (booleans 0/1, enums by name, hints
+ * comma-separated), so each `key=value` of a fingerprint applies
+ * back; `mode=<modeName>` is accepted too. Throws
+ * SimError(ConfigInvalid) naming @p entry on an unknown key or an
+ * unparsable value.
+ */
+void applyConfigSetting(MachineConfig &config, const std::string &entry);
+
 } // namespace sim
 } // namespace ssmt
 

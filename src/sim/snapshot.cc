@@ -6,7 +6,6 @@
 #include "sim/snapshot.hh"
 
 #include <cassert>
-#include <sstream>
 
 #include "cpu/ssmt_core.hh"
 #include "isa/program.hh"
@@ -141,6 +140,16 @@ SnapshotWriter::boolean(const char *key, bool value)
 {
     emitKey(key);
     out_ += value ? "true" : "false";
+}
+
+void
+SnapshotWriter::str(const std::string &value)
+{
+    assert(!scopes_.empty() && scopes_.back() == '[');
+    separator();
+    out_ += '"';
+    appendJsonEscaped(out_, value);
+    out_ += '"';
 }
 
 void
@@ -303,6 +312,23 @@ SnapshotReader::str(const char *key) const
     return v.text;
 }
 
+std::vector<std::string>
+SnapshotReader::strArray(const char *key) const
+{
+    const JsonValue &v = member(key);
+    if (v.kind != JsonValue::Kind::Array)
+        fail(std::string("snapshot key '") + key + "' is not an array");
+    std::vector<std::string> out;
+    out.reserve(v.items.size());
+    for (const JsonValue &item : v.items) {
+        if (item.kind != JsonValue::Kind::String)
+            fail(std::string("snapshot array '") + key +
+                 "' holds a non-string element");
+        out.push_back(item.text);
+    }
+    return out;
+}
+
 std::vector<uint64_t>
 SnapshotReader::u64Array(const char *key) const
 {
@@ -361,95 +387,17 @@ SnapshotReader::requireSize(const char *what, size_t got,
                             size_t want) const
 {
     if (got != want) {
-        std::ostringstream os;
-        os << "snapshot field '" << what << "' has " << got
-           << " elements where the configured geometry needs " << want
-           << " (snapshot taken under a different config?)";
-        fail(os.str());
+        fail(std::string("snapshot field '") + what + "' has " +
+             std::to_string(got) +
+             " elements where the configured geometry needs " +
+             std::to_string(want) +
+             " (snapshot taken under a different config?)");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Envelope: fingerprint, program hash, whole-machine save/restore
+// Envelope: program hash, whole-machine save/restore
 // ---------------------------------------------------------------------------
-
-std::string
-configFingerprint(const MachineConfig &config)
-{
-    // Canonical "key=value;" list. Order is part of the format:
-    // append new knobs at the end of their section. Excluded on
-    // purpose: mode (warmup fan-out restores into any mode),
-    // maxInsts/maxCycles (run control; budget extension on resume),
-    // traceCapacity/tracePath (observability only).
-    std::ostringstream os;
-    os << "v1;"
-       << "fetchWidth=" << config.fetchWidth << ';'
-       << "maxBranchPredsPerCycle=" << config.maxBranchPredsPerCycle
-       << ';'
-       << "maxICacheLinesPerCycle=" << config.maxICacheLinesPerCycle
-       << ';'
-       << "frontendDepth=" << config.frontendDepth << ';'
-       << "redirectPenalty=" << config.redirectPenalty << ';'
-       << "windowSize=" << config.windowSize << ';'
-       << "numFUs=" << config.numFUs << ';'
-       << "l1dReadPorts=" << config.l1dReadPorts << ';'
-       << "l1iSize=" << config.mem.l1iSize << ';'
-       << "l1iAssoc=" << config.mem.l1iAssoc << ';'
-       << "l1dSize=" << config.mem.l1dSize << ';'
-       << "l1dAssoc=" << config.mem.l1dAssoc << ';'
-       << "l2Size=" << config.mem.l2Size << ';'
-       << "l2Assoc=" << config.mem.l2Assoc << ';'
-       << "lineBytes=" << config.mem.lineBytes << ';'
-       << "l1Latency=" << config.mem.l1Latency << ';'
-       << "l2Latency=" << config.mem.l2Latency << ';'
-       << "dramLatency=" << config.mem.dramLatency << ';'
-       << "bpredComponentEntries=" << config.bpredComponentEntries
-       << ';'
-       << "bpredSelectorEntries=" << config.bpredSelectorEntries << ';'
-       << "targetCacheEntries=" << config.targetCacheEntries << ';'
-       << "rasDepth=" << config.rasDepth << ';'
-       << "predictor=" << bpred::predictorKindName(config.predictor)
-       << ';'
-       << "bpredHistoryBits=" << config.bpredHistoryBits << ';'
-       << "pathN=" << config.pathN << ';'
-       << "difficultyThreshold=" << config.difficultyThreshold << ';'
-       << "pathCacheEntries=" << config.pathCacheEntries << ';'
-       << "pathCacheAssoc=" << config.pathCacheAssoc << ';'
-       << "trainingInterval=" << config.trainingInterval << ';'
-       << "microRamEntries=" << config.microRamEntries << ';'
-       << "predictionCacheEntries=" << config.predictionCacheEntries
-       << ';'
-       << "prbEntries=" << config.prbEntries << ';'
-       << "mcbEntries=" << config.builder.mcbEntries << ';'
-       << "moveElimination=" << config.builder.moveElimination << ';'
-       << "constantPropagation=" << config.builder.constantPropagation
-       << ';'
-       << "pruningEnabled=" << config.builder.pruningEnabled << ';'
-       << "numMicrocontexts=" << config.numMicrocontexts << ';'
-       << "buildLatency=" << config.buildLatency << ';'
-       << "rebuildOnViolation=" << config.rebuildOnViolation << ';'
-       << "throttleEnabled=" << config.throttleEnabled << ';'
-       << "throttleWindow=" << config.throttleWindow << ';'
-       << "throttleMinUseful=" << config.throttleMinUseful << ';'
-       << "staticDifficultHints=";
-    for (size_t i = 0; i < config.staticDifficultHints.size(); i++) {
-        if (i)
-            os << ',';
-        os << config.staticDifficultHints[i];
-    }
-    os << ';'
-       << "vpredEntries=" << config.vpredEntries << ';'
-       << "vpredConfMax=" << config.vpredConfMax << ';'
-       << "vpredConfThresh=" << config.vpredConfThresh << ';'
-       << "vpInstLatency=" << config.vpInstLatency << ';'
-       << "sampleInterval=" << config.sampleInterval << ';'
-       << "faultSite=" << faultSiteName(config.faults.site) << ';'
-       << "faultSeed=" << config.faults.seed << ';'
-       << "faultCount=" << config.faults.count << ';'
-       << "faultStartCycle=" << config.faults.startCycle << ';'
-       << "faultPeriod=" << config.faults.period << ';';
-    return os.str();
-}
 
 uint64_t
 programHash(const isa::Program &prog)

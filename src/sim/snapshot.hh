@@ -98,6 +98,7 @@ class SnapshotWriter
         u64(key, static_cast<uint64_t>(value));
     }
     void boolean(const char *key, bool value);
+    void str(const std::string &value);
     void str(const char *key, const std::string &value);
     void u64Array(const char *key, const uint64_t *data, size_t n);
     void u64Array(const char *key, const std::vector<uint64_t> &v);
@@ -152,6 +153,7 @@ class SnapshotReader
     }
     bool boolean(const char *key) const;
     std::string str(const char *key) const;
+    std::vector<std::string> strArray(const char *key) const;
     std::vector<uint64_t> u64Array(const char *key) const;
     /** u64Array with an exact expected length (throws otherwise). */
     void u64ArrayInto(const char *key, uint64_t *out, size_t n) const;
@@ -224,13 +226,6 @@ struct LayoutPin
 #else
 #define SSMT_SNAPSHOT_PIN_LAYOUT(type, bytes) static_assert(true)
 #endif
-
-/** Structural fingerprint of @p config: every knob that shapes the
- *  serialized machine state. Deliberately *excludes* the mechanism
- *  mode (so one warmup snapshot fans out across modes) and the pure
- *  run-control knobs (maxInsts/maxCycles, trace capture) that only
- *  decide when a run stops or what it logs. */
-std::string configFingerprint(const MachineConfig &config);
 
 /** FNV-1a content hash over a program's code and data image, so a
  *  snapshot refuses to restore against the wrong program. */

@@ -20,7 +20,9 @@
 
 #include "sim/campaign.hh"
 #include "sim/fsio.hh"
+#include "sim/golden.hh"
 #include "sim/sim_error.hh"
+#include "sim/sim_runner.hh"
 #include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
@@ -88,6 +90,109 @@ TEST(CampaignSpec, CanonicalJsonRoundTrips)
                  sim::SimError);
     EXPECT_THROW(sim::parseSpec(json.substr(0, json.size() / 2)),
                  sim::SimError);
+}
+
+TEST(CampaignSpec, VariantLessSpecJsonIsPinned)
+{
+    // Journals, manifests and perfbench's specs have no variants;
+    // their bytes (and so their identities) must not change.
+    EXPECT_EQ(sim::specJson(smallSpec()),
+              "{\"name\":\"campaign-test\",\"workloads\":[{\"name\":"
+              "\"comp\"}],\"modes\":[{\"name\":\"baseline\"},{\"name\":"
+              "\"microthread\"}],\"seeds\":[0,7],\"scale\":1,"
+              "\"sampleInterval\":2000,\"maxInsts\":0,\"faults\":{"
+              "\"site\":\"none\",\"seed\":1,\"count\":0,\"startCycle\":0,"
+              "\"period\":200},\"maxRetries\":0,\"cycleBudget\":0,"
+              "\"resumeOnWatchdog\":false,\"isolate\":false,"
+              "\"wallDeadlineMs\":0,\"memLimitMb\":0,"
+              "\"cpuLimitSeconds\":0,\"backoffMs\":0,\"crashes\":[]}");
+}
+
+/** Fig 7's four columns as config variants. */
+std::vector<sim::CampaignVariant>
+fig7Variants()
+{
+    return {{"baseline", {}},
+            {"microthread", {"mode=microthread"}},
+            {"microthread+pruning", {"mode=microthread", "pruningEnabled=1"}},
+            {"overhead", {"mode=microthread-no-predictions"}}};
+}
+
+TEST(CampaignSpec, VariantsRoundTripAndNameCells)
+{
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes.clear();
+    spec.variants = fig7Variants();
+    spec.seeds = {0};
+
+    std::string json = sim::specJson(spec);
+    EXPECT_NE(json.find("\"variants\":[{\"name\":\"baseline\",\"set\":[]}"),
+              std::string::npos)
+        << json;
+    sim::CampaignSpec parsed = sim::parseSpec(json);
+    EXPECT_EQ(sim::specJson(parsed), json);
+    ASSERT_EQ(parsed.variants.size(), 4u);
+    EXPECT_EQ(parsed.variants[2].set, spec.variants[2].set);
+
+    std::vector<sim::CampaignCell> cells = sim::campaignCells(spec);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0].name, "comp/baseline/s0");
+    EXPECT_EQ(cells[2].name, "comp/microthread+pruning/s0");
+    sim::MachineConfig pruned = sim::cellConfig(spec, cells[2]);
+    EXPECT_EQ(pruned.mode, sim::Mode::Microthread);
+    EXPECT_TRUE(pruned.builder.pruningEnabled);
+    EXPECT_EQ(pruned.sampleInterval, spec.sampleInterval);
+    EXPECT_EQ(sim::cellConfig(spec, cells[3]).mode,
+              sim::Mode::MicrothreadNoPredictions);
+
+    // The modes shorthand is one variant per mode setting only mode.
+    std::vector<sim::CampaignCell> shorthand =
+        sim::campaignCells(smallSpec());
+    EXPECT_EQ(shorthand[2].variant.name, "microthread");
+    EXPECT_EQ(shorthand[2].variant.set,
+              std::vector<std::string>{"mode=microthread"});
+}
+
+TEST(CampaignSpec, RejectsBadVariants)
+{
+    auto rejected = [](const sim::CampaignSpec &spec) {
+        try {
+            sim::runCampaign(spec, freshDir("badvariant"), {});
+        } catch (const sim::SimError &err) {
+            return err.code() == sim::ErrorCode::ConfigInvalid;
+        }
+        return false;
+    };
+    sim::CampaignSpec base = smallSpec();
+    base.modes.clear();
+    base.variants = {{"a", {"mode=microthread"}}};
+
+    sim::CampaignSpec both = base;
+    both.modes = {sim::Mode::Baseline};
+    EXPECT_TRUE(rejected(both));
+
+    sim::CampaignSpec unknown_key = base;
+    unknown_key.variants[0].set.push_back("noSuchKnob=1");
+    EXPECT_TRUE(rejected(unknown_key));
+
+    sim::CampaignSpec bad_value = base;
+    bad_value.variants[0].set.push_back("pathN=ten");
+    EXPECT_TRUE(rejected(bad_value));
+
+    sim::CampaignSpec duplicate = base;
+    duplicate.variants.push_back({"a", {}});
+    EXPECT_TRUE(rejected(duplicate));
+
+    sim::CampaignSpec slash = base;
+    slash.variants[0].name = "hybrid/baseline";
+    EXPECT_TRUE(rejected(slash));
+
+    sim::CampaignSpec empty_name = base;
+    empty_name.variants[0].name = "";
+    EXPECT_TRUE(rejected(empty_name));
+
+    // Nothing was written for a refused spec.
+    EXPECT_FALSE(sim::pathExists("campaign_test_badvariant/journal.jsonl"));
 }
 
 TEST(CampaignSpec, CellEnumerationIsWorkloadMajor)
@@ -415,6 +520,88 @@ TEST(Campaign, JournalLagCountsStoredButUnjournaledCells)
     // An empty journal lags by the whole store.
     sim::JournalContents fresh;
     EXPECT_EQ(sim::journalLag(fresh, keys), keys.size());
+}
+
+TEST(Campaign, Fig7VariantsMatchHandBuiltConfigs)
+{
+    // A bench cell is a campaign cell: the variants' settings on the
+    // default config give the same Stats as the equivalent
+    // hand-built MachineConfigs.
+    sim::CampaignSpec spec;
+    spec.name = "fig7-comp";
+    spec.workloads = {"comp"};
+    spec.variants = fig7Variants();
+
+    std::string dir = freshDir("fig7");
+    sim::CampaignOptions opts;
+    opts.jobs = 2;
+    sim::CampaignOutcome first = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(first.completed);
+    ASSERT_EQ(first.results.size(), 4u);
+
+    std::vector<sim::MachineConfig> configs(4);
+    configs[1].mode = sim::Mode::Microthread;
+    configs[2].mode = sim::Mode::Microthread;
+    configs[2].builder.pruningEnabled = true;
+    configs[3].mode = sim::Mode::MicrothreadNoPredictions;
+    isa::Program comp = workloads::makeWorkload("comp", {});
+    for (size_t v = 0; v < configs.size(); v++) {
+        SCOPED_TRACE(first.cells[v].name);
+        EXPECT_EQ(sim::statsValues(first.results[v].stats),
+                  sim::statsValues(sim::runProgram(comp, configs[v])));
+    }
+
+    std::string manifest = sim::readFileOrEmpty(first.manifestPath);
+    EXPECT_NE(manifest.find("\"name\":\"comp/overhead/s0\","
+                            "\"workload\":\"comp\","
+                            "\"mode\":\"microthread-no-predictions\""),
+              std::string::npos);
+    sim::CampaignOutcome again = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(again.completed);
+    EXPECT_EQ(again.cacheHits, 4u);
+    EXPECT_EQ(again.executed, 0u);
+    EXPECT_EQ(sim::readFileOrEmpty(again.manifestPath), manifest);
+}
+
+TEST(Campaign, ScaleZeroIsRejected)
+{
+    // Scale 0 wraps the workloads' pass counters: the cell would run
+    // to the maxInsts safety stop and report ok.
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes = {sim::Mode::Baseline};
+    spec.seeds = {0};
+    spec.scale = 0;
+    spec.maxInsts = 10000;
+    try {
+        sim::runCampaign(spec, freshDir("scale0"), {});
+        ADD_FAILURE() << "scale 0 accepted";
+    } catch (const sim::SimError &err) {
+        EXPECT_EQ(err.code(), sim::ErrorCode::ConfigInvalid);
+    }
+}
+
+TEST(Campaign, JournalCountsDeeplyNestedLineAsCorrupt)
+{
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes = {sim::Mode::Baseline};
+    spec.seeds = {0};
+    std::string dir = freshDir("deep");
+    sim::CampaignOptions opts;
+    opts.jobs = 1;
+    ASSERT_TRUE(sim::runCampaign(spec, dir, opts).completed);
+
+    // A complete line nested far past the parser's cap: corrupt, not
+    // a stack overflow.
+    std::FILE *f = std::fopen((dir + "/journal.jsonl").c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    std::fputs((std::string(100000, '[') + "\n").c_str(), f);
+    std::fclose(f);
+
+    sim::JournalContents journal =
+        sim::CampaignJournal::read(dir + "/journal.jsonl");
+    EXPECT_TRUE(journal.headerOk);
+    EXPECT_EQ(journal.cells.size(), 1u);
+    EXPECT_EQ(journal.corruptLines, 1u);
 }
 
 TEST(Campaign, UnknownWorkloadIsRejectedUpFront)

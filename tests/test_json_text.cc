@@ -115,4 +115,33 @@ TEST(JsonTextTest, EveryStatsCounterRoundTripsAtUint64Max)
         EXPECT_EQ(root.u64(field.first, 0), UINT64_MAX) << field.first;
 }
 
+TEST(JsonTextTest, DeepNestingFailsInsteadOfOverflowingTheStack)
+{
+    // Hostile documents from disk or a pipe: each would recurse once
+    // per level without a cap.
+    const size_t kLevels = 100000;
+    std::string arrays(kLevels, '[');
+    std::string objects;
+    for (size_t i = 0; i < kLevels; i++)
+        objects += "{\"a\":";
+    for (const std::string *doc : {&arrays, &objects}) {
+        JsonValue root;
+        std::string err;
+        EXPECT_FALSE(sim::parseJson(*doc, root, &err));
+        EXPECT_NE(err.find("nesting deeper than"), std::string::npos)
+            << err;
+    }
+}
+
+TEST(JsonTextTest, ModerateNestingStillParses)
+{
+    const size_t kLevels = 200;
+    JsonValue root =
+        parse(std::string(kLevels, '[') + std::string(kLevels, ']'));
+    size_t depth = 1;
+    for (const JsonValue *v = &root; !v->items.empty(); v = &v->items[0])
+        depth++;
+    EXPECT_EQ(depth, kLevels);
+}
+
 } // namespace
