@@ -22,10 +22,9 @@
 #include <utility>
 #include <vector>
 
-#include <stdlib.h>
-
 #include "sim/batch_runner.hh"
 #include "sim/campaign.hh"
+#include "sim/fsio.hh"
 #include "sim/jobs.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_runner.hh"
@@ -185,15 +184,12 @@ class BenchRun
 
         // A fresh directory, so a default run never reads cells
         // stored by another build.
-        std::string dir = args_.dir;
+        std::string dir =
+            args_.dir.empty() ? sim::makeTempDir("ssmt-bench-" + name_)
+                              : args_.dir;
         if (dir.empty()) {
-            dir = (std::filesystem::temp_directory_path() /
-                   ("ssmt-bench-" + name_ + "-XXXXXX"))
-                      .string();
-            if (!::mkdtemp(dir.data())) {
-                std::perror("mkdtemp");
-                std::exit(1);
-            }
+            std::perror("bench: temporary directory");
+            std::exit(1);
         }
         sim::CampaignOptions opts;
         opts.jobs = args_.jobs;

@@ -7,7 +7,8 @@
  *
  *   ./ssmt_sim --list
  *   ./ssmt_sim --workload go --mode microthread --pruning
- *   ./ssmt_sim --workload mcf_2k --mode overhead --report
+ *   ./ssmt_sim --workload mcf_2k --mode microthread-no-predictions \
+ *              --report
  *   ./ssmt_sim --workload li --profile-hints /tmp/li.hints
  *   ./ssmt_sim --workload li --mode microthread \
  *              --hints /tmp/li.hints --throttle
@@ -22,6 +23,7 @@
 
 #include "sim/batch_runner.hh"
 #include "sim/path_profiler.hh"
+#include "sim/sim_error.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
@@ -41,8 +43,10 @@ usage()
         "                         chosen config, in parallel\n"
         "  --jobs N               worker threads for --suite\n"
         "                         (default: SSMT_JOBS, then all cores)\n"
-        "  --mode MODE            baseline | microthread | overhead |\n"
-        "                         oracle-paths | oracle-all\n"
+        "  --mode MODE            baseline | microthread |\n"
+        "                         microthread-no-predictions |\n"
+        "                         oracle-difficult-path |\n"
+        "                         oracle-all-branches\n"
         "  --n N                  path depth (default 10)\n"
         "  --threshold T          difficulty threshold (default .10)\n"
         "  --pruning              enable Vp/Ap pruning\n"
@@ -56,28 +60,8 @@ usage()
         "  --report               print the full stats report\n");
 }
 
-bool
-parseMode(const std::string &text, sim::Mode &mode)
-{
-    if (text == "baseline")
-        mode = sim::Mode::Baseline;
-    else if (text == "microthread")
-        mode = sim::Mode::Microthread;
-    else if (text == "overhead")
-        mode = sim::Mode::MicrothreadNoPredictions;
-    else if (text == "oracle-paths")
-        mode = sim::Mode::OracleDifficultPath;
-    else if (text == "oracle-all")
-        mode = sim::Mode::OracleAllBranches;
-    else
-        return false;
-    return true;
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string workload = "go";
     std::string hints_file;
@@ -116,7 +100,7 @@ main(int argc, char **argv)
             }
             jobs = static_cast<unsigned>(parsed);
         } else if (arg == "--mode") {
-            if (!parseMode(next(), cfg.mode)) {
+            if (!sim::parseMode(next(), &cfg.mode)) {
                 std::fprintf(stderr, "unknown mode\n");
                 return 2;
             }
@@ -183,7 +167,10 @@ main(int argc, char **argv)
         }
         std::printf("[suite] %zu workloads, %u jobs, wall %.2fs\n",
                     batch.size(), runner.jobs(), wall);
-        return 0;
+        std::string failed =
+            sim::BatchRunner::failureSummary(batch, results);
+        std::fputs(failed.c_str(), stderr);
+        return failed.empty() ? 0 : 1;
     }
 
     isa::Program prog = workloads::makeWorkload(workload, params);
@@ -222,4 +209,18 @@ main(int argc, char **argv)
     if (report)
         std::printf("\n%s", stats.report().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A bad config is a usage error, not a crash.
+    try {
+        return run(argc, argv);
+    } catch (const sim::SimError &err) {
+        std::fprintf(stderr, "ssmt_sim: %s\n", err.what());
+        return 2;
+    }
 }

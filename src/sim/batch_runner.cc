@@ -149,8 +149,9 @@ runAttempt(const BatchJob &job, const BatchPolicy &policy,
 {
     MachineConfig config = job.config;
     bool resuming = policy.resumeOnWatchdog && !checkpoint.empty();
-    if (!resuming && policy.reseedFaultsOnRetry &&
-        config.faults.enabled()) {
+    // A retry from scratch re-mixes the fault seed, so a
+    // fault-induced hang gets a different fault schedule.
+    if (!resuming && config.faults.enabled()) {
         config.faults.seed =
             BatchRunner::retrySeed(job.config.faults.seed, attempt);
     }

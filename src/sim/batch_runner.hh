@@ -115,10 +115,6 @@ struct BatchPolicy
     /** Per-job cycle watchdog; 0 disables it. A tripped watchdog is
      *  a recoverable failure. */
     uint64_t cycleBudget = 0;
-    /** Deterministically re-mix the job's fault seed on each retry
-     *  (so a fault-induced hang gets a genuinely different fault
-     *  schedule the second time around). */
-    bool reseedFaultsOnRetry = true;
     /**
      * Resume instead of restart after a tripped watchdog: each
      * attempt checkpoints the machine (ssmt-snapshot-v1) right at

@@ -11,10 +11,10 @@
  * fault budget; the core arms a FaultInjector from it and, at seeded
  * pseudo-random cycles, flips prediction-cache outcomes, corrupts or
  * evicts path-cache entries, truncates or garbles MicroRAM slices,
- * and drops or delays spawns. Campaigns (tools/ssmt_faultcamp,
- * tests/test_faultinject.cc) then assert that the architectural
- * counters stay byte-identical to the fault-free run and to the
- * committed golden/ snapshots.
+ * and drops or delays spawns. Campaigns (`ssmt_verify_golden
+ * --faults`, tests/test_faultinject.cc) then assert that the
+ * architectural counters stay byte-identical to the fault-free run,
+ * whose counters match the committed golden/ snapshots.
  *
  * Everything is deterministic: all decisions derive from an
  * xorshift64* stream seeded by FaultPlan::seed, and victim selection

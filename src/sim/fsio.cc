@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -127,6 +129,18 @@ bool
 removeFile(const std::string &path)
 {
     return ::unlink(path.c_str()) == 0 || errno == ENOENT;
+}
+
+std::string
+makeTempDir(const std::string &prefix)
+{
+    std::error_code ec;
+    std::filesystem::path base =
+        std::filesystem::temp_directory_path(ec);
+    if (ec)
+        return "";
+    std::string dir = (base / (prefix + "-XXXXXX")).string();
+    return ::mkdtemp(dir.data()) ? dir : "";
 }
 
 } // namespace sim

@@ -47,6 +47,11 @@ std::vector<std::string> listDir(const std::string &dir);
 /** Delete a file. @return true when it no longer exists. */
 bool removeFile(const std::string &path);
 
+/** Create a new, empty, uniquely named directory
+ *  `<system temp dir>/<prefix>-XXXXXX` (mkdtemp). @return its path,
+ *  or "" when it cannot be created. */
+std::string makeTempDir(const std::string &prefix);
+
 } // namespace sim
 } // namespace ssmt
 

@@ -1,9 +1,12 @@
 #include "sim/golden.hh"
 
 #include <cstdio>
+#include <map>
 
+#include "sim/campaign.hh"
 #include "sim/fsio.hh"
 #include "sim/json_text.hh"
+#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace ssmt
@@ -320,6 +323,170 @@ writeGoldenFile(const std::string &dir, const GoldenRun &run)
     // Atomic: a golden snapshot is a regression baseline; a crashed
     // regeneration must not leave a truncated one behind.
     return writeFileAtomic(path, goldenJson(run)) ? path : "";
+}
+
+CampaignSpec
+verifyGoldenSpec(const std::vector<std::string> &workloads, bool faults)
+{
+    CampaignSpec spec;
+    spec.name = "verify-golden";
+    spec.workloads = workloads;
+    for (Mode mode : {Mode::Microthread, Mode::Baseline,
+                      Mode::OracleDifficultPath,
+                      Mode::OracleAllBranches})
+        spec.variants.push_back(
+            {modeName(mode), {std::string("mode=") + modeName(mode)}});
+    if (faults) {
+        for (FaultSite site : allFaultSites())
+            spec.variants.push_back(
+                {faultSiteName(site),
+                 {"mode=microthread",
+                  std::string("faultSite=") + faultSiteName(site),
+                  "faultCount=" + std::to_string(kVerifyFaultCount)}});
+    }
+    return spec;
+}
+
+int
+VerifyReport::exitStatus() const
+{
+    if (missing)
+        return 2;
+    return drifted || failedRelations ? 1 : 0;
+}
+
+namespace
+{
+
+/** The golden check of one workload's reference cell: every
+ *  counter, then the canonical bytes. */
+void
+checkGoldenFile(const std::string &workload, const Stats &stats,
+                const std::string &golden_dir,
+                const DriftAllowlist &allowlist, VerifyReport &report)
+{
+    std::string path = golden_dir + "/" + goldenFileName(workload);
+    std::string text = readFileOrEmpty(path);
+    GoldenRun want;
+    std::string err;
+    if (text.empty())
+        err = "missing (run ssmt_verify_golden --update)";
+    else if (!parseGolden(text, want, &err))
+        err = "cannot parse: " + err;
+    else if (want.config != kGoldenConfigName)
+        err = "pinned to config '" + want.config +
+              "' but this binary verifies '" + kGoldenConfigName +
+              "' — regenerate";
+    if (!err.empty()) {
+        report.log += "golden snapshot " + path + " " + err + "\n";
+        report.missing++;
+        return;
+    }
+    std::vector<CounterDrift> drifts = diffStats(want.stats, stats);
+    for (const CounterDrift &d : drifts) {
+        bool allowed = allowlist.allows(workload, d.counter);
+        char pct[32];
+        std::snprintf(pct, sizeof(pct), " (%+.2f%%)\n",
+                      100.0 * d.relative());
+        report.log += (allowed ? "allowed drift " : "DRIFT ") +
+                      workload + ": " + d.counter + " " +
+                      std::to_string(d.golden) + " -> " +
+                      std::to_string(d.candidate) + pct;
+        (allowed ? report.allowed : report.drifted)++;
+    }
+    if (drifts.empty() &&
+        goldenJson({workload, kGoldenConfigName, stats}) != text) {
+        report.log += "DRIFT " + workload +
+                      ": snapshot is not the canonical serialization "
+                      "— regenerate\n";
+        report.drifted++;
+    }
+}
+
+} // namespace
+
+VerifyReport
+checkVerifyGolden(const CampaignOutcome &outcome,
+                  const std::string &golden_dir,
+                  const DriftAllowlist &allowlist)
+{
+    VerifyReport report;
+    std::map<std::string, uint64_t> injected;
+    const std::vector<CampaignCell> &cells = outcome.cells;
+    for (size_t begin = 0, end = 0; begin < cells.size(); begin = end) {
+        // Cells are workload-major: [begin, end) is one workload.
+        const std::string &workload = cells[begin].workload;
+        while (end < cells.size() && cells[end].workload == workload)
+            end++;
+        auto stats = [&](Mode mode) -> const Stats & {
+            for (size_t i = begin; i < end; i++)
+                if (cells[i].variant.name == modeName(mode))
+                    return outcome.results[i].stats;
+            SSMT_PANIC(workload + " has no " + modeName(mode) + " cell");
+        };
+        const Stats &ref = stats(Mode::Microthread);
+        checkGoldenFile(workload, ref, golden_dir, allowlist, report);
+
+        // Only correct-path instructions are fetched, so no mode and
+        // no fault may change the committed stream.
+        ArchSignature want = ArchSignature::of(ref);
+        for (size_t i = begin; i < end; i++) {
+            const BatchResult &result = outcome.results[i];
+            std::string diff =
+                ArchSignature::of(result.stats).diff(want);
+            if (!diff.empty()) {
+                report.log += "ARCH MISMATCH " + cells[i].name + ": " +
+                              diff + "\n";
+                report.failedRelations++;
+            }
+            FaultSite site;
+            if (parseFaultSite(cells[i].variant.name, &site))
+                injected[cells[i].variant.name] +=
+                    result.faults.injected;
+        }
+
+        // A full oracle uses no wrong prediction, fewer wrong
+        // predictions are used the better the predictions, and in
+        // baseline mode the used prediction is the hardware one.
+        const Stats &baseline = stats(Mode::Baseline);
+        uint64_t base = baseline.usedMispredicts;
+        uint64_t micro = ref.usedMispredicts;
+        uint64_t oracle = stats(Mode::OracleDifficultPath).usedMispredicts;
+        uint64_t all = stats(Mode::OracleAllBranches).usedMispredicts;
+        uint64_t hw =
+            baseline.condHwMispredicts + baseline.indirectHwMispredicts;
+        const std::pair<bool, const char *> relations[] = {
+            {all == 0, "oracle-all-branches == 0"},
+            {all <= oracle, "oracle-all-branches <= oracle-difficult-path"},
+            {oracle <= base, "oracle-difficult-path <= baseline"},
+            {micro <= base, "microthread <= baseline"},
+            {base == hw, "baseline == baseline's hw mispredicts"}};
+        for (const auto &[holds, what] : relations) {
+            if (holds)
+                continue;
+            report.log += "RELATION FAIL " + workload +
+                          ": used mispredicts " + what + " (baseline " +
+                          std::to_string(base) + ", microthread " +
+                          std::to_string(micro) + ", oracles " +
+                          std::to_string(oracle) + "/" +
+                          std::to_string(all) + ", hw " +
+                          std::to_string(hw) + ")\n";
+            report.failedRelations++;
+        }
+    }
+
+    for (FaultSite site : allFaultSites()) {
+        auto it = injected.find(faultSiteName(site));
+        if (it == injected.end())
+            continue;
+        report.injected.push_back(*it);
+        if (it->second == 0) {
+            report.log += std::string("FAULT SITE NEVER FIRED ") +
+                          it->first + ": no workload took a fault\n";
+            report.failedRelations++;
+        }
+    }
+    return report;
 }
 
 } // namespace sim

@@ -21,7 +21,9 @@
  * regardless of --jobs. The committed `golden/<workload>.json` files
  * plus tools/ssmt_statsdiff and tools/ssmt_verify_golden form the
  * regression safety net for perf refactors: any drifted counter must
- * either be a bug or an entry in the allowlist.
+ * either be a bug or an entry in the allowlist. The campaign
+ * ssmt_verify_golden runs (verifyGoldenSpec) and its check
+ * (checkVerifyGolden) live here too, so tests reach them.
  */
 
 #ifndef SSMT_SIM_GOLDEN_HH
@@ -142,6 +144,59 @@ struct DriftAllowlist
  */
 std::string writeGoldenFile(const std::string &dir,
                             const GoldenRun &run);
+
+struct CampaignSpec;
+struct CampaignOutcome;
+
+/** Faults each fault-site cell of the verify-golden campaign arms. */
+constexpr uint64_t kVerifyFaultCount = 8;
+
+/**
+ * The verify-golden campaign over @p workloads. Its variants, in
+ * order: `microthread`, the golden cell (goldenMachineConfig(); the
+ * config and store key of fig7_realistic's `microthread` cell),
+ * then `baseline`, `oracle-difficult-path` and
+ * `oracle-all-branches`, and with @p faults one microthread variant
+ * per fault site, named after the site, arming kVerifyFaultCount
+ * faults at the FaultPlan's default seed and period.
+ */
+CampaignSpec verifyGoldenSpec(const std::vector<std::string> &workloads,
+                              bool faults);
+
+/** What checkVerifyGolden found. */
+struct VerifyReport
+{
+    int drifted = 0;   ///< unallowed drifts and non-canonical files
+    int allowed = 0;   ///< allowlisted counter drifts
+    int missing = 0;   ///< snapshots absent, unparsable or pinned
+                       ///< to another config
+    int failedRelations = 0;
+    /** Faults injected per fault-site variant, summed over the
+     *  workloads, in spec order. */
+    std::vector<std::pair<std::string, uint64_t>> injected;
+    std::string log;   ///< one line per finding
+
+    /** 2 with a snapshot missing, 1 with any drift or failed
+     *  relation, else 0. */
+    int exitStatus() const;
+};
+
+/**
+ * Check a verify-golden campaign whose every cell succeeded. For
+ * each workload its `microthread` cell is the reference:
+ *  - golden: every counter against `<golden_dir>/<workload>.json`
+ *    (@p allowlist applies), then the canonical bytes;
+ *  - arch: every other cell's ArchSignature equals the reference's,
+ *    so neither a mode nor a fault changes the committed stream;
+ *  - modes: a full oracle uses no misprediction, used mispredictions
+ *    are monotone (oracle <= microthread <= baseline) and baseline's
+ *    equal its hardware mispredictions.
+ * Every fault site must inject at least one fault over the
+ * workloads.
+ */
+VerifyReport checkVerifyGolden(const CampaignOutcome &outcome,
+                               const std::string &golden_dir,
+                               const DriftAllowlist &allowlist);
 
 } // namespace sim
 } // namespace ssmt

@@ -14,8 +14,8 @@
  * a results table.
  *
  * Every relation listed here holds in *all* five machine modes; the
- * cross-mode (differential) relations that depend on comparing runs
- * live in tools/ssmt_verify_golden.
+ * cross-mode relations that depend on comparing runs live in
+ * sim::checkVerifyGolden (sim/golden.hh).
  */
 
 #ifndef SSMT_SIM_INVARIANTS_HH

@@ -13,9 +13,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "sim/campaign.hh"
@@ -31,17 +31,26 @@ namespace
 
 using namespace ssmt;
 
-/** Wipe and recreate a campaign directory under the test cwd. */
+/** A new, empty campaign directory, removed when the test binary
+ *  exits. Each call gets its own, so concurrent runs of this binary
+ *  (ctest runs it whole next to its discovered cases) never share
+ *  one. */
 std::string
 freshDir(const std::string &name)
 {
-    std::string dir = "campaign_test_" + name;
-    for (const std::string &file : sim::listDir(dir + "/store"))
-        sim::removeFile(dir + "/store/" + file);
-    ::rmdir((dir + "/store").c_str());
-    for (const std::string &file : sim::listDir(dir))
-        sim::removeFile(dir + "/" + file);
-    ::rmdir(dir.c_str());
+    struct Dirs
+    {
+        std::vector<std::string> paths;
+        ~Dirs()
+        {
+            for (const std::string &path : paths)
+                std::filesystem::remove_all(path);
+        }
+    };
+    static Dirs dirs;
+    std::string dir = sim::makeTempDir("ssmt-campaign-test-" + name);
+    EXPECT_FALSE(dir.empty());
+    dirs.paths.push_back(dir);
     return dir;
 }
 
@@ -155,9 +164,10 @@ TEST(CampaignSpec, VariantsRoundTripAndNameCells)
 
 TEST(CampaignSpec, RejectsBadVariants)
 {
-    auto rejected = [](const sim::CampaignSpec &spec) {
+    std::string dir = freshDir("badvariant");
+    auto rejected = [&](const sim::CampaignSpec &spec) {
         try {
-            sim::runCampaign(spec, freshDir("badvariant"), {});
+            sim::runCampaign(spec, dir, {});
         } catch (const sim::SimError &err) {
             return err.code() == sim::ErrorCode::ConfigInvalid;
         }
@@ -192,7 +202,7 @@ TEST(CampaignSpec, RejectsBadVariants)
     EXPECT_TRUE(rejected(empty_name));
 
     // Nothing was written for a refused spec.
-    EXPECT_FALSE(sim::pathExists("campaign_test_badvariant/journal.jsonl"));
+    EXPECT_FALSE(sim::pathExists(dir + "/journal.jsonl"));
 }
 
 TEST(CampaignSpec, CellEnumerationIsWorkloadMajor)
@@ -615,6 +625,165 @@ TEST(Campaign, UnknownWorkloadIsRejectedUpFront)
     } catch (const sim::SimError &err) {
         EXPECT_EQ(err.code(), sim::ErrorCode::UnknownWorkload);
     }
+}
+
+TEST(VerifyGolden, GoldenCellIsFig7MicrothreadCell)
+{
+    // One cell, one store key: the golden cell is fig7's microthread
+    // column, built by the same cellConfig.
+    sim::CampaignSpec verify = sim::verifyGoldenSpec({"comp"}, false);
+    std::vector<sim::CampaignCell> cells = sim::campaignCells(verify);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0].name, "comp/microthread/s0");
+    EXPECT_EQ(cells[3].name, "comp/oracle-all-branches/s0");
+    sim::MachineConfig golden = sim::cellConfig(verify, cells[0]);
+    EXPECT_EQ(golden.mode, sim::goldenMachineConfig().mode);
+    EXPECT_EQ(sim::configFingerprint(golden),
+              sim::configFingerprint(sim::goldenMachineConfig()));
+
+    sim::CampaignSpec fig7;
+    fig7.name = "fig7_realistic";
+    fig7.workloads = {"comp"};
+    fig7.variants = fig7Variants();
+    sim::CampaignCell fig7_micro = sim::campaignCells(fig7)[1];
+    ASSERT_EQ(fig7_micro.name, cells[0].name);
+    uint64_t hash = sim::programHash(workloads::makeWorkload("comp", {}));
+    EXPECT_EQ(sim::ResultStore::cellKey(hash, golden, 0),
+              sim::ResultStore::cellKey(
+                  hash, sim::cellConfig(fig7, fig7_micro), 0));
+}
+
+TEST(VerifyGolden, FaultVariantsArmEverySiteOnTheGoldenConfig)
+{
+    sim::CampaignSpec spec = sim::verifyGoldenSpec({"comp"}, true);
+    const std::vector<sim::FaultSite> &sites = sim::allFaultSites();
+    ASSERT_EQ(spec.variants.size(), 4 + sites.size());
+    std::vector<sim::CampaignCell> cells = sim::campaignCells(spec);
+    for (size_t s = 0; s < sites.size(); s++) {
+        const sim::CampaignCell &cell = cells[4 + s];
+        EXPECT_EQ(cell.variant.name, sim::faultSiteName(sites[s]));
+        sim::MachineConfig want = sim::goldenMachineConfig();
+        want.faults.site = sites[s];
+        want.faults.count = sim::kVerifyFaultCount;
+        EXPECT_EQ(sim::configFingerprint(sim::cellConfig(spec, cell)),
+                  sim::configFingerprint(want));
+        EXPECT_EQ(sim::cellConfig(spec, cell).mode, want.mode);
+    }
+}
+
+/** A complete verify-golden outcome for comp with every fault site
+ *  armed, whose cells all hold @p stats and fire every site, plus a
+ *  golden directory holding @p stats as comp's snapshot. */
+sim::CampaignOutcome
+syntheticVerifyOutcome(const sim::Stats &stats, std::string *golden_dir)
+{
+    sim::CampaignOutcome outcome;
+    outcome.cells =
+        sim::campaignCells(sim::verifyGoldenSpec({"comp"}, true));
+    outcome.results.resize(outcome.cells.size());
+    for (sim::BatchResult &result : outcome.results) {
+        result.stats = stats;
+        result.faults.injected = 3;
+    }
+    outcome.results[3].stats.usedMispredicts = 0;   // full oracle
+    *golden_dir = freshDir("verify-golden");
+    EXPECT_FALSE(sim::writeGoldenFile(
+                     *golden_dir, {"comp", sim::kGoldenConfigName, stats})
+                     .empty());
+    return outcome;
+}
+
+TEST(VerifyGolden, CheckNamesEachKindOfFailure)
+{
+    sim::Stats stats;
+    stats.retiredInsts = 1000;
+    stats.condBranches = 100;
+    stats.condHwMispredicts = 10;
+    stats.usedMispredicts = 10;
+    std::string golden;
+    const sim::CampaignOutcome clean =
+        syntheticVerifyOutcome(stats, &golden);
+    auto check = [&](const sim::CampaignOutcome &outcome) {
+        return sim::checkVerifyGolden(outcome, golden, {});
+    };
+    sim::VerifyReport ok = check(clean);
+    EXPECT_EQ(ok.exitStatus(), 0) << ok.log;
+    EXPECT_EQ(ok.log, "");
+    ASSERT_EQ(ok.injected.size(), sim::allFaultSites().size());
+    EXPECT_EQ(ok.injected[0].first, "pred-cache-flip");
+    EXPECT_EQ(ok.injected[0].second, 3u);
+
+    // A site that never fires fails the run, by name.
+    sim::CampaignOutcome silent = clean;
+    silent.results[5].faults.injected = 0;
+    sim::VerifyReport report = check(silent);
+    EXPECT_EQ(report.exitStatus(), 1);
+    EXPECT_EQ(report.failedRelations, 1);
+    EXPECT_EQ(report.log,
+              "FAULT SITE NEVER FIRED pred-cache-drop: no workload took "
+              "a fault\n");
+
+    // A fault that changes the committed stream.
+    sim::CampaignOutcome steered = clean;
+    steered.results.back().stats.retiredInsts++;
+    report = check(steered);
+    EXPECT_EQ(report.failedRelations, 1);
+    EXPECT_EQ(report.log.rfind("ARCH MISMATCH comp/spawn-delay/s0: "
+                               "retiredInsts: 1001 != 1000",
+                               0),
+              0u)
+        << report.log;
+
+    // A broken mode relation: a full oracle that used a misprediction.
+    sim::CampaignOutcome oracle = clean;
+    oracle.results[3].stats.usedMispredicts = 1;
+    report = check(oracle);
+    EXPECT_EQ(report.failedRelations, 1);
+    EXPECT_NE(report.log.find("RELATION FAIL comp: used mispredicts "
+                              "oracle-all-branches == 0"),
+              std::string::npos)
+        << report.log;
+
+    // Golden drift, then the same drift allowlisted.
+    sim::CampaignOutcome drifted = clean;
+    for (sim::BatchResult &result : drifted.results)
+        result.stats.cycles = 5;
+    report = check(drifted);
+    EXPECT_EQ(report.drifted, 1);
+    EXPECT_EQ(report.exitStatus(), 1);
+    report = sim::checkVerifyGolden(
+        drifted, golden, sim::DriftAllowlist::parse("comp:cycles"));
+    EXPECT_EQ(report.allowed, 1);
+    EXPECT_EQ(report.exitStatus(), 0);
+
+    // A missing snapshot is exit 2.
+    report = sim::checkVerifyGolden(clean, golden + "/absent", {});
+    EXPECT_EQ(report.missing, 1);
+    EXPECT_EQ(report.exitStatus(), 2);
+}
+
+TEST(VerifyGolden, M88ksimNeverFillsThePredictionCache)
+{
+    // m88ksim writes no Prediction Cache entry (golden pcacheWrites
+    // is 0), so its two prediction-cache sites find no target: the
+    // run fails and names both.
+    sim::CampaignOptions opts;
+    opts.jobs = 2;
+    sim::CampaignOutcome outcome = sim::runCampaign(
+        sim::verifyGoldenSpec({"m88ksim"}, true), freshDir("m88ksim"),
+        opts);
+    ASSERT_TRUE(outcome.completed);
+    ASSERT_EQ(outcome.failed, 0u);
+    sim::VerifyReport report =
+        sim::checkVerifyGolden(outcome, SSMT_GOLDEN_DIR, {});
+    EXPECT_EQ(report.drifted + report.missing, 0) << report.log;
+    EXPECT_EQ(report.failedRelations, 2) << report.log;
+    EXPECT_EQ(report.exitStatus(), 1);
+    EXPECT_EQ(report.log,
+              "FAULT SITE NEVER FIRED pred-cache-flip: no workload took "
+              "a fault\n"
+              "FAULT SITE NEVER FIRED pred-cache-drop: no workload took "
+              "a fault\n");
 }
 
 } // namespace

@@ -32,12 +32,12 @@
  * Usage:
  *   ssmt_snapshot save   --cycle N [--workloads a,b,...|all]
  *                        [--mode M] [--sample-interval N]
- *                        [--out-dir D] [--jobs N]
+ *                        [--out-dir D] [--jobs N|auto]
  *   ssmt_snapshot fanout --snapshot FILE --workload NAME
- *                        [--sample-interval N] [--jobs N]
+ *                        [--sample-interval N] [--jobs N|auto]
  *   ssmt_snapshot verify --cycle N [--workloads a,b,...|all]
  *                        [--golden-dir D] [--sample-interval N]
- *                        [--jobs N]
+ *                        [--jobs N|auto]
  *
  * Exit status: 0 clean, 1 verification failure or failed run, 2 bad
  * usage or unreadable input.
@@ -68,14 +68,14 @@ const char kUsage[] =
     " [--workloads a,b,...|all]\n"
     "                            [--mode M] [--sample-interval N]\n"
     "                            [--predictor hybrid|tage|perceptron]\n"
-    "                            [--out-dir D] [--jobs N]\n"
+    "                            [--out-dir D] [--jobs N|auto]\n"
     "       ssmt_snapshot fanout --snapshot FILE --workload NAME\n"
-    "                            [--sample-interval N] [--jobs N]\n"
+    "                            [--sample-interval N] [--jobs N|auto]\n"
     "       ssmt_snapshot verify --cycle N"
     " [--workloads a,b,...|all]\n"
     "                            [--golden-dir D]"
     " [--sample-interval N]\n"
-    "                            [--jobs N]\n"
+    "                            [--jobs N|auto]\n"
     "modes: baseline, oracle-difficult-path, microthread,\n"
     "       microthread-no-predictions, oracle-all-branches\n";
 
@@ -126,12 +126,7 @@ parseOptions(int argc, char **argv)
     opt.cycle = args.u64("--cycle");
     opt.sampleInterval =
         args.u64("--sample-interval", opt.sampleInterval);
-    if (args.has("--jobs")) {
-        uint64_t jobs = args.u64("--jobs");
-        if (jobs == 0)
-            args.fail("--jobs must be >= 1");
-        opt.jobs = static_cast<unsigned>(jobs);
-    }
+    opt.jobs = cli::jobsFlag(args);
     opt.outDir = args.str("--out-dir", opt.outDir);
     opt.goldenDir = args.str("--golden-dir");
     opt.snapshotPath = args.str("--snapshot");

@@ -22,7 +22,7 @@
  * Usage:
  *   ssmt_trace --workload a[,b,...]|all [--mode M]
  *              [--sample-interval N] [--trace-capacity N]
- *              [--scale N] [--seed S] [--jobs N] [--out-dir D]
+ *              [--scale N] [--seed S] [--jobs N|auto] [--out-dir D]
  *              [--jsonl]
  *
  * Exit status: 0 clean, 1 simulation or I/O failure, 2 bad usage.
@@ -63,7 +63,7 @@ const char kUsage[] =
     "usage: ssmt_trace --workload a[,b,...]|all [--mode M]\n"
     "          [--predictor hybrid|tage|perceptron]\n"
     "          [--sample-interval N] [--trace-capacity N]\n"
-    "          [--scale N] [--seed S] [--jobs N] [--out-dir D]\n"
+    "          [--scale N] [--seed S] [--jobs N|auto] [--out-dir D]\n"
     "          [--jsonl] [--list-workloads]\n"
     "modes: baseline, oracle-difficult-path, microthread,\n"
     "       microthread-no-predictions, oracle-all-branches\n";
@@ -100,12 +100,7 @@ parseOptions(int argc, char **argv)
     if (opt.scale == 0)
         args.fail("--scale must be >= 1");
     opt.seed = args.u64("--seed", opt.seed);
-    if (args.has("--jobs")) {
-        uint64_t jobs = args.u64("--jobs");
-        if (jobs == 0)
-            args.fail("--jobs must be >= 1");
-        opt.jobs = static_cast<unsigned>(jobs);
-    }
+    opt.jobs = cli::jobsFlag(args);
     opt.outDir = args.str("--out-dir", opt.outDir);
     opt.jsonl = args.has("--jsonl");
     if (!args.has("--workload"))
