@@ -51,7 +51,6 @@ UthreadBuilder::build(const Prb &prb, PathId id, int n,
                       const vpred::ValuePredictor &ap)
 {
     stats_.requests++;
-    scratch_.reset();
     SSMT_ASSERT(prb.size() > 0, "build from an empty PRB");
     uint32_t branch_pos = prb.size() - 1;
     const PrbEntry &branch = prb.at(branch_pos);
@@ -61,8 +60,7 @@ UthreadBuilder::build(const Prb &prb, PathId id, int n,
     // Locate the n taken branches prior to the terminating branch.
     // path_pos[0] is the most recent prior taken branch; path_pos
     // ends with the oldest (branch "n", which delimits the scope).
-    sim::ScratchVector<uint32_t> path_pos{
-        sim::ArenaAllocator<uint32_t>(scratch_)};
+    std::vector<uint32_t> path_pos;
     path_pos.reserve(n);
     for (uint32_t pos = branch_pos; pos-- > 0 &&
              static_cast<int>(path_pos.size()) < n;) {
@@ -94,11 +92,9 @@ UthreadBuilder::build(const Prb &prb, PathId id, int n,
             needed.set(reg);
     };
     // PRB positions, youngest first.
-    sim::ScratchVector<uint32_t> included{
-        sim::ArenaAllocator<uint32_t>(scratch_)};
+    std::vector<uint32_t> included;
     // 8B-aligned included load addrs.
-    sim::ScratchVector<uint64_t> load_words{
-        sim::ArenaAllocator<uint64_t>(scratch_)};
+    std::vector<uint64_t> load_words;
 
     included.push_back(branch_pos);
     need(branch.inst.rs1);
@@ -423,8 +419,7 @@ UthreadBuilder::eliminateDeadOps(MicroThread &thread)
             needed.set(reg);
     };
 
-    sim::ScratchVector<MicroOp> kept{
-        sim::ArenaAllocator<MicroOp>(scratch_)};
+    std::vector<MicroOp> kept;
     kept.reserve(thread.ops.size());
     for (size_t i = thread.ops.size(); i-- > 0;) {
         const MicroOp &op = thread.ops[i];
@@ -445,7 +440,7 @@ UthreadBuilder::eliminateDeadOps(MicroThread &thread)
         }
     }
     std::reverse(kept.begin(), kept.end());
-    thread.ops.assign(kept.begin(), kept.end());
+    thread.ops = std::move(kept);
 }
 
 

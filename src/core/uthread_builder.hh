@@ -13,10 +13,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/microthread.hh"
 #include "core/prb.hh"
-#include "sim/arena.hh"
 #include "vpred/value_predictor.hh"
 
 namespace ssmt
@@ -99,10 +99,6 @@ class UthreadBuilder
   private:
     BuilderConfig config_;
     BuildStats stats_;
-    /** Per-build scratch (slice positions, load fences, the
-     *  dead-op keep list): bump-allocated, rewound every build, so
-     *  steady-state construction stays off the heap. */
-    sim::Arena scratch_;
 
     void optimize(MicroThread &thread,
                   const vpred::ValuePredictor &vp,

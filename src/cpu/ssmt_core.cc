@@ -1603,7 +1603,7 @@ SsmtCore::restore(sim::SnapshotReader &r)
 }
 
 static_assert(sim::SnapshotterLike<SsmtCore>);
-SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3848);
+SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3800);
 
 } // namespace cpu
 } // namespace ssmt

@@ -224,7 +224,6 @@ BatchRunner::run(const std::vector<BatchJob> &batch,
                 crashKindName(batch[i].crash) +
                 "') requires isolate mode";
         } else {
-            auto warnBase = ssmt::detail::warnSiteCounts();
             // Checkpoint harvested from a watchdog-expired attempt;
             // a non-empty value turns the next attempt into a
             // resume.
@@ -241,8 +240,6 @@ BatchRunner::run(const std::vector<BatchJob> &batch,
                                        checkpoint, result))
                     break;
             }
-            result.warnings = ssmt::detail::warnSiteDelta(
-                warnBase, ssmt::detail::warnSiteCounts());
         }
         result.hostSeconds = secondsSince(start);
         if (!result.ok()) {

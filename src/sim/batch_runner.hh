@@ -31,7 +31,6 @@
 
 #include "isa/program.hh"
 #include "sim/faultinject.hh"
-#include "sim/logging.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_error.hh"
 #include "sim/sim_runner.hh"
@@ -77,7 +76,10 @@ struct BatchJob
     CrashKind crash = CrashKind::None;
 };
 
-/** The outcome of one BatchJob, in submission order. */
+/** The outcome of one BatchJob, in submission order: what its
+ *  simulation computed, plus the host time it took. Nothing else —
+ *  warnings go to stderr — so every field but hostSeconds is
+ *  identical at any worker count, in-process or isolated. */
 struct BatchResult
 {
     Stats stats;
@@ -95,12 +97,6 @@ struct BatchResult
      *  config.traceCapacity); empty when those knobs are off. Like
      *  Stats, bit-identical across worker counts. */
     RunArtifacts artifacts;
-    /** SSMT_WARN sites this job fired, with per-site totals
-     *  including the rate-limited tail. Exact in isolate mode (the
-     *  child is single-threaded); best-effort under concurrent
-     *  in-process workers, where sites shared between jobs may
-     *  attribute counts to whichever job observed them. */
-    std::vector<WarnSiteCount> warnings;
 
     bool ok() const { return errorCode == ErrorCode::None; }
 };

@@ -127,12 +127,15 @@ specInvalid(const std::string &what)
     throw SimError(ErrorCode::ConfigInvalid, "campaign", what);
 }
 
-/** Reject what runCampaign cannot run, before anything touches the
- *  campaign directory. */
+/** Reject what runCampaign cannot run (and what campaignGc cannot
+ *  tell the live cells of), before anything touches the campaign
+ *  directory. */
 void
 checkSpec(const CampaignSpec &spec)
 {
-    if (spec.modes.empty() == spec.variants.empty())
+    if (spec.modes.empty() && spec.variants.empty())
+        specInvalid("spec needs modes or variants; it has neither");
+    if (!spec.modes.empty() && !spec.variants.empty())
         specInvalid("spec needs modes or variants, not both");
     if (spec.workloads.empty() || spec.seeds.empty())
         specInvalid("spec needs at least one workload and one seed");
@@ -316,10 +319,17 @@ std::string
 ResultStore::cellKey(uint64_t program_hash,
                      const MachineConfig &config, uint64_t seed)
 {
-    return "cell-" + hex16(program_hash) + "-" +
-           hex16(fnv1a(configFingerprint(config))) + "-" +
-           modeName(config.mode) + "-s" + std::to_string(seed) +
-           ".json";
+    std::string key = "cell-" + hex16(program_hash) + "-" +
+                      hex16(fnv1a(configFingerprint(config))) + "-" +
+                      modeName(config.mode) + "-s" +
+                      std::to_string(seed);
+    // The fingerprint leaves the retire cap out (run control, not
+    // machine state), yet a capped cell computes another result. Only
+    // a non-default cap is named, so every default key keeps its
+    // bytes.
+    if (config.maxInsts != MachineConfig().maxInsts)
+        key += "-i" + std::to_string(config.maxInsts);
+    return key + ".json";
 }
 
 std::string
@@ -563,7 +573,6 @@ campaignManifest(const CampaignSpec &spec,
     w.endObject();
 
     uint64_t failed = 0;
-    std::map<std::string, WarnSiteCount> warn_totals;
     w.beginArray("cells");
     for (size_t i = 0; i < cells.size(); i++) {
         const CampaignCell &cell = cells[i];
@@ -582,19 +591,6 @@ campaignManifest(const CampaignSpec &spec,
         w.u64("injected", result.faults.injected);
         w.u64("noTarget", result.faults.noTarget);
         w.endObject();
-        w.beginArray("warnings");
-        for (const WarnSiteCount &warn : result.warnings) {
-            w.beginObject();
-            w.str("site", warn.site);
-            w.u64("count", warn.count);
-            w.u64("suppressed", warn.suppressed);
-            w.endObject();
-            WarnSiteCount &total = warn_totals[warn.site];
-            total.site = warn.site;
-            total.count += warn.count;
-            total.suppressed += warn.suppressed;
-        }
-        w.endArray();
         w.endObject();
         if (!result.ok())
             failed++;
@@ -604,18 +600,6 @@ campaignManifest(const CampaignSpec &spec,
     w.beginObject("totals");
     w.u64("cells", cells.size());
     w.u64("failed", failed);
-    // Campaign-wide per-site warning totals, including the tail the
-    // per-site rate limiter suppressed on stderr — the manifest is
-    // where those formerly-invisible counts surface.
-    w.beginArray("warnings");
-    for (const auto &entry : warn_totals) {
-        w.beginObject();
-        w.str("site", entry.second.site);
-        w.u64("count", entry.second.count);
-        w.u64("suppressed", entry.second.suppressed);
-        w.endObject();
-    }
-    w.endArray();
     w.endObject();
     w.endObject();
     return w.text();
@@ -730,7 +714,10 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
     ResultStore store(store_dir);
     std::vector<std::string> keys(n);
     std::vector<MachineConfig> configs(n);
-    std::vector<bool> have(n, false);
+    std::vector<char> cached(n, 0);
+    // Set once a cell's document is in the store: a cell whose save
+    // failed leaves the campaign incomplete.
+    std::vector<char> stored(n, 0);
     std::vector<JournalCell> hits;
     for (size_t i = 0; i < n; i++) {
         const CampaignCell &cell = outcome.cells[i];
@@ -738,7 +725,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
         keys[i] = ResultStore::cellKey(built.at(cell.workload).hash,
                                        configs[i], cell.seed);
         if (store.load(keys[i], configs[i], &outcome.results[i])) {
-            have[i] = true;
+            cached[i] = stored[i] = 1;
             outcome.cacheHits++;
             hits.push_back({cell.name, keys[i],
                             outcome.results[i].errorCode, true});
@@ -746,7 +733,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
     }
     journal.appendCells(hits);
     for (size_t i = 0; i < n; i++) {
-        if (!have[i])
+        if (!cached[i])
             continue;
         const CampaignCell &cell = outcome.cells[i];
         logLine(opts, cell.name + ": cached");
@@ -761,7 +748,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
     std::vector<size_t> cell_of;
     std::vector<BatchJob> batch;
     for (size_t i = 0; i < n; i++) {
-        if (have[i])
+        if (cached[i])
             continue;
         const CampaignCell &cell = outcome.cells[i];
         BatchJob job;
@@ -785,6 +772,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
                           "' could not be persisted to the store");
                 return;
             }
+            stored[i] = 1;
             journal.appendCell(
                 {cell.name, keys[i], result.errorCode, false});
             logLine(opts,
@@ -802,53 +790,37 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
     // moved out below.
     std::string summary = BatchRunner::failureSummary(batch, ran);
 
-    std::vector<bool> ran_cell(n, false);
     for (size_t b = 0; b < ran.size(); b++) {
         if (ran[b].attempts == 0)
             continue;       // cancelled before it started
-        ran_cell[cell_of[b]] = true;
         outcome.results[cell_of[b]] = std::move(ran[b]);
-        have[cell_of[b]] = true;
         outcome.executed++;
     }
 
-    for (size_t i = 0; i < n; i++)
-        if (have[i] && !outcome.results[i].ok())
+    // A cell never run keeps its default (ok) slot.
+    for (const BatchResult &result : outcome.results)
+        if (!result.ok())
             outcome.failed++;
 
     outcome.completed =
-        std::all_of(have.begin(), have.end(),
-                    [](bool h) { return h; });
+        std::all_of(stored.begin(), stored.end(),
+                    [](char s) { return s != 0; });
 
     if (outcome.completed) {
-        // The manifest is rebuilt from the *stored* documents, not
-        // from in-memory results: the store is the canonical record,
-        // and reading it back is what makes an interrupted-and-
-        // resumed campaign byte-identical to an uninterrupted one.
-        std::vector<BatchResult> stored(n);
-        std::vector<char> loaded(n, 0);
-        // Pure per-index reads: safe and worthwhile to parallelize
-        // (decoding a series-heavy document dominates).
-        runner.forEach(n, [&](size_t i) {
-            loaded[i] = store.load(keys[i], configs[i], &stored[i])
-                            ? 1
-                            : 0;
-        });
-        bool all_loaded = std::all_of(loaded.begin(), loaded.end(),
-                                      [](char l) { return l != 0; });
-        if (all_loaded) {
-            std::string manifest =
-                campaignManifest(spec, outcome.cells, stored);
-            std::string manifest_path = dir + "/manifest.json";
-            if (writeFileAtomic(manifest_path, manifest)) {
-                outcome.manifestPath = manifest_path;
-                journal.appendEnd();
-            } else {
-                SSMT_WARN("campaign manifest '" + manifest_path +
-                          "' could not be written");
-                outcome.completed = false;
-            }
+        // Built from the results in hand: cache hits were decoded
+        // from the store above, and the codec round-trips every
+        // executed result byte for byte, so an interrupted-and-
+        // resumed campaign writes the same bytes as an uninterrupted
+        // one, at any worker count.
+        std::string manifest =
+            campaignManifest(spec, outcome.cells, outcome.results);
+        std::string manifest_path = dir + "/manifest.json";
+        if (writeFileAtomic(manifest_path, manifest)) {
+            outcome.manifestPath = manifest_path;
+            journal.appendEnd();
         } else {
+            SSMT_WARN("campaign manifest '" + manifest_path +
+                      "' could not be written");
             outcome.completed = false;
         }
     }
@@ -856,7 +828,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
     // Cached failures are appended to the batch digest in cell order
     // for a complete picture.
     for (size_t i = 0; i < n; i++) {
-        if (!have[i] || ran_cell[i] || outcome.results[i].ok())
+        if (!cached[i] || outcome.results[i].ok())
             continue;
         summary += outcome.cells[i].name + ": [" +
                    errorCodeName(outcome.results[i].errorCode) +
@@ -869,6 +841,9 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
 std::vector<std::string>
 campaignGc(const CampaignSpec &spec, const std::string &dir)
 {
+    // A spec runCampaign refuses has no live cells: collecting under
+    // it would empty the store.
+    checkSpec(spec);
     ResultStore store(dir + "/store");
     const std::map<std::string, BuiltWorkload> built =
         buildWorkloads(spec, BatchRunner());

@@ -28,12 +28,14 @@
  *    deterministic ssmt-campaign-v1 manifest.
  *
  * The keystone property: kill a campaign at any point, run it again
- * with the same spec, and the final manifest is byte-identical to an
- * uninterrupted run — finished cells replay from the store, the rest
- * run fresh, and the manifest is always rebuilt from the stored
- * documents (never from in-memory state), which also excludes every
+ * with the same spec, at any worker count, and the final manifest is
+ * byte-identical to an uninterrupted run — finished cells replay
+ * from the store, the rest run fresh. The manifest is written from
+ * the cells' results: cache hits as decoded from the store, executed
+ * cells as computed (the codec round-trips them byte for byte). It
+ * records only what a simulation computed, which excludes every
  * nondeterministic quantity (host seconds, cache-hit flags,
- * timestamps).
+ * timestamps, stderr warnings).
  */
 
 #ifndef SSMT_SIM_CAMPAIGN_HH
@@ -141,8 +143,9 @@ BatchPolicy campaignPolicy(const CampaignSpec &spec,
  * Content-addressed store of finished cell results: one atomic file
  * per key under `<dir>/`, holding the cell's canonical
  * ssmt-job-result-v1 document. Keys bind the program image, the
- * structural config, the mechanism mode and the seed axis, so a
- * changed workload generator or knob can never serve a stale hit.
+ * structural config, the mechanism mode, the seed axis and the
+ * retire cap, so a changed workload generator, knob or cap can never
+ * serve a stale hit.
  */
 class ResultStore
 {
@@ -151,7 +154,9 @@ class ResultStore
 
     const std::string &dir() const { return dir_; }
 
-    /** "cell-<programHash>-<fingerprintHash>-<mode>-s<seed>.json" */
+    /** "cell-<programHash>-<fingerprintHash>-<mode>-s<seed>.json",
+     *  with "-i<maxInsts>" before ".json" when the config's retire
+     *  cap is not the MachineConfig default. */
     static std::string cellKey(uint64_t program_hash,
                                const MachineConfig &config,
                                uint64_t seed);
@@ -299,16 +304,18 @@ CampaignOutcome runCampaign(const CampaignSpec &spec,
 
 /**
  * The deterministic ssmt-campaign-v1 manifest for @p spec given each
- * cell's stored document (in campaignCells order). Contains no host
- * timings, cache-hit flags or timestamps; aggregates per-site
- * SSMT_WARN counts (including the rate-limited tail) across cells.
+ * cell's result (in campaignCells order): per cell its errorCode,
+ * error, attempts, counters and fault stats, then the cell and
+ * failure totals. Contains no host timings, cache-hit flags,
+ * timestamps or warnings.
  */
 std::string campaignManifest(const CampaignSpec &spec,
                              const std::vector<CampaignCell> &cells,
                              const std::vector<BatchResult> &results);
 
 /** Delete store entries not referenced by @p spec's cell keys.
- *  @return the keys removed. */
+ *  Throws like runCampaign on an invalid spec, before removing
+ *  anything. @return the keys removed. */
 std::vector<std::string> campaignGc(const CampaignSpec &spec,
                                     const std::string &dir);
 

@@ -30,16 +30,6 @@ encodeJobResult(const BatchResult &result,
     w.u64("noTarget", result.faults.noTarget);
     w.endObject();
 
-    w.beginArray("warnings");
-    for (const WarnSiteCount &warn : result.warnings) {
-        w.beginObject();
-        w.str("site", warn.site);
-        w.u64("count", warn.count);
-        w.u64("suppressed", warn.suppressed);
-        w.endObject();
-    }
-    w.endArray();
-
     w.str("snapshot", result.artifacts.snapshot);
     w.u64("snapshotCycle", result.artifacts.snapshotCycle);
 
@@ -119,19 +109,6 @@ decodeJobResult(const std::string &text, const MachineConfig &config,
     result->faults.armed = r.u64("armed");
     result->faults.injected = r.u64("injected");
     result->faults.noTarget = r.u64("noTarget");
-    r.leave();
-
-    result->warnings.clear();
-    size_t nwarn = r.enterArray("warnings");
-    for (size_t i = 0; i < nwarn; i++) {
-        r.enterItem(i);
-        WarnSiteCount warn;
-        warn.site = r.str("site");
-        warn.count = r.u64("count");
-        warn.suppressed = r.u64("suppressed");
-        result->warnings.push_back(std::move(warn));
-        r.leave();
-    }
     r.leave();
 
     result->artifacts.snapshot = r.str("snapshot");

@@ -15,7 +15,10 @@
  * Deliberately NOT encoded:
  *   - hostSeconds (wall-clock is host noise; the parent re-stamps),
  *   - histogram/series geometry (reconstructed from the config, as
- *     snapshot restore does).
+ *     snapshot restore does),
+ *   - warnings (they go to stderr; a document holds only what the
+ *     simulation computed). Fields are read by key, so an older
+ *     document that carries a `warnings` array still decodes.
  */
 
 #ifndef SSMT_SIM_JOB_CODEC_HH

@@ -1,6 +1,5 @@
 #include "sim/logging.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -21,26 +20,6 @@ std::atomic<bool> fatalThrows_{[] {
 
 std::atomic<uint64_t> warnEmitted_{0};
 std::atomic<uint64_t> warnSuppressed_{0};
-
-/** Head of the lock-free registry of every WarnSite that has fired. */
-std::atomic<WarnSite *> warnSites_{nullptr};
-
-void
-registerSite(WarnSite &site, const char *file, int line)
-{
-    bool expected = false;
-    if (!site.registered.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel))
-        return;     // someone else won the registration race
-    site.file = file;
-    site.line = line;
-    WarnSite *head = warnSites_.load(std::memory_order_acquire);
-    do {
-        site.next.store(head, std::memory_order_relaxed);
-    } while (!warnSites_.compare_exchange_weak(
-        head, &site, std::memory_order_acq_rel,
-        std::memory_order_acquire));
-}
 
 } // namespace
 
@@ -87,63 +66,12 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::exit(1);
 }
 
-std::vector<WarnSiteCount>
-warnSiteCounts()
-{
-    std::vector<WarnSiteCount> out;
-    for (WarnSite *site = warnSites_.load(std::memory_order_acquire);
-         site != nullptr;
-         site = site->next.load(std::memory_order_acquire)) {
-        uint64_t count = site->count.load(std::memory_order_relaxed);
-        if (count == 0)
-            continue;
-        WarnSiteCount entry;
-        entry.site = std::string(site->file) + ":" +
-                     std::to_string(site->line);
-        entry.count = count;
-        entry.suppressed =
-            count > kWarnVerbatimPerSite
-                ? count - kWarnVerbatimPerSite
-                : 0;
-        out.push_back(std::move(entry));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const WarnSiteCount &a, const WarnSiteCount &b) {
-                  return a.site < b.site;
-              });
-    return out;
-}
-
-std::vector<WarnSiteCount>
-warnSiteDelta(const std::vector<WarnSiteCount> &before,
-              const std::vector<WarnSiteCount> &after)
-{
-    std::vector<WarnSiteCount> out;
-    for (const WarnSiteCount &now : after) {
-        uint64_t base_count = 0;
-        uint64_t base_suppressed = 0;
-        for (const WarnSiteCount &was : before) {
-            if (was.site == now.site) {
-                base_count = was.count;
-                base_suppressed = was.suppressed;
-                break;
-            }
-        }
-        if (now.count <= base_count)
-            continue;
-        out.push_back({now.site, now.count - base_count,
-                       now.suppressed - base_suppressed});
-    }
-    return out;     // input order is already sorted by site
-}
-
 void
 warnImpl(const char *file, int line, const std::string &msg,
-         WarnSite &site)
+         std::atomic<uint64_t> &site_count)
 {
-    registerSite(site, file, line);
     const uint64_t n =
-        site.count.fetch_add(1, std::memory_order_relaxed) + 1;
+        site_count.fetch_add(1, std::memory_order_relaxed) + 1;
     if (n <= kWarnVerbatimPerSite) {
         warnEmitted_.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file,

@@ -17,7 +17,9 @@
  *            first kWarnVerbatimPerSite fire verbatim, then one
  *            suppression notice, then silence (counted) — so a fault
  *            campaign or a --jobs 16 batch cannot flood stderr. All
- *            counters are thread-safe.
+ *            counters are thread-safe. Warnings go to stderr only:
+ *            no job result or campaign manifest records them, so a
+ *            result holds exactly what its simulation computed.
  */
 
 #ifndef SSMT_SIM_LOGGING_HH
@@ -26,23 +28,9 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ssmt
 {
-
-/** One SSMT_WARN call site's lifetime totals, as reported by
- *  detail::warnSiteCounts(). `count` is every occurrence (printed or
- *  not); `suppressed` is the tail the rate limiter swallowed — the
- *  part that used to vanish silently after the first
- *  kWarnVerbatimPerSite. Campaign manifests embed these so a
- *  degraded-mode run stays auditable. */
-struct WarnSiteCount
-{
-    std::string site;       ///< "file:line"
-    uint64_t count = 0;
-    uint64_t suppressed = 0;
-};
 
 namespace detail
 {
@@ -50,25 +38,14 @@ namespace detail
 /** Warnings printed verbatim per site before suppression kicks in. */
 constexpr uint64_t kWarnVerbatimPerSite = 5;
 
-/** Per-call-site warning state (one static instance per SSMT_WARN).
- *  Sites register themselves on a process-wide lock-free list the
- *  first time they fire, so warnSiteCounts() can enumerate every
- *  site that ever warned. */
-struct WarnSite
-{
-    std::atomic<uint64_t> count{0};
-    const char *file = nullptr;
-    int line = 0;
-    std::atomic<WarnSite *> next{nullptr};
-    std::atomic<bool> registered{false};
-};
-
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
+/** @p site_count is the calling SSMT_WARN's own static counter: how
+ *  often that site fired, which drives its rate limit. */
 void warnImpl(const char *file, int line, const std::string &msg,
-              WarnSite &site);
+              std::atomic<uint64_t> &site_count);
 
 /** Enable/disable throwing sim::FatalError from SSMT_FATAL. */
 void setFatalThrows(bool enabled);
@@ -80,19 +57,6 @@ uint64_t warnSuppressedTotal();
 /** Total warnings actually printed, process-wide. */
 uint64_t warnEmittedTotal();
 
-/** Every call site that has warned, with its lifetime count and how
- *  much of it the rate limiter suppressed, sorted by site name
- *  (canonical order for manifests). Thread-safe. */
-std::vector<WarnSiteCount> warnSiteCounts();
-
-/** The sites of @p after that grew relative to @p before, with
- *  per-site count/suppressed deltas — how an isolated child reports
- *  only its *own* warnings even though fork() copied the parent's
- *  counters. Both inputs must come from warnSiteCounts(). */
-std::vector<WarnSiteCount>
-warnSiteDelta(const std::vector<WarnSiteCount> &before,
-              const std::vector<WarnSiteCount> &after);
-
 } // namespace detail
 
 } // namespace ssmt
@@ -103,9 +67,9 @@ warnSiteDelta(const std::vector<WarnSiteCount> &before,
     ::ssmt::detail::fatalImpl(__FILE__, __LINE__, (msg))
 #define SSMT_WARN(msg) \
     do { \
-        static ::ssmt::detail::WarnSite ssmt_warn_site_; \
+        static std::atomic<uint64_t> ssmt_warn_count_{0}; \
         ::ssmt::detail::warnImpl(__FILE__, __LINE__, (msg), \
-                                 ssmt_warn_site_); \
+                                 ssmt_warn_count_); \
     } while (0)
 
 /** Assert an internal invariant; always on (simulators must not lie). */

@@ -1,14 +1,18 @@
 #include "sim/path_profiler.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 
 #include "bpred/frontend_predictor.hh"
 #include "core/path_tracker.hh"
 #include "isa/executor.hh"
 #include "isa/memory_image.hh"
+#include "sim/fsio.hh"
 #include "sim/logging.hh"
+#include "sim/sim_error.hh"
 
 namespace ssmt
 {
@@ -151,33 +155,40 @@ bool
 PathProfiler::saveHints(const std::string &filename,
                         const std::vector<core::PathId> &hints)
 {
-    std::FILE *file = std::fopen(filename.c_str(), "w");
-    if (!file)
-        return false;
-    std::fprintf(file, "# ssmt difficult-path hints, "
-                       "mispredict-heaviest first\n");
-    for (core::PathId id : hints)
-        std::fprintf(file, "%016" PRIx64 "\n", id);
-    std::fclose(file);
-    return true;
+    std::string body = "# ssmt difficult-path hints, "
+                       "mispredict-heaviest first\n";
+    char line[32];
+    for (core::PathId id : hints) {
+        std::snprintf(line, sizeof(line), "%016" PRIx64 "\n", id);
+        body += line;
+    }
+    return writeFileAtomic(filename, body);
 }
 
 std::vector<core::PathId>
 PathProfiler::loadHints(const std::string &filename)
 {
+    std::ifstream in(filename);
+    if (!in) {
+        throw SimError(ErrorCode::IoError, "hints",
+                       "cannot read hints file '" + filename + "'");
+    }
     std::vector<core::PathId> hints;
-    std::FILE *file = std::fopen(filename.c_str(), "r");
-    if (!file)
-        return hints;
-    char line[128];
-    while (std::fgets(line, sizeof(line), file)) {
-        if (line[0] == '#' || line[0] == '\n')
+    std::string line;
+    for (size_t line_no = 1; std::getline(in, line); line_no++) {
+        if (line.empty() || line[0] == '#')
             continue;
         core::PathId id = 0;
-        if (std::sscanf(line, "%" SCNx64, &id) == 1)
-            hints.push_back(id);
+        const char *end = line.data() + line.size();
+        auto [stop, err] = std::from_chars(line.data(), end, id, 16);
+        if (err != std::errc() || stop != end) {
+            throw SimError(ErrorCode::ParseError, "hints",
+                           filename + ":" + std::to_string(line_no) +
+                               ": expected one hex Path_Id, got '" +
+                               line + "'");
+        }
+        hints.push_back(id);
     }
-    std::fclose(file);
     return hints;
 }
 

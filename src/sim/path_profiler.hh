@@ -56,13 +56,17 @@ class PathProfiler
 
     /**
      * Persist hints to a file (one hex id per line, '#' comments) —
-     * the artifact a profile-guided build would ship.
+     * the artifact a profile-guided build would ship. Written with
+     * writeFileAtomic, so a failed save leaves any old file intact.
      * @return false on I/O failure.
      */
     static bool saveHints(const std::string &filename,
                           const std::vector<core::PathId> &hints);
 
-    /** Load hints written by saveHints(). Missing file -> empty. */
+    /** Load hints written by saveHints(). Throws SimError(IoError)
+     *  when the file cannot be read, and SimError(ParseError) naming
+     *  the line when a non-empty, non-'#' line is not exactly one hex
+     *  Path_Id — a hinted experiment never silently runs unhinted. */
     static std::vector<core::PathId>
     loadHints(const std::string &filename);
 

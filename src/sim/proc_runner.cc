@@ -143,16 +143,10 @@ childMain(const BatchJob &job, const BatchPolicy &policy,
     if (job.crash != CrashKind::None)
         crashInChild(job.crash);
 
-    // fork() copied the parent's warn counters; the delta against
-    // this baseline is the warnings *this* attempt fired.
-    auto warn_base = ssmt::detail::warnSiteCounts();
-
     BatchResult result;
     std::string checkpoint = checkpoint_in;
     bool final_attempt =
         detail::runAttempt(job, policy, attempt, checkpoint, result);
-    result.warnings = ssmt::detail::warnSiteDelta(
-        warn_base, ssmt::detail::warnSiteCounts());
 
     std::string doc =
         encodeJobResult(result, checkpoint, final_attempt);

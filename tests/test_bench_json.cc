@@ -37,12 +37,42 @@ TEST(BenchJsonTest, EscapedStringsRoundTrip)
     EXPECT_EQ(sim::SnapshotReader(w.text()).str("label"), nasty);
 }
 
+/** Each manifest cell's recorded result (errorCode, error,
+ *  attempts, counters, faults), in file order. */
+std::vector<sim::BatchResult>
+manifestResults(const std::string &text)
+{
+    std::vector<sim::BatchResult> results;
+    sim::SnapshotReader r(text);
+    const size_t n = r.enterArray("cells");
+    for (size_t i = 0; i < n; i++) {
+        r.enterItem(i);
+        sim::BatchResult result;
+        EXPECT_TRUE(sim::parseErrorCode(r.str("errorCode"),
+                                        &result.errorCode));
+        result.error = r.str("error");
+        result.attempts = static_cast<unsigned>(r.u64("attempts"));
+        sim::statsFromValues(result.stats, r.u64Array("counters"));
+        r.enter("faults");
+        result.faults.armed = r.u64("armed");
+        result.faults.injected = r.u64("injected");
+        result.faults.noTarget = r.u64("noTarget");
+        r.leave();
+        results.push_back(std::move(result));
+        r.leave();
+    }
+    r.leave();
+    return results;
+}
+
 TEST(CommittedResults, EveryFileIsACompleteCampaignManifest)
 {
     // One schema for every published measurement: each file under
     // results/ is the manifest of a finished campaign with no failed
     // cell, named after its spec, listing exactly the cells that spec
-    // enumerates, each with the full counter set.
+    // enumerates, each with the full counter set — and byte for byte
+    // what campaignManifest writes for those cells, so a file in a
+    // stale format cannot pass.
     const std::string dir = SSMT_RESULTS_DIR;
     const size_t counters = sim::statsValues(sim::Stats{}).size();
     std::vector<std::string> files = sim::listDir(dir);
@@ -88,6 +118,11 @@ TEST(CommittedResults, EveryFileIsACompleteCampaignManifest)
             for (const sim::JsonValue &value : values->items)
                 EXPECT_TRUE(value.isInteger) << want[i].name;
         }
+        EXPECT_TRUE(sim::campaignManifest(spec, want,
+                                          manifestResults(text)) ==
+                    text)
+            << "differs from the manifest campaignManifest writes "
+               "for its own cells";
     }
 }
 

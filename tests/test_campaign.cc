@@ -3,17 +3,19 @@
  * Campaign durability tests: the journal + content-addressed store
  * must make a killed campaign resumable with finished cells served as
  * cache hits and the final manifest byte-identical to an
- * uninterrupted run — failures included. Also covers the canonical
- * spec serialization, cell enumeration, journal tail tolerance, spec
- * identity pinning, store garbage collection, and the store-key
- * formula existing stores depend on.
+ * uninterrupted run — failures included, at any worker count. Also
+ * covers the canonical spec serialization, cell enumeration, journal
+ * tail tolerance, spec identity pinning, store garbage collection,
+ * and the store-key formula existing stores depend on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -305,6 +307,125 @@ TEST(Campaign, CrashedCellsPersistAndReplayFromTheStore)
     EXPECT_EQ(rerun.executed, 0u);
     EXPECT_EQ(rerun.failed, 1u);
     EXPECT_EQ(sim::readFileOrEmpty(rerun.manifestPath), manifest);
+}
+
+TEST(Campaign, FailingCampaignManifestIsIdenticalAtAnyJobs)
+{
+    // Every cell trips a one-cycle watchdog in-process. A cell's
+    // record is what its simulation computed, so four concurrent
+    // workers write the serial run's bytes, failures included.
+    sim::CampaignSpec spec;
+    spec.name = "failing";
+    for (const auto &info : workloads::allWorkloads())
+        spec.workloads.push_back(info.name);
+    ASSERT_GE(spec.workloads.size(), 20u);
+    spec.modes = {sim::Mode::Baseline, sim::Mode::Microthread};
+    spec.cycleBudget = 1;
+
+    std::vector<std::string> manifests;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        sim::CampaignOptions opts;
+        opts.jobs = jobs;
+        sim::CampaignOutcome outcome = sim::runCampaign(
+            spec, freshDir("failing-j" + std::to_string(jobs)), opts);
+        ASSERT_TRUE(outcome.completed);
+        EXPECT_EQ(outcome.failed, outcome.cells.size());
+        for (const sim::BatchResult &result : outcome.results)
+            EXPECT_EQ(result.errorCode,
+                      sim::ErrorCode::WatchdogExpired);
+        manifests.push_back(
+            sim::readFileOrEmpty(outcome.manifestPath));
+    }
+    EXPECT_FALSE(manifests[0].empty());
+    EXPECT_TRUE(manifests[0] == manifests[1])
+        << "jobs 1 and jobs 4 manifests differ";
+}
+
+TEST(Campaign, UnsavableCellLeavesTheCampaignIncomplete)
+{
+    // A directory squatting on the cell's store key makes its atomic
+    // rename fail: the cell runs, but nothing is stored or journaled,
+    // so no manifest may claim the campaign complete.
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes = {sim::Mode::Baseline};
+    spec.seeds = {0};
+    spec.maxInsts = 20000;
+    std::string dir = freshDir("unsavable");
+    const sim::CampaignCell cell = sim::campaignCells(spec)[0];
+    const std::string key = sim::ResultStore::cellKey(
+        sim::programHash(workloads::makeWorkload(cell.workload, {})),
+        sim::cellConfig(spec, cell), cell.seed);
+    ASSERT_TRUE(sim::ensureDir(dir + "/store/" + key));
+
+    sim::CampaignOutcome outcome = sim::runCampaign(spec, dir, {});
+    EXPECT_EQ(outcome.executed, 1u);
+    EXPECT_TRUE(outcome.results[0].ok()) << outcome.results[0].error;
+    EXPECT_FALSE(outcome.completed);
+    EXPECT_TRUE(outcome.manifestPath.empty());
+    EXPECT_FALSE(sim::pathExists(dir + "/manifest.json"));
+}
+
+TEST(Campaign, CappedCellIsNotServedAsTheFullLengthOne)
+{
+    // The config fingerprint leaves the retire cap out, so the store
+    // key must name it: otherwise the uncapped rerun would be served
+    // the capped cell from the store.
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes = {sim::Mode::Microthread};
+    spec.seeds = {0};
+    spec.sampleInterval = 0;
+    spec.maxInsts = 2000;
+    std::string dir = freshDir("capped");
+    sim::CampaignOptions opts;
+    opts.jobs = 1;
+    sim::CampaignOutcome capped = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(capped.completed);
+    EXPECT_EQ(capped.results[0].stats.retiredInsts, 2000u);
+
+    spec.maxInsts = 0;
+    opts.force = true;
+    sim::CampaignOutcome full = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(full.completed);
+    EXPECT_EQ(full.cacheHits, 0u);
+    EXPECT_EQ(full.executed, 1u);
+    EXPECT_GT(full.results[0].stats.retiredInsts, 2000u);
+
+    // Only a non-default cap is named: default keys keep their bytes.
+    std::vector<std::string> keys =
+        sim::ResultStore(dir + "/store").list();
+    ASSERT_EQ(keys.size(), 2u);
+    std::sort(keys.begin(), keys.end());    // '-' sorts before '.'
+    const std::string stem = keys[1].substr(0, keys[1].size() - 5);
+    EXPECT_EQ(keys[1], stem + ".json");
+    EXPECT_EQ(keys[0], stem + "-i2000.json");
+}
+
+TEST(Campaign, GcRefusesAGridWithNoModesOrVariants)
+{
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes = {sim::Mode::Microthread};
+    spec.seeds = {0};
+    spec.maxInsts = 20000;
+    std::string dir = freshDir("gc-neither");
+    ASSERT_TRUE(sim::runCampaign(spec, dir, {}).completed);
+
+    // A grid with no modes and no variants has no live cells:
+    // collecting under it would empty the store.
+    spec.modes.clear();
+    auto refused = [](const std::function<void()> &call) {
+        try {
+            call();
+        } catch (const sim::SimError &err) {
+            return err.code() == sim::ErrorCode::ConfigInvalid &&
+                   std::string(err.what()).find("neither") !=
+                       std::string::npos;
+        }
+        return false;
+    };
+    EXPECT_TRUE(refused([&] { sim::campaignGc(spec, dir); }));
+    EXPECT_TRUE(refused([&] { sim::runCampaign(spec, dir, {}); }));
+    EXPECT_EQ(sim::ResultStore(dir + "/store").list().size(), 1u);
 }
 
 TEST(Campaign, JournalToleratesTruncatedFinalLine)

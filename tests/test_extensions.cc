@@ -12,6 +12,7 @@
 
 #include "cpu/ssmt_core.hh"
 #include "sim/path_profiler.hh"
+#include "sim/sim_error.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
@@ -201,11 +202,44 @@ TEST(HintTest, SaveLoadRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(HintTest, LoadMissingFileIsEmpty)
+/** The ErrorCode loadHints(@p path) throws (None if it returns). */
+sim::ErrorCode
+loadHintsError(const std::string &path, std::string *what = nullptr)
 {
-    auto loaded =
-        sim::PathProfiler::loadHints("/nonexistent/nowhere.hints");
-    EXPECT_TRUE(loaded.empty());
+    try {
+        sim::PathProfiler::loadHints(path);
+    } catch (const sim::SimError &err) {
+        if (what)
+            *what = err.what();
+        return err.code();
+    }
+    return sim::ErrorCode::None;
+}
+
+TEST(HintTest, LoadMissingFileThrowsIoError)
+{
+    // Loading nothing would silently run the unhinted experiment.
+    EXPECT_EQ(loadHintsError("/nonexistent/nowhere.hints"),
+              sim::ErrorCode::IoError);
+}
+
+TEST(HintTest, LoadMalformedLineThrowsParseErrorNamingIt)
+{
+    std::string path = testing::TempDir() + "/ssmt_hints_bad.txt";
+    // Not hex, two ids, a prefix, leading blank, 17 digits.
+    for (const char *bad :
+         {"xyz", "12 34", "0x1234", " 1234", "10000000000000000"}) {
+        SCOPED_TRACE(bad);
+        std::FILE *file = std::fopen(path.c_str(), "w");
+        ASSERT_NE(file, nullptr);
+        std::fprintf(file, "# header\n00000000000000ab\n%s\n", bad);
+        std::fclose(file);
+        std::string what;
+        EXPECT_EQ(loadHintsError(path, &what),
+                  sim::ErrorCode::ParseError);
+        EXPECT_NE(what.find(path + ":3"), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(HintTest, SaveToUnwritablePathFails)

@@ -3,11 +3,11 @@
  * Reference-model sweeps for the hot-path containers: FlatMap /
  * FlatSet against the std::unordered_* they replaced (including
  * erase's backward-shift deletion), FlatRing against std::deque,
- * the per-run Arena's chunk reuse, and the slab-backed
- * CompletionHeap against the payload push_heap/pop_heap vector it
- * replaced — the pop permutation, including same-cycle ties, is
- * architecturally visible through the golden stats, so the
- * equivalence here is exact order, not just multiset equality.
+ * and the slab-backed CompletionHeap against the payload
+ * push_heap/pop_heap vector it replaced — the pop permutation,
+ * including same-cycle ties, is architecturally visible through the
+ * golden stats, so the equivalence here is exact order, not just
+ * multiset equality.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 
 #include "core/microram.hh"
 #include "isa/inst.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_hash.hh"
 #include "sim/snapshot.hh"
@@ -273,63 +272,6 @@ TEST(FlatRing, EmplaceBackSlotOverwritesStaleLaps)
             EXPECT_EQ(ring.front().b, ~(lap * 4 + i));
             ring.pop_front();
         }
-    }
-}
-
-// ---- Arena ----
-
-TEST(Arena, ResetReusesChunksWithoutNewAllocation)
-{
-    sim::Arena arena(1024);
-    auto fill = [&] {
-        for (int i = 0; i < 64; i++) {
-            uint64_t *p = arena.allocArray<uint64_t>(32);
-            ASSERT_NE(p, nullptr);
-            EXPECT_EQ(reinterpret_cast<uintptr_t>(p) %
-                          alignof(uint64_t),
-                      0u);
-            p[0] = static_cast<uint64_t>(i);
-            p[31] = ~static_cast<uint64_t>(i);
-        }
-    };
-    fill();
-    size_t chunks_after_first_run = arena.chunkCount();
-    EXPECT_GT(chunks_after_first_run, 1u);
-    for (int run = 0; run < 10; run++) {
-        arena.reset();
-        fill();
-        // Steady state: the retained chunks absorb every run.
-        EXPECT_EQ(arena.chunkCount(), chunks_after_first_run);
-    }
-}
-
-TEST(Arena, OversizedRequestGetsItsOwnChunk)
-{
-    sim::Arena arena(1024);
-    unsigned char *big = arena.allocArray<unsigned char>(8000);
-    ASSERT_NE(big, nullptr);
-    big[0] = 1;
-    big[7999] = 2;
-    EXPECT_EQ(big[0], 1);
-    EXPECT_EQ(big[7999], 2);
-}
-
-TEST(Arena, ScratchVectorRunsOnTheArena)
-{
-    sim::Arena arena;
-    size_t settled = 0;
-    for (int run = 0; run < 3; run++) {
-        arena.reset();
-        sim::ScratchVector<uint64_t> scratch{
-            sim::ArenaAllocator<uint64_t>(arena)};
-        for (uint64_t i = 0; i < 1000; i++)
-            scratch.push_back(i * 3);
-        for (uint64_t i = 0; i < 1000; i++)
-            ASSERT_EQ(scratch[i], i * 3);
-        if (run == 0)
-            settled = arena.chunkCount();
-        else
-            EXPECT_EQ(arena.chunkCount(), settled);
     }
 }
 

@@ -3,9 +3,7 @@
  * Subprocess isolation tests: clean jobs must produce byte-identical
  * results in-process and isolated (at any worker count), a crashing
  * or hanging child must become a typed error slot while every other
- * job completes, the ssmt-job-result-v1 codec must round-trip, and
- * the per-site warning registry must attribute child warnings to the
- * job that fired them.
+ * job completes, and the ssmt-job-result-v1 codec must round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +15,6 @@
 #include "sim/batch_runner.hh"
 #include "sim/golden.hh"
 #include "sim/job_codec.hh"
-#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_error.hh"
 #include "workloads/workloads.hh"
@@ -169,61 +166,6 @@ TEST(ProcIsolate, InProcessRunRefusesCrashInjection)
     EXPECT_TRUE(results[0].ok());
     EXPECT_TRUE(results[2].ok());
     EXPECT_EQ(results[1].errorCode, sim::ErrorCode::ConfigInvalid);
-}
-
-TEST(ProcIsolate, ChildWarningsAttributedToTheirJob)
-{
-    std::vector<sim::BatchJob> batch = smallBatch();
-    // An unopenable trace stream fires exactly one SSMT_WARN in the
-    // core constructor — inside the child for job 1 only.
-    batch[1].config.tracePath =
-        "/nonexistent-ssmt-dir/trace.jsonl";
-
-    sim::BatchPolicy policy;
-    policy.isolate = true;
-    std::vector<sim::BatchResult> results =
-        sim::BatchRunner(2).run(batch, policy);
-
-    ASSERT_TRUE(results[1].ok()) << results[1].error;
-    ASSERT_EQ(results[1].warnings.size(), 1u);
-    EXPECT_EQ(results[1].warnings[0].count, 1u);
-    EXPECT_EQ(results[1].warnings[0].suppressed, 0u);
-    EXPECT_NE(results[1].warnings[0].site.find("ssmt_core"),
-              std::string::npos);
-    EXPECT_TRUE(results[0].warnings.empty());
-    EXPECT_TRUE(results[2].warnings.empty());
-}
-
-TEST(WarnSites, RegistryCountsAndDelta)
-{
-    using ssmt::detail::warnSiteCounts;
-    using ssmt::detail::warnSiteDelta;
-
-    std::vector<WarnSiteCount> before = warnSiteCounts();
-    // Fire one site kWarnVerbatimPerSite + 3 times: the tail beyond
-    // the verbatim budget must show up as `suppressed`.
-    const uint64_t fired = ssmt::detail::kWarnVerbatimPerSite + 3;
-    for (uint64_t i = 0; i < fired; i++)
-        SSMT_WARN("warn-site registry test (deliberate)");
-    std::vector<WarnSiteCount> after = warnSiteCounts();
-
-    std::vector<WarnSiteCount> delta = warnSiteDelta(before, after);
-    ASSERT_EQ(delta.size(), 1u);
-    EXPECT_NE(delta[0].site.find("test_proc_isolate"),
-              std::string::npos);
-    EXPECT_EQ(delta[0].count, fired);
-    EXPECT_EQ(delta[0].suppressed, 3u);
-
-    // The registry view is sorted and cumulative.
-    bool found = false;
-    for (const WarnSiteCount &site : after) {
-        if (site.site == delta[0].site) {
-            found = true;
-            EXPECT_GE(site.count, fired);
-        }
-    }
-    EXPECT_TRUE(found);
-    EXPECT_TRUE(warnSiteDelta(after, after).empty());
 }
 
 TEST(JobCodec, RoundTripPreservesEverything)

@@ -7,7 +7,9 @@
  * fsync-per-line journal the moment it completes, so a campaign
  * killed at any instant (`kill -9` included) resumes with finished
  * cells served as cache hits and produces a manifest byte-identical
- * to an uninterrupted run. With --isolate each cell runs in a
+ * to an uninterrupted run at any --jobs, failed cells included. The
+ * manifest records only what each cell's simulation computed;
+ * warnings go to stderr. With --isolate each cell runs in a
  * sandboxed child process under optional wall-clock / address-space /
  * CPU limits, so a crashing or hanging cell becomes a typed error
  * slot while every other cell still completes.
@@ -70,7 +72,8 @@ const char kUsage[] =
     "  --seeds s1,s2         fault-seed axis (default 0)\n"
     "  --scale N             workload scale (default 1)\n"
     "  --sample-interval N   metrics series capture interval\n"
-    "  --max-insts N         per-cell instruction cap\n"
+    "  --max-insts N         per-cell instruction cap (a capped cell\n"
+    "                        is stored apart from the uncapped one)\n"
     "  --fault-site S --fault-count N [--fault-seed S]\n"
     "  [--fault-start C] [--fault-period P]   seeded fault plan\n"
     "\n"
@@ -179,6 +182,8 @@ parseOptions(int argc, char **argv)
                 spec.modes.push_back(mode);
             }
         }
+    } else {
+        spec.modes = {sim::Mode::Microthread};
     }
     if (args.has("--seeds")) {
         spec.seeds.clear();
