@@ -103,23 +103,6 @@ BatchRunner::forEach(size_t n, const std::function<void(size_t)> &fn) const
             std::rethrow_exception(error);
 }
 
-uint64_t
-BatchRunner::retrySeed(uint64_t seed, unsigned attempt)
-{
-    if (attempt == 0)
-        return seed;
-    // splitmix64-style mix of (seed, attempt): deterministic,
-    // attempt-distinct, and never 0 (FaultPlan seeds must be
-    // non-zero).
-    uint64_t x = seed + attempt * 0x9e3779b97f4a7c15ull;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x ? x : 1;
-}
-
 std::string
 BatchRunner::failureSummary(const std::vector<BatchJob> &batch,
                             const std::vector<BatchResult> &results)
@@ -132,9 +115,7 @@ BatchRunner::failureSummary(const std::vector<BatchJob> &batch,
         std::string name =
             i < batch.size() ? batch[i].name : std::to_string(i);
         out += name + ": [" + errorCodeName(result.errorCode) +
-               "] after " + std::to_string(result.attempts) +
-               " attempt" + (result.attempts == 1 ? "" : "s") + ": " +
-               result.error + "\n";
+               "] " + result.error + "\n";
     }
     return out;
 }
@@ -142,54 +123,34 @@ BatchRunner::failureSummary(const std::vector<BatchJob> &batch,
 namespace detail
 {
 
-bool
-runAttempt(const BatchJob &job, const BatchPolicy &policy,
-           unsigned attempt, std::string &checkpoint,
+void
+runJobOnce(const BatchJob &job, const BatchPolicy &policy,
            BatchResult &result)
 {
-    MachineConfig config = job.config;
-    bool resuming = policy.resumeOnWatchdog && !checkpoint.empty();
-    // A retry from scratch re-mixes the fault seed, so a
-    // fault-induced hang gets a different fault schedule.
-    if (!resuming && config.faults.enabled()) {
-        config.faults.seed =
-            BatchRunner::retrySeed(job.config.faults.seed, attempt);
+    result.attempts = 1;
+    if (job.crash != CrashKind::None) {
+        // Crash injection only makes sense where the blast radius is
+        // one child process.
+        result.errorCode = ErrorCode::ConfigInvalid;
+        result.error =
+            std::string("[config-invalid] batch: crash injection ('") +
+            crashKindName(job.crash) + "') requires isolate mode";
+        return;
     }
-    uint64_t budget = policy.cycleBudget;
-    uint64_t snapshot_at = 0;
-    if (policy.resumeOnWatchdog && policy.cycleBudget > 0) {
-        // Each slice extends the absolute budget; checkpoint
-        // exactly at the boundary so a tripped watchdog
-        // leaves a resumable snapshot in the artifacts.
-        budget = policy.cycleBudget * (attempt + 1);
-        snapshot_at = std::min(config.maxCycles, budget);
-    }
-    result.attempts = attempt + 1;
     try {
-        result.stats = runProgramChecked(
-            job.program, config, job.name, budget, &result.faults,
-            &result.artifacts, snapshot_at,
-            resuming ? &checkpoint : nullptr);
-        result.error.clear();
-        result.errorCode = ErrorCode::None;
-        return true;
+        result.stats =
+            runProgramChecked(job.program, job.config, job.name,
+                              policy.cycleBudget, &result.faults,
+                              &result.artifacts);
     } catch (const SimError &err) {
         result.error = err.what();
         result.errorCode = err.code();
-        if (policy.resumeOnWatchdog &&
-            err.code() == ErrorCode::WatchdogExpired &&
-            !result.artifacts.snapshot.empty()) {
-            checkpoint = std::move(result.artifacts.snapshot);
-        }
-        return !err.recoverable();
     } catch (const std::exception &err) {
         result.error = err.what();
         result.errorCode = ErrorCode::Internal;
-        return true;
     } catch (...) {
         result.error = "unknown exception";
         result.errorCode = ErrorCode::Internal;
-        return true;
     }
 }
 
@@ -213,34 +174,7 @@ BatchRunner::run(const std::vector<BatchJob> &batch,
         }
         BatchResult &result = results[i];
         auto start = std::chrono::steady_clock::now();
-        if (batch[i].crash != CrashKind::None) {
-            // Crash injection only makes sense where the blast
-            // radius is one child process.
-            result.attempts = 1;
-            result.errorCode = ErrorCode::ConfigInvalid;
-            result.error =
-                std::string("[config-invalid] batch: crash "
-                            "injection ('") +
-                crashKindName(batch[i].crash) +
-                "') requires isolate mode";
-        } else {
-            // Checkpoint harvested from a watchdog-expired attempt;
-            // a non-empty value turns the next attempt into a
-            // resume.
-            std::string checkpoint;
-            for (unsigned attempt = 0; attempt <= policy.maxRetries;
-                 attempt++) {
-                if (attempt > 0 && policy.backoffMs > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            policy.backoffMs
-                            << std::min(attempt - 1, 16u)));
-                }
-                if (detail::runAttempt(batch[i], policy, attempt,
-                                       checkpoint, result))
-                    break;
-            }
-        }
+        detail::runJobOnce(batch[i], policy, result);
         result.hostSeconds = secondsSince(start);
         if (!result.ok()) {
             SSMT_WARN("batch job '" + batch[i].name + "' failed: " +

@@ -84,12 +84,11 @@ struct BatchResult
 {
     Stats stats;
     double hostSeconds = 0.0;   ///< host wall-clock spent on this job
-    /** Empty on success; the final attempt's diagnostic otherwise. */
+    /** Empty on success; the job's diagnostic otherwise. */
     std::string error;
     ErrorCode errorCode = ErrorCode::None;
-    /** Simulation attempts consumed (1 on clean success; up to
-     *  1 + BatchPolicy::maxRetries on recoverable failures; 0 when
-     *  the batch was cancelled before this job started). */
+    /** 1 once the job ran (every job runs once), 0 when the batch
+     *  was cancelled before this job started. */
     unsigned attempts = 0;
     /** What the job's fault plan did, if one was configured. */
     FaultStats faults;
@@ -101,29 +100,16 @@ struct BatchResult
     bool ok() const { return errorCode == ErrorCode::None; }
 };
 
-/** Per-batch failure handling knobs. */
+/**
+ * Per-batch failure handling knobs. Every job runs once: a failure is
+ * recorded in its result slot and never retried, since a
+ * deterministic simulation would only repeat it. A campaign rerun
+ * (sim/campaign.hh) is the retry, under whatever limits it sets.
+ */
 struct BatchPolicy
 {
-    /** Extra attempts after a *recoverable* failure (SimError with
-     *  recoverable() true). Non-recoverable failures — bad configs,
-     *  invariant violations — never retry. */
-    unsigned maxRetries = 0;
-    /** Per-job cycle watchdog; 0 disables it. A tripped watchdog is
-     *  a recoverable failure. */
+    /** Per-job cycle watchdog; 0 disables it. */
     uint64_t cycleBudget = 0;
-    /**
-     * Resume instead of restart after a tripped watchdog: each
-     * attempt checkpoints the machine (ssmt-snapshot-v1) right at
-     * its budget boundary, and the next attempt restores that
-     * checkpoint with the budget extended to cycleBudget*(attempt+1)
-     * — so an underprovisioned budget costs one more slice, not a
-     * rerun from cycle 0. The resumed run's results are
-     * byte-identical to an uninterrupted run with a sufficient
-     * budget. Resuming never reseeds faults (the checkpoint carries
-     * the fault RNG stream, and the seed is part of the config
-     * fingerprint).
-     */
-    bool resumeOnWatchdog = false;
 
     // ---- Subprocess isolation (sim/proc_runner.hh) ----
 
@@ -138,17 +124,14 @@ struct BatchPolicy
      * concurrent children instead of threads.
      */
     bool isolate = false;
-    /** Per-attempt wall-clock deadline for an isolated child; the
-     *  parent SIGKILLs past-due children (JobKilled). 0 = none. */
+    /** Per-job wall-clock deadline for an isolated child; the parent
+     *  SIGKILLs past-due children (JobKilled). 0 = none. */
     double wallDeadlineSeconds = 0.0;
     /** RLIMIT_AS cap for an isolated child, in MiB; 0 = none. */
     uint64_t memLimitMb = 0;
     /** RLIMIT_CPU cap for an isolated child, in seconds; the kernel
      *  SIGXCPUs a runaway child (JobKilled). 0 = none. */
     uint64_t cpuLimitSeconds = 0;
-    /** Base delay before a retry; doubles per attempt (exponential
-     *  backoff: backoffMs, 2*backoffMs, ...). 0 = retry at once. */
-    unsigned backoffMs = 0;
     /**
      * Cooperative cancellation: when non-null and set, no *new* job
      * is started (in-flight jobs finish and report). Cancelled jobs
@@ -188,11 +171,9 @@ class BatchRunner
      *
      * Fault-tolerant: a failing job (thrown SimError or any other
      * exception) becomes a BatchResult with `error` set — it never
-     * kills the batch, and every other job still completes.
-     * Recoverable failures are retried per @p policy with a
-     * deterministically re-mixed fault seed. Failed jobs are
-     * summarized on stderr (rate-limited); use failureSummary() for
-     * a report-ready digest.
+     * kills the batch, and every other job still completes. Failed
+     * jobs are summarized on stderr (rate-limited); use
+     * failureSummary() for a report-ready digest.
      */
     std::vector<BatchResult> run(const std::vector<BatchJob> &batch,
                                  const BatchPolicy &policy) const
@@ -219,11 +200,6 @@ class BatchRunner
                                  const BatchPolicy &policy,
                                  const ResultHook &onResult) const;
 
-    /** The fault seed used for attempt @p attempt of a job whose
-     *  plan was seeded with @p seed (attempt 0 returns @p seed).
-     *  Pure and deterministic, so retried batches reproduce. */
-    static uint64_t retrySeed(uint64_t seed, unsigned attempt);
-
     /** One line per failed result ("" when everything succeeded). */
     static std::string
     failureSummary(const std::vector<BatchJob> &batch,
@@ -237,21 +213,13 @@ namespace detail
 {
 
 /**
- * One simulation attempt of @p job — the single code path both the
- * in-process retry loop and an isolated child execute, so the two
- * modes produce byte-identical BatchResults for clean jobs.
- *
- * @param attempt     0-based attempt number (drives retry reseeding
- *                    and the resumeOnWatchdog budget extension)
- * @param checkpoint  in: resume snapshot harvested from the previous
- *                    attempt ("" = cold start); out: the snapshot a
- *                    watchdog-expired attempt left behind (moved out
- *                    of result.artifacts)
- * @return true when the retry loop must stop: success, or a failure
- *         no retry can change.
+ * Run @p job once into @p result — the single code path both the
+ * in-process batch and an isolated child execute, so the two modes
+ * produce byte-identical BatchResults for clean jobs. A crash-armed
+ * job is refused with ConfigInvalid here: an isolated child performs
+ * its crash before it would get this far.
  */
-bool runAttempt(const BatchJob &job, const BatchPolicy &policy,
-                unsigned attempt, std::string &checkpoint,
+void runJobOnce(const BatchJob &job, const BatchPolicy &policy,
                 BatchResult &result);
 
 } // namespace detail

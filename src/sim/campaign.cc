@@ -97,14 +97,11 @@ writeSpecFields(SnapshotWriter &w, const CampaignSpec &spec)
     w.u64("startCycle", spec.faults.startCycle);
     w.u64("period", spec.faults.period);
     w.endObject();
-    w.u64("maxRetries", spec.maxRetries);
     w.u64("cycleBudget", spec.cycleBudget);
-    w.boolean("resumeOnWatchdog", spec.resumeOnWatchdog);
     w.boolean("isolate", spec.isolate);
     w.u64("wallDeadlineMs", spec.wallDeadlineMs);
     w.u64("memLimitMb", spec.memLimitMb);
     w.u64("cpuLimitSeconds", spec.cpuLimitSeconds);
-    w.u64("backoffMs", spec.backoffMs);
     w.beginArray("crashes");
     for (const auto &crash : spec.crashes) {
         w.beginObject();
@@ -152,17 +149,25 @@ checkSpec(const CampaignSpec &spec)
     // cell to the maxInsts safety stop.
     if (spec.scale == 0)
         specInvalid("scale must be >= 1");
-    std::set<std::string> names;
     for (const CampaignVariant &variant : spec.variants) {
         if (variant.name.empty() ||
-            variant.name.find('/') != std::string::npos ||
-            !names.insert(variant.name).second) {
+            variant.name.find('/') != std::string::npos) {
             specInvalid("variant name '" + variant.name +
-                        "' must be non-empty, unique and free of '/'");
+                        "' must be non-empty and free of '/'");
         }
         MachineConfig config;
         for (const std::string &entry : variant.set)
             applyConfigSetting(config, entry);
+    }
+    // Two cells with one name would share a store key and a manifest
+    // row: a repeated workload, mode, variant or seed.
+    std::set<std::string> names;
+    for (const CampaignCell &cell : campaignCells(spec)) {
+        if (!names.insert(cell.name).second) {
+            specInvalid("cell '" + cell.name +
+                        "' appears twice: workloads, modes, variants "
+                        "and seeds must each be unique");
+        }
     }
 }
 
@@ -226,14 +231,11 @@ parseSpec(const std::string &text)
     spec.faults.startCycle = r.u64("startCycle");
     spec.faults.period = r.u64("period");
     r.leave();
-    spec.maxRetries = static_cast<unsigned>(r.u64("maxRetries"));
     spec.cycleBudget = r.u64("cycleBudget");
-    spec.resumeOnWatchdog = r.boolean("resumeOnWatchdog");
     spec.isolate = r.boolean("isolate");
     spec.wallDeadlineMs = r.u64("wallDeadlineMs");
     spec.memLimitMb = r.u64("memLimitMb");
     spec.cpuLimitSeconds = r.u64("cpuLimitSeconds");
-    spec.backoffMs = static_cast<unsigned>(r.u64("backoffMs"));
     spec.crashes.clear();
     n = r.enterArray("crashes");
     for (size_t i = 0; i < n; i++) {
@@ -298,15 +300,12 @@ campaignPolicy(const CampaignSpec &spec,
                const std::atomic<bool> *cancel)
 {
     BatchPolicy policy;
-    policy.maxRetries = spec.maxRetries;
     policy.cycleBudget = spec.cycleBudget;
-    policy.resumeOnWatchdog = spec.resumeOnWatchdog;
     policy.isolate = spec.isolate;
     policy.wallDeadlineSeconds =
         static_cast<double>(spec.wallDeadlineMs) / 1000.0;
     policy.memLimitMb = spec.memLimitMb;
     policy.cpuLimitSeconds = spec.cpuLimitSeconds;
-    policy.backoffMs = spec.backoffMs;
     policy.cancel = cancel;
     return policy;
 }
@@ -353,10 +352,16 @@ ResultStore::load(const std::string &key,
     if (text.empty())
         return false;
     try {
+        BatchResult decoded;
         std::string checkpoint;
         bool final_attempt = false;
-        decodeJobResult(text, config, result, &checkpoint,
+        decodeJobResult(text, config, &decoded, &checkpoint,
                         &final_attempt);
+        // A failure is never a hit, not even one a store kept from
+        // before only successes were stored: the cell reruns.
+        if (!decoded.ok())
+            return false;
+        *result = std::move(decoded);
         return true;
     } catch (const SimError &err) {
         // A corrupt store entry must only cost a re-run, never the
@@ -706,18 +711,19 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
                        "cannot write journal header");
     }
 
-    // Cell identities, then the store pass: anything already
-    // persisted is a cache hit and never re-simulated. The hits are
-    // journaled with one write and one fsync rather than one each:
-    // the store already holds every one of them, so a crash before
-    // that sync loses nothing a rerun would not serve again.
+    // Cell identities, then the store pass: a stored success is a
+    // cache hit and never re-simulated. The hits are journaled with
+    // one write and one fsync rather than one each: the store
+    // already holds every one of them, so a crash before that sync
+    // loses nothing a rerun would not serve again.
     ResultStore store(store_dir);
     std::vector<std::string> keys(n);
     std::vector<MachineConfig> configs(n);
     std::vector<char> cached(n, 0);
-    // Set once a cell's document is in the store: a cell whose save
-    // failed leaves the campaign incomplete.
-    std::vector<char> stored(n, 0);
+    // Set once a cell is accounted for: served, failed, or succeeded
+    // and stored. A success whose save failed leaves the campaign
+    // incomplete.
+    std::vector<char> recorded(n, 0);
     std::vector<JournalCell> hits;
     for (size_t i = 0; i < n; i++) {
         const CampaignCell &cell = outcome.cells[i];
@@ -725,7 +731,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
         keys[i] = ResultStore::cellKey(built.at(cell.workload).hash,
                                        configs[i], cell.seed);
         if (store.load(keys[i], configs[i], &outcome.results[i])) {
-            cached[i] = stored[i] = 1;
+            cached[i] = recorded[i] = 1;
             outcome.cacheHits++;
             hits.push_back({cell.name, keys[i],
                             outcome.results[i].errorCode, true});
@@ -741,10 +747,11 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             opts.onCell(cell, keys[i], outcome.results[i], true);
     }
 
-    // Everything else runs through BatchRunner, with per-cell
-    // durability from the completion hook: store first (atomic
-    // rename), then journal — so a journaled cell is always
-    // loadable.
+    // Everything else runs once through BatchRunner, with per-cell
+    // durability from the completion hook: a success is stored first
+    // (atomic rename), then journaled — so a journaled success is
+    // always loadable. A failure is journaled but never stored, so
+    // the next run executes it again.
     std::vector<size_t> cell_of;
     std::vector<BatchJob> batch;
     for (size_t i = 0; i < n; i++) {
@@ -767,12 +774,15 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             std::lock_guard<std::mutex> lock(hook_mutex);
             const size_t i = cell_of[b];
             const CampaignCell &cell = outcome.cells[i];
-            if (!store.save(keys[i], result)) {
+            if (!result.ok()) {
+                // Drop any failure an older store kept under the key.
+                store.remove(keys[i]);
+            } else if (!store.save(keys[i], result)) {
                 SSMT_WARN("campaign cell '" + cell.name +
                           "' could not be persisted to the store");
                 return;
             }
-            stored[i] = 1;
+            recorded[i] = 1;
             journal.appendCell(
                 {cell.name, keys[i], result.errorCode, false});
             logLine(opts,
@@ -787,8 +797,8 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
         });
 
     // The batch failure digest must be taken before the results are
-    // moved out below.
-    std::string summary = BatchRunner::failureSummary(batch, ran);
+    // moved out below. Cache hits are successes, so it is complete.
+    outcome.failureSummary = BatchRunner::failureSummary(batch, ran);
 
     for (size_t b = 0; b < ran.size(); b++) {
         if (ran[b].attempts == 0)
@@ -803,8 +813,8 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             outcome.failed++;
 
     outcome.completed =
-        std::all_of(stored.begin(), stored.end(),
-                    [](char s) { return s != 0; });
+        std::all_of(recorded.begin(), recorded.end(),
+                    [](char r) { return r != 0; });
 
     if (outcome.completed) {
         // Built from the results in hand: cache hits were decoded
@@ -825,16 +835,6 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
         }
     }
 
-    // Cached failures are appended to the batch digest in cell order
-    // for a complete picture.
-    for (size_t i = 0; i < n; i++) {
-        if (!cached[i] || outcome.results[i].ok())
-            continue;
-        summary += outcome.cells[i].name + ": [" +
-                   errorCodeName(outcome.results[i].errorCode) +
-                   "] (cached) " + outcome.results[i].error + "\n";
-    }
-    outcome.failureSummary = std::move(summary);
     return outcome;
 }
 

@@ -6,12 +6,17 @@
  *
  * Three pieces compose into the durability story:
  *
- *  - ResultStore — a content-addressed store of finished cell
+ *  - ResultStore — a content-addressed store of successful cell
  *    results, one canonical ssmt-job-result-v1 document per file,
  *    keyed by (programHash, configFingerprint, mode, seed) and
- *    committed with atomic write-then-rename. Errored cells are
- *    stored too: a resumed campaign must reproduce the *whole*
- *    manifest, failures included.
+ *    committed with atomic write-then-rename. Only successes are
+ *    stored: a failed cell is journaled and written to the manifest
+ *    but never stored, so running the campaign again re-executes
+ *    exactly its failed cells, under whatever cycle budget and
+ *    isolation limits the new run sets. That rerun is the retry. A
+ *    success never depends on those limits (an isolated run equals
+ *    an in-process one, a run that finishes inside a budget equals
+ *    the unbudgeted run), so the key leaves them out.
  *
  *  - CampaignJournal — an append-only JSONL log (header with the
  *    full spec, then one line per finished cell). An executed cell's
@@ -21,19 +26,21 @@
  *    final line.
  *
  *  - runCampaign — enumerate the spec's cells in a fixed order,
- *    serve already-stored cells as cache hits, run the rest through
- *    BatchRunner (optionally subprocess-isolated via
- *    BatchPolicy::isolate), persisting each cell to the store and
- *    journal the moment it finishes, and finally write the
+ *    serve already-stored cells as cache hits, run the rest once
+ *    through BatchRunner (optionally subprocess-isolated via
+ *    BatchPolicy::isolate), storing each success and journaling
+ *    each cell the moment it finishes, and finally write the
  *    deterministic ssmt-campaign-v1 manifest.
  *
  * The keystone property: kill a campaign at any point, run it again
  * with the same spec, at any worker count, and the final manifest is
- * byte-identical to an uninterrupted run — finished cells replay
- * from the store, the rest run fresh. The manifest is written from
- * the cells' results: cache hits as decoded from the store, executed
- * cells as computed (the codec round-trips them byte for byte). It
- * records only what a simulation computed, which excludes every
+ * byte-identical to an uninterrupted run — stored successes replay
+ * from the store, the rest (failures included) run fresh, and a
+ * deterministic failure fails the same way again. The manifest is
+ * written from the cells' results: cache hits as decoded from the
+ * store, executed cells as computed (the codec round-trips them byte
+ * for byte). It records only what a simulation computed, which
+ * excludes every
  * nondeterministic quantity (host seconds, cache-hit flags,
  * timestamps, stderr warnings).
  */
@@ -90,16 +97,13 @@ struct CampaignSpec
     FaultPlan faults;
 
     // ---- Failure policy (mirrors BatchPolicy) ----
-    unsigned maxRetries = 0;
     uint64_t cycleBudget = 0;
-    bool resumeOnWatchdog = false;
     bool isolate = false;
-    /** Wall deadline per isolated attempt, in ms (canonical specs
-     *  are integers-only; BatchPolicy's seconds are derived). */
+    /** Wall deadline per isolated cell, in ms (canonical specs are
+     *  integers-only; BatchPolicy's seconds are derived). */
     uint64_t wallDeadlineMs = 0;
     uint64_t memLimitMb = 0;
     uint64_t cpuLimitSeconds = 0;
-    unsigned backoffMs = 0;
 
     /** Crash-injection test hook: cell name -> deliberate child
      *  failure (isolate mode; see CrashKind). Part of the spec so a
@@ -140,12 +144,14 @@ BatchPolicy campaignPolicy(const CampaignSpec &spec,
                            const std::atomic<bool> *cancel);
 
 /**
- * Content-addressed store of finished cell results: one atomic file
- * per key under `<dir>/`, holding the cell's canonical
+ * Content-addressed store of successful cell results: one atomic
+ * file per key under `<dir>/`, holding the cell's canonical
  * ssmt-job-result-v1 document. Keys bind the program image, the
  * structural config, the mechanism mode, the seed axis and the
  * retire cap, so a changed workload generator, knob or cap can never
- * serve a stale hit.
+ * serve a stale hit. runCampaign saves only successes (and removes
+ * a failure an older store kept when the cell fails again), and
+ * load() serves only successes.
  */
 class ResultStore
 {
@@ -165,7 +171,8 @@ class ResultStore
 
     /** Load and decode the document under @p key. @return false when
      *  absent; an unreadable/corrupt document is treated as absent
-     *  (warned, so the cell simply re-runs). */
+     *  (warned, so the cell simply re-runs), and so is a stored
+     *  failure (older stores kept failures too). */
     bool load(const std::string &key, const MachineConfig &config,
               BatchResult *result) const;
 
@@ -282,8 +289,10 @@ struct CampaignOutcome
                                         ///< when cancelled unrun)
     size_t cacheHits = 0;   ///< cells served from the store
     size_t executed = 0;    ///< cells simulated by this invocation
-    size_t failed = 0;      ///< cells whose final result is an error
-    bool completed = false; ///< every cell stored; manifest written
+    size_t failed = 0;      ///< cells whose result is an error
+    /** Every cell was served or ran (failed cells included), every
+     *  success was stored, and the manifest was written. */
+    bool completed = false;
     std::string manifestPath;   ///< written iff completed
     /** One line per failed cell ("" when none failed). */
     std::string failureSummary;
@@ -294,7 +303,8 @@ struct CampaignOutcome
  * `journal.jsonl`, `store/`, and on completion `manifest.json`.
  * Throws SimError(UnknownWorkload) on an unknown workload,
  * SimError(ConfigInvalid) on an invalid spec (scale 0, modes and
- * variants together, a bad variant name or setting) or a journal
+ * variants together, a bad variant name or setting, two cells with
+ * one name) or a journal
  * recording a *different* spec (unless opts.force), and
  * SimError(IoError) when the directory cannot be prepared.
  */

@@ -6,7 +6,7 @@
  *
  * Canonical in the ssmt-snapshot-v1 tradition: integers only, fixed
  * field order, Stats as a sim::statsValues array, the metrics series
- * in the exact IntervalSampler::save layout. Two identical attempts
+ * in the exact IntervalSampler::save layout. Two identical runs
  * encode byte-identically regardless of host, worker count, or
  * whether they ran in-process or in a child — which is what makes
  * "isolated == in-process" and "resumed manifest == uninterrupted
@@ -36,14 +36,12 @@ namespace sim
 extern const char kJobResultSchema[];   ///< "ssmt-job-result-v1"
 
 /**
- * Serialize one attempt's outcome.
+ * Serialize one job's outcome.
  *
- * @param checkpoint the watchdog-resume snapshot detail::runAttempt
- *        moved out of the artifacts ("" when the attempt did not
- *        leave one) — shipped separately so the parent can hand it
- *        to the next attempt's child
- * @param final_attempt what runAttempt returned: true when no retry
- *        can change the outcome (success or non-recoverable error)
+ * @param checkpoint vestigial: always "" (jobs run once and never
+ *        resume from a checkpoint). Kept, with @p final_attempt, so
+ *        the document bytes and the benchmark's calls stay unchanged
+ * @param final_attempt vestigial: always true
  */
 std::string encodeJobResult(const BatchResult &result,
                             const std::string &checkpoint,
@@ -56,6 +54,7 @@ std::string encodeJobResult(const BatchResult &result,
  * SimError(ParseError) on a malformed, truncated or
  * schema-mismatched document; @p result is then unspecified.
  * result.hostSeconds is left at 0 for the caller to stamp.
+ * @p checkpoint and @p final_attempt receive the vestigial fields.
  */
 void decodeJobResult(const std::string &text,
                      const MachineConfig &config, BatchResult *result,

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -36,33 +35,6 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
-/** Retry delay for moving to @p attempt (>= 1): exponential backoff
- *  with a shift clamp so a pathological maxRetries cannot overflow. */
-unsigned
-backoffDelayMs(const BatchPolicy &policy, unsigned attempt)
-{
-    if (policy.backoffMs == 0 || attempt == 0)
-        return 0;
-    return policy.backoffMs << std::min(attempt - 1, 16u);
-}
-
-/**
- * Scheduling state of one job in the parent. Attempts run strictly
- * one after another: a retry (or checkpoint→resume) is launched only
- * once its predecessor's child has been reaped, so the chain needs
- * no more than `attempt` plus a `finished` flag.
- */
-struct JobState
-{
-    bool running = false;           ///< a child is live for `attempt`
-    bool finished = false;          ///< final attempt sealed
-    unsigned attempt = 0;           ///< next attempt to launch
-    std::string checkpoint;         ///< watchdog-resume snapshot
-    Clock::time_point eligibleAt{}; ///< backoff gate (pending only)
-    Clock::time_point startedAt{};  ///< first spawn, for hostSeconds
-    bool started = false;
-};
-
 /** One live child: its pid, result pipe and accumulated bytes. */
 struct ChildSlot
 {
@@ -70,6 +42,7 @@ struct ChildSlot
     int fd = -1;                ///< parent's nonblocking read end
     size_t job = 0;
     std::string buffer;
+    Clock::time_point startedAt{};  ///< for hostSeconds
     Clock::time_point deadline{};
     bool hasDeadline = false;
     bool killedOnDeadline = false;
@@ -125,13 +98,12 @@ crashInChild(CrashKind kind)
     ::_exit(98);
 }
 
-/** The forked child's whole life: one attempt, one document, _exit.
+/** The forked child's whole life: one run, one document, _exit.
  *  Never returns; never runs static destructors or flushes inherited
  *  stdio (that would duplicate the parent's buffered output). */
 [[noreturn]] void
-childMain(const BatchJob &job, const BatchPolicy &policy,
-          unsigned attempt, const std::string &checkpoint_in,
-          int write_fd, const std::vector<ChildSlot> &siblings)
+childMain(const BatchJob &job, const BatchPolicy &policy, int write_fd,
+          const std::vector<ChildSlot> &siblings)
 {
     // Close the parent-side ends of every sibling's pipe: a sibling
     // holding our write end open would delay the parent's EOF on a
@@ -144,12 +116,9 @@ childMain(const BatchJob &job, const BatchPolicy &policy,
         crashInChild(job.crash);
 
     BatchResult result;
-    std::string checkpoint = checkpoint_in;
-    bool final_attempt =
-        detail::runAttempt(job, policy, attempt, checkpoint, result);
+    detail::runJobOnce(job, policy, result);
 
-    std::string doc =
-        encodeJobResult(result, checkpoint, final_attempt);
+    std::string doc = encodeJobResult(result, "", true);
     const char *data = doc.data();
     size_t left = doc.size();
     while (left > 0) {
@@ -180,33 +149,13 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
 
     const size_t max_children =
         std::max<size_t>(1, std::min<size_t>(workers, n));
-    std::vector<JobState> jobs(n);
     std::vector<ChildSlot> slots;
     slots.reserve(max_children);
-    size_t done = 0;
+    size_t next = 0;        // every job below `next` has been forked
     bool cancelled = false;
 
-    auto pending = [&](size_t i) {
-        return !jobs[i].running && !jobs[i].finished;
-    };
-
-    // Queue the next attempt behind its wall-clock backoff gate. The
-    // previous attempt's child is already reaped, so the retry is
-    // ready to launch the moment the gate opens.
-    auto chainNextAttempt = [&](size_t i) {
-        SSMT_ASSERT(pending(i), "isolate: retry chained for a job "
-                                "that is running or finished");
-        jobs[i].attempt++;
-        jobs[i].eligibleAt =
-            Clock::now() +
-            std::chrono::milliseconds(
-                backoffDelayMs(policy, jobs[i].attempt));
-    };
-
-    auto completeJob = [&](size_t i) {
-        jobs[i].finished = true;
-        done++;
-        results[i].hostSeconds = secondsSince(jobs[i].startedAt);
+    auto completeJob = [&](size_t i, Clock::time_point started_at) {
+        results[i].hostSeconds = secondsSince(started_at);
         if (!results[i].ok()) {
             SSMT_WARN("batch job '" + batch[i].name +
                       "' failed: " + results[i].error);
@@ -215,52 +164,35 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
             onResult(i, results[i]);
     };
 
-    // A retryable attempt failure: schedule the next attempt behind
-    // its backoff gate, or seal the error slot when the budget is
-    // spent.
-    auto failAttempt = [&](size_t i, ErrorCode code,
-                           const std::string &msg) {
+    // No result came back (the child could not start, died or was
+    // killed): seal the job's error slot.
+    auto failJob = [&](size_t i, Clock::time_point started_at,
+                       ErrorCode code, const std::string &msg) {
+        results[i].attempts = 1;
         results[i].errorCode = code;
         results[i].error = msg;
-        results[i].attempts = jobs[i].attempt + 1;
-        if (jobs[i].attempt < policy.maxRetries) {
-            chainNextAttempt(i);
-        } else {
-            completeJob(i);
-        }
+        completeJob(i, started_at);
     };
 
     auto spawn = [&](size_t i) {
         int fds[2];
         if (::pipe(fds) != 0) {
-            results[i].attempts = jobs[i].attempt + 1;
-            results[i].errorCode = ErrorCode::Internal;
-            results[i].error =
-                "[internal] isolate: pipe creation failed";
-            if (!jobs[i].started) {
-                jobs[i].started = true;
-                jobs[i].startedAt = Clock::now();
-            }
-            completeJob(i);
+            failJob(i, Clock::now(), ErrorCode::Internal,
+                    "[internal] isolate: pipe creation failed");
             return;
         }
         pid_t pid = ::fork();
         if (pid == 0) {
             ::close(fds[0]);
-            childMain(batch[i], policy, jobs[i].attempt,
-                      jobs[i].checkpoint, fds[1], slots);
+            childMain(batch[i], policy, fds[1], slots);
         }
         ::close(fds[1]);
-        if (!jobs[i].started) {
-            jobs[i].started = true;
-            jobs[i].startedAt = Clock::now();
-        }
+        // hostSeconds runs from fork()'s return in the parent.
+        const Clock::time_point started_at = Clock::now();
         if (pid < 0) {
             ::close(fds[0]);
-            results[i].attempts = jobs[i].attempt + 1;
-            results[i].errorCode = ErrorCode::Internal;
-            results[i].error = "[internal] isolate: fork failed";
-            completeJob(i);
+            failJob(i, started_at, ErrorCode::Internal,
+                    "[internal] isolate: fork failed");
             return;
         }
         ::fcntl(fds[0], F_SETFL,
@@ -269,6 +201,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
         slot.pid = pid;
         slot.fd = fds[0];
         slot.job = i;
+        slot.startedAt = started_at;
         if (policy.wallDeadlineSeconds > 0.0) {
             slot.hasDeadline = true;
             slot.deadline =
@@ -277,7 +210,6 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
                     std::chrono::duration<double>(
                         policy.wallDeadlineSeconds));
         }
-        jobs[i].running = true;
         slots.push_back(std::move(slot));
     };
 
@@ -288,18 +220,20 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
         while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
         }
         const size_t i = slot.job;
-        jobs[i].running = false;
+        auto fail = [&](ErrorCode code, const std::string &msg) {
+            failJob(i, slot.startedAt, code, msg);
+        };
 
         if (slot.killedOnDeadline) {
-            failAttempt(i, ErrorCode::JobKilled,
-                        "[job-killed] isolate: child exceeded the "
-                        "wall-clock deadline");
+            fail(ErrorCode::JobKilled,
+                 "[job-killed] isolate: child exceeded the wall-clock "
+                 "deadline");
             return;
         }
         if (WIFSIGNALED(status) && WTERMSIG(status) == SIGXCPU) {
-            failAttempt(i, ErrorCode::JobKilled,
-                        "[job-killed] isolate: child exceeded the "
-                        "cpu limit (SIGXCPU)");
+            fail(ErrorCode::JobKilled,
+                 "[job-killed] isolate: child exceeded the cpu limit "
+                 "(SIGXCPU)");
             return;
         }
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
@@ -311,32 +245,24 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
                                 &decoded, &checkpoint,
                                 &final_attempt);
                 results[i] = std::move(decoded);
-                jobs[i].checkpoint = std::move(checkpoint);
-                if (final_attempt ||
-                    jobs[i].attempt >= policy.maxRetries) {
-                    completeJob(i);
-                } else {
-                    chainNextAttempt(i);
-                }
+                completeJob(i, slot.startedAt);
             } catch (const SimError &err) {
-                failAttempt(i, ErrorCode::JobCrashed,
-                            "[job-crashed] isolate: child returned "
-                            "an unparsable result: " +
-                                err.context());
+                fail(ErrorCode::JobCrashed,
+                     "[job-crashed] isolate: child returned an "
+                     "unparsable result: " +
+                         err.context());
             }
             return;
         }
         if (WIFEXITED(status)) {
-            failAttempt(i, ErrorCode::JobCrashed,
-                        "[job-crashed] isolate: child exited with "
-                        "status " +
-                            std::to_string(WEXITSTATUS(status)) +
-                            " without a result");
+            fail(ErrorCode::JobCrashed,
+                 "[job-crashed] isolate: child exited with status " +
+                     std::to_string(WEXITSTATUS(status)) +
+                     " without a result");
         } else {
-            failAttempt(i, ErrorCode::JobCrashed,
-                        "[job-crashed] isolate: child terminated by "
-                        "signal " +
-                            std::to_string(WTERMSIG(status)));
+            fail(ErrorCode::JobCrashed,
+                 "[job-crashed] isolate: child terminated by signal " +
+                     std::to_string(WTERMSIG(status)));
         }
     };
 
@@ -345,53 +271,28 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
             policy.cancel->load(std::memory_order_relaxed))
             cancelled = true;
 
-        // Launch phase: fill free slots with the lowest-index
-        // pending jobs whose backoff gate has opened.
-        if (!cancelled) {
-            auto now = Clock::now();
-            for (size_t i = 0;
-                 i < n && slots.size() < max_children; i++) {
-                if (pending(i) && jobs[i].eligibleAt <= now)
-                    spawn(i);
-            }
-        }
+        // Launch phase: fill free slots in index order. A job whose
+        // fork failed is already sealed and frees its slot at once.
+        while (!cancelled && next < n && slots.size() < max_children)
+            spawn(next++);
 
-        if (slots.empty()) {
-            if (done == n || cancelled)
-                break;
-            // Everything left is pending behind a backoff gate:
-            // sleep until the earliest gate opens.
-            Clock::time_point wake{};
-            bool have_wake = false;
-            for (size_t i = 0; i < n; i++) {
-                if (pending(i) &&
-                    (!have_wake || jobs[i].eligibleAt < wake)) {
-                    wake = jobs[i].eligibleAt;
-                    have_wake = true;
-                }
-            }
-            if (have_wake)
-                std::this_thread::sleep_until(wake);
-            continue;
-        }
+        // Every job forked and reaped, or cancelled and drained.
+        if (slots.empty())
+            break;
 
-        // Poll timeout: the nearest child deadline or backoff gate,
-        // bounded so cancellation stays responsive.
+        // Poll timeout: the nearest child deadline, bounded so
+        // cancellation stays responsive.
         auto now = Clock::now();
         int64_t timeout_ms = 100;
-        auto consider = [&](Clock::time_point when) {
-            int64_t ms =
-                std::chrono::duration_cast<
-                    std::chrono::milliseconds>(when - now)
-                    .count();
-            timeout_ms = std::clamp<int64_t>(ms, 0, timeout_ms);
-        };
-        for (const ChildSlot &slot : slots)
-            if (slot.hasDeadline && !slot.killedOnDeadline)
-                consider(slot.deadline);
-        for (size_t i = 0; i < n; i++)
-            if (pending(i))
-                consider(jobs[i].eligibleAt);
+        for (const ChildSlot &slot : slots) {
+            if (slot.hasDeadline && !slot.killedOnDeadline) {
+                int64_t ms = std::chrono::duration_cast<
+                                 std::chrono::milliseconds>(
+                                 slot.deadline - now)
+                                 .count();
+                timeout_ms = std::clamp<int64_t>(ms, 0, timeout_ms);
+            }
+        }
 
         std::vector<pollfd> fds(slots.size());
         for (size_t s = 0; s < slots.size(); s++)

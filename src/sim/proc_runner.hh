@@ -3,17 +3,15 @@
  * Subprocess-isolated batch execution: the crash-containment engine
  * behind BatchPolicy::isolate.
  *
- * Each attempt of each job runs in a forked child that inherits the
+ * Each job runs once, in a forked child that inherits the
  * already-built Program and MachineConfig by copy-on-write, executes
- * exactly one detail::runAttempt under optional RLIMIT_AS /
+ * exactly one detail::runJobOnce under optional RLIMIT_AS /
  * RLIMIT_CPU caps, and writes its BatchResult back over a pipe as
  * canonical ssmt-job-result-v1 JSON (sim/job_codec.hh). The parent is
  * a single-threaded event loop — poll() over child pipes, nonblocking
- * drains, wall-clock deadline SIGKILLs, waitpid reaping — that
- * schedules up to `workers` concurrent children and drives retries
- * with exponential backoff. A job's attempts (retry, checkpoint→
- * resume) run one after another: the next child starts only after
- * the previous one has been reaped.
+ * drains, wall-clock deadline SIGKILLs, waitpid reaping — that forks
+ * jobs in index order, up to `workers` concurrent children, and
+ * sleeps in poll() until a child reports or a deadline falls due.
  *
  * Containment contract: a child that segfaults, aborts, OOMs, hangs
  * past its deadline or exits without a result becomes a typed error

@@ -4,17 +4,16 @@
  *
  * Library code must not decide process fate: a bad configuration, an
  * unknown workload, an unparsable artifact or a tripped watchdog is a
- * *job*-level failure that a batch driver can record, retry or report
- * — not a reason to exit(1) under a caller's feet. SimError carries a
- * machine-checkable code, the site that raised it, a recoverable flag
- * (may a deterministic retry change the outcome?) and a human
+ * *job*-level failure that a batch driver can record or report — not
+ * a reason to exit(1) under a caller's feet. SimError carries a
+ * machine-checkable code, the site that raised it and a human
  * context string. CLIs catch it at main() and keep the traditional
  * exit(1); sim::BatchRunner catches it per job and turns it into a
  * BatchResult::error instead of dying.
  *
  * The companion SSMT_FATAL path (sim/logging.hh) throws FatalError —
- * the non-recoverable leaf of this taxonomy — when fatal-throws mode
- * is enabled, making historical fatal() call sites unit-testable.
+ * the user-level leaf of this taxonomy — when fatal-throws mode is
+ * enabled, making historical fatal() call sites unit-testable.
  */
 
 #ifndef SSMT_SIM_SIM_ERROR_HH
@@ -30,7 +29,7 @@ namespace ssmt
 namespace sim
 {
 
-/** What went wrong, coarsely: drives retry policy and reporting. */
+/** What went wrong, coarsely: drives reporting and exit status. */
 enum class ErrorCode : uint8_t
 {
     None,               ///< no error (BatchResult default)
@@ -91,39 +90,35 @@ class SimError : public std::runtime_error
 {
   public:
     /**
-     * @param code        taxonomy bucket
-     * @param site        where it was raised (subsystem or file:line)
-     * @param context     the actionable detail for a human
-     * @param recoverable could a (re-seeded) retry plausibly differ?
+     * @param code    taxonomy bucket
+     * @param site    where it was raised (subsystem or file:line)
+     * @param context the actionable detail for a human
      */
-    SimError(ErrorCode code, std::string site, std::string context,
-             bool recoverable = false)
+    SimError(ErrorCode code, std::string site, std::string context)
         : std::runtime_error("[" + std::string(errorCodeName(code)) +
                              "] " + site + ": " + context),
           code_(code), site_(std::move(site)),
-          context_(std::move(context)), recoverable_(recoverable)
+          context_(std::move(context))
     {
     }
 
     ErrorCode code() const { return code_; }
     const std::string &site() const { return site_; }
     const std::string &context() const { return context_; }
-    bool recoverable() const { return recoverable_; }
 
   private:
     ErrorCode code_;
     std::string site_;
     std::string context_;
-    bool recoverable_;
 };
 
-/** The throwing form of SSMT_FATAL: user-level, never recoverable. */
+/** The throwing form of SSMT_FATAL: a user-level error. */
 class FatalError : public SimError
 {
   public:
     FatalError(std::string site, std::string context)
         : SimError(ErrorCode::Fatal, std::move(site),
-                   std::move(context), false)
+                   std::move(context))
     {
     }
 };

@@ -90,8 +90,7 @@ runProgramChecked(const isa::Program &prog, const MachineConfig &config,
                            " cycles (" +
                            std::to_string(stats.retiredInsts) +
                            " insts retired); likely hung or "
-                           "underprovisioned cycle budget",
-                       /*recoverable=*/true);
+                           "underprovisioned cycle budget");
     }
 
     std::vector<InvariantViolation> violations =

@@ -32,9 +32,9 @@ struct RunArtifacts
      *  oldest first; feed to cpu::chromeTraceJson() for Perfetto. */
     std::vector<cpu::TraceRecord> trace;
     /** ssmt-snapshot-v1 document captured at @ref snapshotCycle when
-     *  the run was asked to checkpoint (empty otherwise). Captured
-     *  even when the run later trips the watchdog, so a resumable
-     *  batch can continue from it. */
+     *  the run was asked to checkpoint (empty otherwise; batch jobs
+     *  never ask). Captured even when the run later trips the
+     *  watchdog. */
     std::string snapshot;
     uint64_t snapshotCycle = 0;
 };
@@ -47,13 +47,15 @@ Stats runProgram(const isa::Program &prog, const MachineConfig &config);
 
 /**
  * The throwing flavor of runProgram for batch/campaign drivers:
- * every failure mode becomes a SimError the caller can record or
- * retry instead of dying —
- *  - ConfigInvalid (non-recoverable) from MachineConfig::validate(),
- *  - InvariantViolation (non-recoverable) when the end-of-run
- *    StatsChecker or structural self-check trips,
- *  - WatchdogExpired (recoverable) when @p cycle_budget > 0 and the
- *    run neither halted nor reached a configured stop within it.
+ * every failure mode becomes a SimError the caller can record
+ * instead of dying —
+ *  - ConfigInvalid from MachineConfig::validate(),
+ *  - InvariantViolation when the end-of-run StatsChecker or
+ *    structural self-check trips,
+ *  - WatchdogExpired when @p cycle_budget > 0 and the run neither
+ *    halted nor reached a configured stop within it. A run that
+ *    does finish inside the budget computes exactly the unbudgeted
+ *    run's results.
  *
  * @param label       run name used in error context strings
  * @param cycle_budget per-job watchdog; 0 = no watchdog

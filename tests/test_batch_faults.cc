@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for fault-tolerant batch execution: per-job error capture,
- * the cycle-budget watchdog, deterministic retry seeding, and the
- * library-safe fatal / rate-limited warn logging paths.
+ * the cycle-budget watchdog, and the library-safe fatal /
+ * rate-limited warn logging paths.
  */
 
 #include <gtest/gtest.h>
@@ -80,7 +80,6 @@ TEST(BatchFaultsTest, ThrowingJobBecomesErrorSlot)
     batch[2] = {"good1", tinyProgram(), mtConfig()};
 
     BatchPolicy policy;
-    policy.maxRetries = 3;    // must NOT retry a non-recoverable job
     std::vector<BatchResult> results =
         BatchRunner(2).run(batch, policy);
 
@@ -97,7 +96,7 @@ TEST(BatchFaultsTest, ThrowingJobBecomesErrorSlot)
         << results[1].error;
 }
 
-TEST(BatchFaultsTest, WatchdogTripsOnHungJobAndRetries)
+TEST(BatchFaultsTest, WatchdogTripsOnHungJob)
 {
     std::vector<BatchJob> batch(2);
     batch[0] = {"spin", spinProgram(), mtConfig()};
@@ -105,32 +104,18 @@ TEST(BatchFaultsTest, WatchdogTripsOnHungJobAndRetries)
 
     BatchPolicy policy;
     policy.cycleBudget = 60000;
-    policy.maxRetries = 1;
     std::vector<BatchResult> results =
         BatchRunner(2).run(batch, policy);
 
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].ok());
     EXPECT_EQ(results[0].errorCode, ErrorCode::WatchdogExpired);
-    // Watchdog failures are recoverable, so the retry was consumed.
-    EXPECT_EQ(results[0].attempts, 2u);
+    // Every job runs once; a rerun would only repeat the failure.
+    EXPECT_EQ(results[0].attempts, 1u);
     EXPECT_NE(results[0].error.find("spin"), std::string::npos);
 
     EXPECT_TRUE(results[1].ok()) << results[1].error;
     EXPECT_GT(results[1].stats.retiredInsts, 0u);
-}
-
-TEST(BatchFaultsTest, RetrySeedIsDeterministicAndDistinct)
-{
-    const uint64_t seed = 0xabcdef12345ULL;
-    EXPECT_EQ(BatchRunner::retrySeed(seed, 0), seed);
-    EXPECT_EQ(BatchRunner::retrySeed(seed, 1),
-              BatchRunner::retrySeed(seed, 1));
-    EXPECT_NE(BatchRunner::retrySeed(seed, 1), seed);
-    EXPECT_NE(BatchRunner::retrySeed(seed, 1),
-              BatchRunner::retrySeed(seed, 2));
-    EXPECT_NE(BatchRunner::retrySeed(seed, 1), 0u);
-    EXPECT_NE(BatchRunner::retrySeed(0, 1), 0u);
 }
 
 // A batch mixing clean jobs, a fault-injected job, and a failing job
@@ -151,7 +136,6 @@ TEST(BatchFaultsTest, MixedBatchIsDeterministicAcrossWorkerCounts)
 
     BatchPolicy policy;
     policy.cycleBudget = 60000;
-    policy.maxRetries = 2;
 
     std::vector<BatchResult> serial =
         BatchRunner(1).run(batch, policy);
@@ -208,7 +192,6 @@ TEST(LoggingTest, FatalThrowsModeRaisesFatalError)
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         EXPECT_EQ(e.code(), ErrorCode::Fatal);
-        EXPECT_FALSE(e.recoverable());
         EXPECT_NE(std::string(e.what()).find("unknown workload"),
                   std::string::npos);
     }

@@ -1,12 +1,13 @@
 /**
  * @file
  * Campaign durability tests: the journal + content-addressed store
- * must make a killed campaign resumable with finished cells served as
- * cache hits and the final manifest byte-identical to an
- * uninterrupted run — failures included, at any worker count. Also
- * covers the canonical spec serialization, cell enumeration, journal
- * tail tolerance, spec identity pinning, store garbage collection,
- * and the store-key formula existing stores depend on.
+ * must make a killed campaign resumable with stored successes served
+ * as cache hits and the final manifest byte-identical to an
+ * uninterrupted run at any worker count, while a failed cell is
+ * never stored and runs again on the next run. Also covers the
+ * canonical spec serialization, cell enumeration, journal tail
+ * tolerance, spec identity pinning, store garbage collection, and
+ * the store-key formula existing stores depend on.
  */
 
 #include <gtest/gtest.h>
@@ -76,14 +77,11 @@ TEST(CampaignSpec, CanonicalJsonRoundTrips)
     spec.faults.site = sim::FaultSite::PredCacheFlip;
     spec.faults.count = 3;
     spec.faults.seed = 99;
-    spec.maxRetries = 2;
     spec.cycleBudget = 123456;
-    spec.resumeOnWatchdog = true;
     spec.isolate = true;
     spec.wallDeadlineMs = 1500;
     spec.memLimitMb = 512;
     spec.cpuLimitSeconds = 60;
-    spec.backoffMs = 10;
     spec.crashes.emplace_back("comp/baseline/s0",
                               sim::CrashKind::Abort);
 
@@ -113,10 +111,9 @@ TEST(CampaignSpec, VariantLessSpecJsonIsPinned)
               "\"microthread\"}],\"seeds\":[0,7],\"scale\":1,"
               "\"sampleInterval\":2000,\"maxInsts\":0,\"faults\":{"
               "\"site\":\"none\",\"seed\":1,\"count\":0,\"startCycle\":0,"
-              "\"period\":200},\"maxRetries\":0,\"cycleBudget\":0,"
-              "\"resumeOnWatchdog\":false,\"isolate\":false,"
+              "\"period\":200},\"cycleBudget\":0,\"isolate\":false,"
               "\"wallDeadlineMs\":0,\"memLimitMb\":0,"
-              "\"cpuLimitSeconds\":0,\"backoffMs\":0,\"crashes\":[]}");
+              "\"cpuLimitSeconds\":0,\"crashes\":[]}");
 }
 
 /** Fig 7's four columns as config variants. */
@@ -207,6 +204,46 @@ TEST(CampaignSpec, RejectsBadVariants)
     EXPECT_FALSE(sim::pathExists(dir + "/journal.jsonl"));
 }
 
+TEST(CampaignSpec, RejectsDuplicateCells)
+{
+    // A repeated workload, mode, variant or seed names one cell
+    // twice: both would share a store key and a manifest row.
+    std::string dir = freshDir("duplicates");
+    auto rejected = [](const std::function<void()> &call) {
+        try {
+            call();
+        } catch (const sim::SimError &err) {
+            return err.code() == sim::ErrorCode::ConfigInvalid &&
+                   std::string(err.what()).find("appears twice") !=
+                       std::string::npos;
+        }
+        return false;
+    };
+    sim::CampaignSpec base = smallSpec();
+    base.modes = {sim::Mode::Baseline};
+    base.seeds = {1};
+    base.sampleInterval = 0;
+    base.maxInsts = 2000;
+
+    sim::CampaignSpec workloads = base;
+    workloads.workloads = {"comp", "comp"};
+    sim::CampaignSpec modes = base;
+    modes.modes = {sim::Mode::Baseline, sim::Mode::Baseline};
+    sim::CampaignSpec seeds = base;
+    seeds.seeds = {1, 1};
+    sim::CampaignSpec variants = base;
+    variants.modes.clear();
+    variants.variants = {{"a", {"mode=baseline"}}, {"a", {}}};
+    for (const sim::CampaignSpec &spec :
+         {workloads, modes, seeds, variants}) {
+        EXPECT_TRUE(rejected([&] { sim::runCampaign(spec, dir, {}); }))
+            << sim::specJson(spec);
+        EXPECT_TRUE(rejected([&] { sim::campaignGc(spec, dir); }))
+            << sim::specJson(spec);
+    }
+    EXPECT_FALSE(sim::pathExists(dir + "/journal.jsonl"));
+}
+
 TEST(CampaignSpec, CellEnumerationIsWorkloadMajor)
 {
     sim::CampaignSpec spec = smallSpec();
@@ -276,7 +313,7 @@ TEST(Campaign, InterruptedRunResumesToByteIdenticalManifest)
               ref_manifest);
 }
 
-TEST(Campaign, CrashedCellsPersistAndReplayFromTheStore)
+TEST(Campaign, CrashedCellRerunsToTheSameManifest)
 {
     sim::CampaignSpec spec = smallSpec();
     spec.seeds = {0};
@@ -298,15 +335,63 @@ TEST(Campaign, CrashedCellsPersistAndReplayFromTheStore)
               std::string::npos);
     std::string manifest = sim::readFileOrEmpty(first.manifestPath);
     EXPECT_NE(manifest.find("job-crashed"), std::string::npos);
+    EXPECT_EQ(sim::ResultStore(dir + "/store").list().size(), 1u);
 
-    // Errored cells are stored too: the rerun replays the failure
-    // from the store and reproduces the manifest byte-for-byte.
+    // Only the success was stored: the rerun serves it, crashes the
+    // other cell again and writes the same manifest bytes.
     sim::CampaignOutcome rerun = sim::runCampaign(spec, dir, opts);
     ASSERT_TRUE(rerun.completed);
-    EXPECT_EQ(rerun.cacheHits, 2u);
-    EXPECT_EQ(rerun.executed, 0u);
+    EXPECT_EQ(rerun.cacheHits, 1u);
+    EXPECT_EQ(rerun.executed, 1u);
     EXPECT_EQ(rerun.failed, 1u);
     EXPECT_EQ(sim::readFileOrEmpty(rerun.manifestPath), manifest);
+}
+
+TEST(Campaign, StoredFailureIsNotACacheHit)
+{
+    // A failure depends on the run's limits (here a one-cycle
+    // budget), so it is never served: the unbudgeted rerun executes
+    // the cell and computes exactly the unbudgeted run's counters.
+    sim::CampaignSpec spec = smallSpec();
+    spec.modes = {sim::Mode::Microthread};
+    spec.seeds = {0};
+    spec.sampleInterval = 0;
+    spec.maxInsts = 20000;
+    spec.cycleBudget = 1;
+    std::string dir = freshDir("stored-failure");
+    sim::CampaignOptions opts;
+    opts.jobs = 1;
+    sim::CampaignOutcome budgeted = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(budgeted.completed);
+    ASSERT_EQ(budgeted.failed, 1u);
+    EXPECT_EQ(budgeted.results[0].errorCode,
+              sim::ErrorCode::WatchdogExpired);
+
+    // A store written before only successes were stored holds the
+    // failure under the cell's key: it is not served, and a rerun
+    // that fails again removes it.
+    const sim::CampaignCell cell = sim::campaignCells(spec)[0];
+    const isa::Program comp = workloads::makeWorkload("comp", {});
+    const std::string key = sim::ResultStore::cellKey(
+        sim::programHash(comp), sim::cellConfig(spec, cell), cell.seed);
+    sim::ResultStore store(dir + "/store");
+    ASSERT_TRUE(store.save(key, budgeted.results[0]));
+    sim::CampaignOutcome again = sim::runCampaign(spec, dir, opts);
+    EXPECT_EQ(again.cacheHits, 0u);
+    EXPECT_EQ(again.failed, 1u);
+    EXPECT_TRUE(store.list().empty());
+    ASSERT_TRUE(store.save(key, budgeted.results[0]));
+
+    spec.cycleBudget = 0;
+    opts.force = true;
+    sim::CampaignOutcome rerun = sim::runCampaign(spec, dir, opts);
+    ASSERT_TRUE(rerun.completed);
+    EXPECT_EQ(rerun.cacheHits, 0u);
+    EXPECT_EQ(rerun.executed, 1u);
+    EXPECT_EQ(rerun.failed, 0u);
+    EXPECT_EQ(sim::statsValues(rerun.results[0].stats),
+              sim::statsValues(sim::runProgramChecked(
+                  comp, sim::cellConfig(spec, cell), cell.name)));
 }
 
 TEST(Campaign, FailingCampaignManifestIsIdenticalAtAnyJobs)

@@ -95,7 +95,6 @@ TEST(FaultPlanTest, InvalidPlanRejectedByConfigValidation)
         cfg.validateOrThrow();
     } catch (const SimError &e) {
         EXPECT_EQ(e.code(), ErrorCode::ConfigInvalid);
-        EXPECT_FALSE(e.recoverable());
     }
 }
 

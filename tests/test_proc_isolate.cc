@@ -3,7 +3,8 @@
  * Subprocess isolation tests: clean jobs must produce byte-identical
  * results in-process and isolated (at any worker count), a crashing
  * or hanging child must become a typed error slot while every other
- * job completes, and the ssmt-job-result-v1 codec must round-trip.
+ * job completes, the parent must sleep while children run, and the
+ * ssmt-job-result-v1 codec must round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <atomic>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "sim/batch_runner.hh"
 #include "sim/golden.hh"
@@ -172,22 +175,19 @@ TEST(JobCodec, RoundTripPreservesEverything)
 {
     std::vector<sim::BatchJob> batch = smallBatch();
     sim::BatchResult original;
-    std::string checkpoint;
-    bool final_attempt = sim::detail::runAttempt(
-        batch[1], sim::BatchPolicy{}, 0, checkpoint, original);
+    sim::detail::runJobOnce(batch[1], sim::BatchPolicy{}, original);
     ASSERT_TRUE(original.ok()) << original.error;
-    ASSERT_TRUE(final_attempt);
+    EXPECT_EQ(original.attempts, 1u);
 
-    std::string wire =
-        sim::encodeJobResult(original, checkpoint, final_attempt);
+    std::string wire = sim::encodeJobResult(original, "", true);
     sim::BatchResult decoded;
     std::string decoded_checkpoint;
     bool decoded_final = false;
     sim::decodeJobResult(wire, batch[1].config, &decoded,
                          &decoded_checkpoint, &decoded_final);
 
-    EXPECT_EQ(decoded_final, final_attempt);
-    EXPECT_EQ(decoded_checkpoint, checkpoint);
+    EXPECT_TRUE(decoded_final);
+    EXPECT_EQ(decoded_checkpoint, "");
     EXPECT_EQ(decoded.errorCode, original.errorCode);
     EXPECT_EQ(decoded.attempts, original.attempts);
     EXPECT_EQ(witness(decoded, "rt"), witness(original, "rt"));
@@ -203,10 +203,8 @@ TEST(JobCodec, MalformedDocumentsThrowParseError)
 {
     std::vector<sim::BatchJob> batch = smallBatch();
     sim::BatchResult result;
-    std::string checkpoint;
-    sim::detail::runAttempt(batch[0], sim::BatchPolicy{}, 0,
-                            checkpoint, result);
-    std::string wire = sim::encodeJobResult(result, checkpoint, true);
+    sim::detail::runJobOnce(batch[0], sim::BatchPolicy{}, result);
+    std::string wire = sim::encodeJobResult(result, "", true);
 
     auto expect_parse_error = [&](const std::string &text) {
         sim::BatchResult out;
@@ -231,39 +229,43 @@ TEST(JobCodec, MalformedDocumentsThrowParseError)
         expect_parse_error(wire.substr(0, keep));
 }
 
-TEST(ProcIsolate, RetriesAndBackoffStillRetryInChildren)
+/** User plus system CPU time this process has used, in seconds. */
+double
+parentCpuSeconds()
 {
-    // A tiny cycle budget trips the watchdog; with retries the budget
-    // extension lets attempt 2 finish. The isolated path must carry
-    // the retry/checkpoint plumbing over the wire.
-    std::vector<sim::BatchJob> batch = smallBatch();
+    struct rusage usage;
+    ::getrusage(RUSAGE_SELF, &usage);
+    auto seconds = [](const struct timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) / 1e6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
 
-    // The synthetic program runs ~123k cycles; a 30k budget trips the
-    // watchdog on attempt 1 and the resumed attempts finish well
-    // inside the retry allowance.
+TEST(ProcIsolate, ParentSleepsWhileAChildHoldsTheSlot)
+{
+    // One slot: a hung child holds it until its 1 s deadline while a
+    // clean job waits to start. The parent must sleep in poll() until
+    // the deadline falls due, not spin on the waiting job.
+    std::vector<sim::BatchJob> batch = smallBatch();
+    batch.resize(2);
+    batch[0].crash = sim::CrashKind::Hang;
+
     sim::BatchPolicy policy;
     policy.isolate = true;
-    policy.cycleBudget = 30000;
-    policy.maxRetries = 8;
-    policy.resumeOnWatchdog = true;
-    policy.backoffMs = 1;
-    std::vector<sim::BatchResult> isolated =
-        sim::BatchRunner(2).run(batch, policy);
+    policy.wallDeadlineSeconds = 1.0;
+    const double before = parentCpuSeconds();
+    std::vector<sim::BatchResult> results =
+        sim::BatchRunner(1).run(batch, policy);
+    const double used = parentCpuSeconds() - before;
 
-    sim::BatchPolicy in_process_policy = policy;
-    in_process_policy.isolate = false;
-    std::vector<sim::BatchResult> in_process =
-        sim::BatchRunner(2).run(batch, in_process_policy);
-
-    for (size_t i = 0; i < batch.size(); i++) {
-        SCOPED_TRACE(batch[i].name);
-        ASSERT_TRUE(isolated[i].ok()) << isolated[i].error;
-        ASSERT_TRUE(in_process[i].ok()) << in_process[i].error;
-        EXPECT_GT(isolated[i].attempts, 1u);
-        EXPECT_EQ(isolated[i].attempts, in_process[i].attempts);
-        EXPECT_EQ(witness(isolated[i], batch[i].name),
-                  witness(in_process[i], batch[i].name));
-    }
+    EXPECT_EQ(results[0].errorCode, sim::ErrorCode::JobKilled)
+        << results[0].error;
+    EXPECT_EQ(results[0].attempts, 1u);
+    EXPECT_TRUE(results[1].ok()) << results[1].error;
+    // RUSAGE_SELF excludes the children's time; a spinning parent
+    // burns about the whole 1 s deadline.
+    EXPECT_LT(used, 0.25);
 }
 
 } // namespace

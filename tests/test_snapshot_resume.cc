@@ -1,17 +1,14 @@
 /**
  * @file
  * Whole-machine snapshot/resume tests: the keystone byte-identity
- * property, snapshot determinism, warmup fan-out across modes,
- * rejection of mismatched programs/configs/documents, and resumable
- * batches (BatchPolicy::resumeOnWatchdog).
+ * property, snapshot determinism, warmup fan-out across modes, and
+ * rejection of mismatched programs/configs/documents.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "sim/batch_runner.hh"
 #include "sim/golden.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_error.hh"
@@ -174,60 +171,6 @@ TEST(SnapshotResume, RejectsMalformedDocument)
         FAIL() << "expected SimError(ParseError)";
     } catch (const sim::SimError &err) {
         EXPECT_EQ(err.code(), sim::ErrorCode::ParseError);
-    }
-}
-
-TEST(SnapshotResume, BatchResumesAcrossWatchdogSlices)
-{
-    workloads::WorkloadInfo info = findWorkload("comp");
-    sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
-
-    sim::Stats straight =
-        sim::runProgramChecked(info.make({}), cfg, "comp");
-    ASSERT_GT(straight.cycles, 30000u);     // the budget must trip
-
-    sim::BatchPolicy policy;
-    policy.cycleBudget = 30000;
-    policy.maxRetries = 8;
-    policy.resumeOnWatchdog = true;
-
-    std::vector<sim::BatchJob> batch = {
-        {"comp", info.make({}), cfg}};
-    std::vector<sim::BatchResult> results =
-        sim::BatchRunner(1).run(batch, policy);
-    ASSERT_TRUE(results[0].ok()) << results[0].error;
-    EXPECT_GT(results[0].attempts, 1u);
-    EXPECT_EQ(goldenText("comp", results[0].stats),
-              goldenText("comp", straight));
-}
-
-TEST(SnapshotResume, ResumedBatchesAgreeAcrossJobCounts)
-{
-    const char *names[] = {"comp", "go", "li", "parser_2k"};
-    sim::MachineConfig cfg =
-        testConfig(sim::Mode::Microthread, /*sample_interval=*/1000);
-
-    std::vector<sim::BatchJob> batch;
-    for (const char *name : names)
-        batch.push_back({name, findWorkload(name).make({}), cfg});
-
-    sim::BatchPolicy policy;
-    policy.cycleBudget = 100000;
-    policy.maxRetries = 10;
-    policy.resumeOnWatchdog = true;
-
-    std::vector<sim::BatchResult> serial =
-        sim::BatchRunner(1).run(batch, policy);
-    std::vector<sim::BatchResult> parallel =
-        sim::BatchRunner(4).run(batch, policy);
-    for (size_t i = 0; i < batch.size(); i++) {
-        ASSERT_TRUE(serial[i].ok()) << serial[i].error;
-        ASSERT_TRUE(parallel[i].ok()) << parallel[i].error;
-        EXPECT_EQ(goldenText(batch[i].name, parallel[i].stats),
-                  goldenText(batch[i].name, serial[i].stats));
-        EXPECT_EQ(sim::seriesJson(parallel[i].artifacts.series),
-                  sim::seriesJson(serial[i].artifacts.series));
-        EXPECT_EQ(parallel[i].attempts, serial[i].attempts);
     }
 }
 

@@ -3,16 +3,18 @@
  * ssmt_campaign: crash-contained, resumable experiment campaigns.
  *
  * Drives sim/campaign: a workload × mode × seed grid where every
- * finished cell is committed to a content-addressed store and an
- * fsync-per-line journal the moment it completes, so a campaign
- * killed at any instant (`kill -9` included) resumes with finished
- * cells served as cache hits and produces a manifest byte-identical
- * to an uninterrupted run at any --jobs, failed cells included. The
- * manifest records only what each cell's simulation computed;
- * warnings go to stderr. With --isolate each cell runs in a
- * sandboxed child process under optional wall-clock / address-space /
- * CPU limits, so a crashing or hanging cell becomes a typed error
- * slot while every other cell still completes.
+ * cell runs once and is recorded in an fsync-per-line journal the
+ * moment it completes, and every successful cell is committed to a
+ * content-addressed store. A campaign killed at any instant
+ * (`kill -9` included) resumes with stored cells served as cache
+ * hits and produces a manifest byte-identical to an uninterrupted
+ * run at any --jobs. A failed cell is never stored, so running the
+ * campaign again executes it again, under that run's --budget and
+ * isolation limits. The manifest records only what each cell's
+ * simulation computed; warnings go to stderr. With --isolate each
+ * cell runs in a sandboxed child process under optional wall-clock /
+ * address-space / CPU limits, so a crashing or hanging cell becomes
+ * a typed error slot while every other cell still completes.
  *
  * Subcommands:
  *   run     build a spec from flags and run (or resume) it
@@ -28,6 +30,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -77,16 +80,13 @@ const char kUsage[] =
     "  --fault-site S --fault-count N [--fault-seed S]\n"
     "  [--fault-start C] [--fault-period P]   seeded fault plan\n"
     "\n"
-    "failure policy (part of the spec):\n"
+    "failure policy (part of the spec; each cell runs once, and a\n"
+    "failed cell is not stored, so a rerun executes it again):\n"
     "  --isolate             run each cell in a sandboxed child\n"
-    "  --deadline-ms N       per-attempt wall deadline (isolate)\n"
+    "  --deadline-ms N       per-cell wall deadline (isolate)\n"
     "  --mem-limit-mb N      per-child RLIMIT_AS (isolate)\n"
     "  --cpu-limit N         per-child RLIMIT_CPU seconds (isolate)\n"
-    "  --retries N           retry attempts per cell\n"
     "  --budget CYCLES       watchdog cycle budget\n"
-    "  --resume-watchdog     retry watchdog-expired cells from a\n"
-    "                        checkpoint instead of from scratch\n"
-    "  --backoff-ms N        base retry backoff (doubles per retry)\n"
     "  --crash CELL=KIND     deliberately crash a cell (test hook;\n"
     "                        kinds: segv abort oom hang exit)\n"
     "\n"
@@ -129,10 +129,7 @@ parseOptions(int argc, char **argv)
                          {"--deadline-ms", nullptr, true},
                          {"--mem-limit-mb", nullptr, true},
                          {"--cpu-limit", nullptr, true},
-                         {"--retries", nullptr, true},
                          {"--budget", nullptr, true},
-                         {"--resume-watchdog", nullptr, false},
-                         {"--backoff-ms", nullptr, true},
                          {"--crash", nullptr, true, true},
                          {"--jobs", nullptr, true},
                          {"--force", nullptr, false},
@@ -155,8 +152,7 @@ parseOptions(int argc, char **argv)
           "--sample-interval", "--max-insts", "--fault-site",
           "--fault-count", "--fault-seed", "--fault-start",
           "--fault-period", "--isolate", "--deadline-ms",
-          "--mem-limit-mb", "--cpu-limit", "--retries", "--budget",
-          "--resume-watchdog", "--backoff-ms", "--crash"}) {
+          "--mem-limit-mb", "--cpu-limit", "--budget", "--crash"}) {
         if (args.has(flag)) {
             if (opt.command == "resume")
                 args.fail(std::string("resume replays the journal's "
@@ -221,12 +217,7 @@ parseOptions(int argc, char **argv)
     spec.memLimitMb = args.u64("--mem-limit-mb", spec.memLimitMb);
     spec.cpuLimitSeconds =
         args.u64("--cpu-limit", spec.cpuLimitSeconds);
-    spec.maxRetries = static_cast<unsigned>(
-        args.u64("--retries", spec.maxRetries));
     spec.cycleBudget = args.u64("--budget", spec.cycleBudget);
-    spec.resumeOnWatchdog = args.has("--resume-watchdog");
-    spec.backoffMs = static_cast<unsigned>(
-        args.u64("--backoff-ms", spec.backoffMs));
     for (const std::string &text : args.all("--crash")) {
         size_t eq = text.find('=');
         if (eq == std::string::npos)
@@ -362,12 +353,17 @@ cmdStatus(const Options &opt)
                     path.c_str());
         return 1;
     }
+    // Every run appends a line per cell it served or ran: count each
+    // cell once, by its latest line.
+    std::map<std::string, const sim::JournalCell *> latest;
+    for (const sim::JournalCell &cell : journal.cells)
+        latest[cell.cell] = &cell;
     size_t cached = 0;
     size_t failed = 0;
-    for (const sim::JournalCell &cell : journal.cells) {
-        if (cell.cached)
+    for (const auto &entry : latest) {
+        if (entry.second->cached)
             cached++;
-        if (cell.errorCode != sim::ErrorCode::None)
+        if (entry.second->errorCode != sim::ErrorCode::None)
             failed++;
     }
     size_t total = 0;
@@ -381,7 +377,7 @@ cmdStatus(const Options &opt)
     std::printf("journal: %s\n", path.c_str());
     std::printf("spec: %s\n", spec_status.c_str());
     std::printf("cells: %zu/%zu journaled (%zu cached, %zu failed)\n",
-                journal.cells.size(), total, cached, failed);
+                latest.size(), total, cached, failed);
     if (journal.corruptLines)
         std::printf("corrupt mid-file lines: %zu\n",
                     journal.corruptLines);
