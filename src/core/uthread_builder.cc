@@ -46,9 +46,7 @@ UthreadBuilder::UthreadBuilder(const BuilderConfig &config)
 }
 
 std::optional<MicroThread>
-UthreadBuilder::build(const Prb &prb, PathId id, int n,
-                      const vpred::ValuePredictor &vp,
-                      const vpred::ValuePredictor &ap)
+UthreadBuilder::build(const Prb &prb, PathId id, int n)
 {
     stats_.requests++;
     SSMT_ASSERT(prb.size() > 0, "build from an empty PRB");
@@ -216,7 +214,7 @@ UthreadBuilder::build(const Prb &prb, PathId id, int n,
     }
 
     // ---- MCB optimizations ----
-    optimize(thread, vp, ap);
+    optimize(thread);
 
     analyzeMicroThread(thread);
     if (const char *violation = validateMicroThread(thread))
@@ -233,16 +231,14 @@ UthreadBuilder::build(const Prb &prb, PathId id, int n,
 }
 
 void
-UthreadBuilder::optimize(MicroThread &thread,
-                         const vpred::ValuePredictor &vp,
-                         const vpred::ValuePredictor &ap)
+UthreadBuilder::optimize(MicroThread &thread)
 {
     if (config_.moveElimination || config_.constantPropagation) {
         propagateCopiesAndConstants(thread);
         eliminateDeadOps(thread);
     }
     if (config_.pruningEnabled) {
-        prune(thread, vp, ap);
+        prune(thread);
         eliminateDeadOps(thread);
     }
 }
@@ -364,12 +360,8 @@ UthreadBuilder::propagateCopiesAndConstants(MicroThread &thread)
 }
 
 void
-UthreadBuilder::prune(MicroThread &thread,
-                      const vpred::ValuePredictor &vp,
-                      const vpred::ValuePredictor &ap)
+UthreadBuilder::prune(MicroThread &thread)
 {
-    (void)vp;
-    (void)ap;
     // Pruning decisions use the confidence bits captured in the PRB
     // at retirement (Section 4.2.5) and already copied onto each op.
     for (size_t i = 0; i + 1 < thread.ops.size(); i++) {

@@ -17,7 +17,6 @@
 
 #include "core/microthread.hh"
 #include "core/prb.hh"
-#include "vpred/value_predictor.hh"
 
 namespace ssmt
 {
@@ -79,16 +78,15 @@ class UthreadBuilder
      * depth @p n. The PRB's youngest entry must be the path's
      * terminating branch (it just retired; Section 4.2.2).
      *
+     * Pruning reads the predictor confidence each PRB entry captured
+     * at retirement (PrbEntry::vpConfident/apConfident).
+     *
      * @param prb  frozen post-retirement buffer
      * @param id   the path being promoted
      * @param n    taken-branch depth of the path
-     * @param vp   value predictor (confidence source for pruning)
-     * @param ap   address predictor (confidence source for pruning)
      * @return the routine, or nullopt if construction failed
      */
-    std::optional<MicroThread> build(const Prb &prb, PathId id, int n,
-                                     const vpred::ValuePredictor &vp,
-                                     const vpred::ValuePredictor &ap);
+    std::optional<MicroThread> build(const Prb &prb, PathId id, int n);
 
     const BuildStats &stats() const { return stats_; }
     const BuilderConfig &config() const { return config_; }
@@ -100,13 +98,9 @@ class UthreadBuilder
     BuilderConfig config_;
     BuildStats stats_;
 
-    void optimize(MicroThread &thread,
-                  const vpred::ValuePredictor &vp,
-                  const vpred::ValuePredictor &ap);
+    void optimize(MicroThread &thread);
     void propagateCopiesAndConstants(MicroThread &thread);
-    void prune(MicroThread &thread,
-               const vpred::ValuePredictor &vp,
-               const vpred::ValuePredictor &ap);
+    void prune(MicroThread &thread);
     void eliminateDeadOps(MicroThread &thread);
 };
 

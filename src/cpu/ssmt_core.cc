@@ -41,10 +41,6 @@ SsmtCore::SsmtCore(const isa::Program &prog,
     : prog_(prog), cfg_(config), hier_(config.mem),
       fep_(config.directionConfig(), config.targetCacheEntries,
            config.rasDepth),
-      vpred_(config.vpredEntries, config.vpredConfMax,
-             config.vpredConfThresh),
-      apred_(config.vpredEntries, config.vpredConfMax,
-             config.vpredConfThresh),
       tracker_(16),
       pathCache_(config.pathCacheEntries, config.pathCacheAssoc,
                  config.trainingInterval, config.difficultyThreshold),
@@ -66,6 +62,12 @@ SsmtCore::SsmtCore(const isa::Program &prog,
     fetchPc_ = prog_.entry();
     staticHints_.insert(config.staticDifficultHints.begin(),
                         config.staticDifficultHints.end());
+    if (config.builder.pruningEnabled) {
+        vpred_.emplace(config.vpredEntries, config.vpredConfMax,
+                       config.vpredConfThresh);
+        apred_.emplace(config.vpredEntries, config.vpredConfMax,
+                       config.vpredConfThresh);
+    }
 
     // Pre-size the per-cycle structures so the simulation loop's
     // steady state never touches the allocator: the window ring, the
@@ -227,6 +229,7 @@ SsmtCore::fetch()
     // the run); hoisted so the calls below don't force a reload of
     // cfg_ per instruction.
     const bool micro_active = microthreadsActive();
+    const bool train_preds = micro_active && vpred_.has_value();
 
     while (fetched < cfg_.fetchWidth) {
         if (occupancy >= static_cast<uint64_t>(cfg_.windowSize))
@@ -269,18 +272,19 @@ SsmtCore::fetch()
         // Functional execution (execute-at-fetch).
         isa::StepResult res = isa::step(inst, pc, regs_, mem_);
 
-        // Value/address predictor training. The paper trains at
+        // Value/address predictor training, only with pruning (the
+        // one reader of the predictors). The paper trains at
         // retirement and reconciles the in-flight instance distance
         // at query time (Section 4.2.5); training at fetch and
         // anchoring queries at the spawn point is the equivalent,
         // exactly-reconciled formulation in an execute-at-fetch
         // model (DESIGN.md Section 4).
-        if (micro_active) {
+        if (train_preds) {
             if (res.regWrite)
-                vpred_.train(pc, res.value);
+                vpred_->train(pc, res.value);
             if (res.isLoad)
-                apred_.train(pc, res.memAddr -
-                                     static_cast<uint64_t>(inst.imm));
+                apred_->train(pc, res.memAddr -
+                                      static_cast<uint64_t>(inst.imm));
         }
 
         // Dataflow scheduling.
@@ -299,10 +303,10 @@ SsmtCore::fetch()
             complete = rename_done;
         } else {
             uint64_t start =
-                fu_.schedule(std::max(rename_done, src_ready));
+                fu_.schedule(std::max(rename_done, src_ready), cycle_);
             int lat;
             if (res.isLoad) {
-                start = l1dPorts_.schedule(start);
+                start = l1dPorts_.schedule(start, cycle_);
                 lat = hier_.read(res.memAddr);
             } else if (res.isStore) {
                 lat = 1;
@@ -472,10 +476,11 @@ SsmtCore::retire()
             prb_entry.target = entry.target;
             prb_entry.srcSeq[0] = entry.srcSeq[0];
             prb_entry.srcSeq[1] = entry.srcSeq[1];
-            prb_entry.vpConfident = entry.inst.writesReg() &&
-                                    vpred_.confident(entry.pc);
-            prb_entry.apConfident = entry.inst.isLoad() &&
-                                    apred_.confident(entry.pc);
+            prb_entry.vpConfident = vpred_ &&
+                                    entry.inst.writesReg() &&
+                                    vpred_->confident(entry.pc);
+            prb_entry.apConfident = apred_ && entry.inst.isLoad() &&
+                                    apred_->confident(entry.pc);
         }
 
         if (entry.isTerm) {
@@ -551,7 +556,7 @@ SsmtCore::handlePromotion(core::PathId id, bool is_rebuild)
         return;     // dropped; the promotion logic will re-request
     if (!is_rebuild)
         stats_.promotionsRequested++;
-    auto built = builder_.build(prb_, id, cfg_.pathN, vpred_, apred_);
+    auto built = builder_.build(prb_, id, cfg_.pathN);
     if (!built) {
         stats_.buildsFailed++;
         return;
@@ -798,14 +803,15 @@ SsmtCore::attemptSpawns(uint64_t pc, uint64_t seq)
         // Zero-fill the whole vector (checkpoints serialize it, so
         // stale slots from a previous occupant must not leak), then
         // seed only the precomputed Vp/Ap positions instead of
-        // scanning every op of the routine.
+        // scanning every op of the routine. Only a pruned routine has
+        // such positions, and pruning implies the predictors.
         free_ctx->predictedValues.assign(thread->ops.size(), 0);
         for (uint32_t pos : thread->predPositions) {
             const core::MicroOp &op = thread->ops[pos];
             free_ctx->predictedValues[pos] =
                 op.inst.op == isa::Opcode::VpInst
-                    ? vpred_.predict(op.origPc, op.ahead)
-                    : apred_.predict(op.origPc, op.ahead);
+                    ? vpred_->predict(op.origPc, op.ahead)
+                    : apred_->predict(op.origPc, op.ahead);
         }
         free_ctx->nextOp = 0;
         free_ctx->opsInFlight = 0;
@@ -978,7 +984,7 @@ SsmtCore::dispatchMicrothreads(int slots)
               case isa::Opcode::ApInst:
                 ctx.regs.write(inst.rd,
                                ctx.predictedValues[ctx.nextOp]);
-                start = fu_.schedule(earliest);
+                start = fu_.schedule(earliest, cycle_);
                 lat = cfg_.vpInstLatency;
                 break;
               case isa::Opcode::StPCache: {
@@ -991,16 +997,16 @@ SsmtCore::dispatchMicrothreads(int slots)
                 event.targetSeq = ctx.targetSeq;
                 event.taken = outcome.taken;
                 event.target = outcome.target;
-                start = fu_.schedule(earliest);
+                start = fu_.schedule(earliest, cycle_);
                 lat = 1;
                 break;
               }
               default: {
                 isa::StepResult res =
                     isa::step(inst, op.origPc, ctx.regs, mem_);
-                start = fu_.schedule(earliest);
+                start = fu_.schedule(earliest, cycle_);
                 if (res.isLoad) {
-                    start = l1dPorts_.schedule(start);
+                    start = l1dPorts_.schedule(start, cycle_);
                     lat = hier_.read(res.memAddr);
                 } else {
                     lat = isa::opLatency(inst.op);
@@ -1375,12 +1381,14 @@ SsmtCore::save(sim::SnapshotWriter &w) const
     w.beginObject("frontend");
     fep_.save(w);
     w.endObject();
-    w.beginObject("vpred");
-    vpred_.save(w);
-    w.endObject();
-    w.beginObject("apred");
-    apred_.save(w);
-    w.endObject();
+    if (vpred_) {
+        w.beginObject("vpred");
+        vpred_->save(w);
+        w.endObject();
+        w.beginObject("apred");
+        apred_->save(w);
+        w.endObject();
+    }
     w.beginObject("tracker");
     tracker_.save(w);
     w.endObject();
@@ -1563,12 +1571,14 @@ SsmtCore::restore(sim::SnapshotReader &r)
     r.enter("frontend");
     fep_.restore(r);
     r.leave();
-    r.enter("vpred");
-    vpred_.restore(r);
-    r.leave();
-    r.enter("apred");
-    apred_.restore(r);
-    r.leave();
+    if (vpred_) {
+        r.enter("vpred");
+        vpred_->restore(r);
+        r.leave();
+        r.enter("apred");
+        apred_->restore(r);
+        r.leave();
+    }
     r.enter("tracker");
     tracker_.restore(r);
     r.leave();
@@ -1584,6 +1594,15 @@ SsmtCore::restore(sim::SnapshotReader &r)
     r.enter("microRam");
     microRam_.restore(r);
     r.leave();
+    if (!vpred_) {
+        // Only pruning builds Vp/Ap ops, and spawning one reads the
+        // predictors that exist only with pruning.
+        bool pruned = !pendingInstall_.predPositions.empty();
+        for (core::PathId id : microRam_.ids())
+            pruned = pruned || !microRam_.find(id)->predPositions.empty();
+        if (pruned)
+            r.fail("a routine holds Vp/Ap ops but pruning is off");
+    }
     r.enter("pcache");
     pcache_.restore(r);
     r.leave();
@@ -1603,7 +1622,7 @@ SsmtCore::restore(sim::SnapshotReader &r)
 }
 
 static_assert(sim::SnapshotterLike<SsmtCore>);
-SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3800);
+SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3768);
 
 } // namespace cpu
 } // namespace ssmt

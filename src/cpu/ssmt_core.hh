@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bpred/frontend_predictor.hh"
@@ -301,8 +302,11 @@ class SsmtCore : public sim::Snapshotter
     isa::RegFile regs_;
     memory::Hierarchy hier_;
     bpred::FrontEndPredictor fep_;
-    vpred::ValuePredictor vpred_;
-    vpred::ValuePredictor apred_;
+    /** Value and address predictors (Section 4.2.5). Only pruning
+     *  reads what they learn, so they exist, train and snapshot only
+     *  when builder.pruningEnabled is set. */
+    std::optional<vpred::ValuePredictor> vpred_;
+    std::optional<vpred::ValuePredictor> apred_;
     core::PathTracker tracker_;
     core::PathCache pathCache_;
     core::Prb prb_;

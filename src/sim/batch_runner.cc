@@ -114,8 +114,7 @@ BatchRunner::failureSummary(const std::vector<BatchJob> &batch,
             continue;
         std::string name =
             i < batch.size() ? batch[i].name : std::to_string(i);
-        out += name + ": [" + errorCodeName(result.errorCode) +
-               "] " + result.error + "\n";
+        out += name + ": " + result.error + "\n";
     }
     return out;
 }
@@ -146,10 +145,10 @@ runJobOnce(const BatchJob &job, const BatchPolicy &policy,
         result.error = err.what();
         result.errorCode = err.code();
     } catch (const std::exception &err) {
-        result.error = err.what();
+        result.error = std::string("[internal] batch: ") + err.what();
         result.errorCode = ErrorCode::Internal;
     } catch (...) {
-        result.error = "unknown exception";
+        result.error = "[internal] batch: unknown exception";
         result.errorCode = ErrorCode::Internal;
     }
 }

@@ -84,7 +84,8 @@ struct BatchResult
 {
     Stats stats;
     double hostSeconds = 0.0;   ///< host wall-clock spent on this job
-    /** Empty on success; the job's diagnostic otherwise. */
+    /** Empty on success; otherwise the job's diagnostic, which
+     *  starts with its "[<errorCodeName>]" tag. */
     std::string error;
     ErrorCode errorCode = ErrorCode::None;
     /** 1 once the job ran (every job runs once), 0 when the batch
@@ -200,7 +201,8 @@ class BatchRunner
                                  const BatchPolicy &policy,
                                  const ResultHook &onResult) const;
 
-    /** One line per failed result ("" when everything succeeded). */
+    /** One "<job name>: <error>" line per failed result ("" when
+     *  everything succeeded). */
     static std::string
     failureSummary(const std::vector<BatchJob> &batch,
                    const std::vector<BatchResult> &results);

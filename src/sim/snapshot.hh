@@ -74,8 +74,10 @@ extern const char kSnapshotSchema[];    ///< "ssmt-snapshot-v1"
  * Incremental canonical-JSON emitter. Structure calls must balance;
  * keyed calls require an open object, unkeyed calls an open array.
  * The writer also carries the machine clock at capture time, for
- * components (FuPool) whose lazily-reset state is only meaningful
- * relative to "now".
+ * components whose state is only meaningful relative to "now": a
+ * FuPool saves only its claims at or after the clock, because older
+ * ones are dead, and its restore reads the same clock back from the
+ * SnapshotReader to re-place those claims in a ring of any length.
  */
 class SnapshotWriter
 {
@@ -164,6 +166,10 @@ class SnapshotReader
      *  component pin serialized lengths against its geometry. */
     void requireSize(const char *what, size_t got, size_t want) const;
 
+    /** Throw SimError(ParseError) saying @p what: lets a component
+     *  refuse a value its state cannot hold. */
+    [[noreturn]] void fail(const std::string &what) const;
+
     void setClock(uint64_t cycle) { clock_ = cycle; }
     uint64_t clock() const { return clock_; }
 
@@ -174,7 +180,6 @@ class SnapshotReader
 
     const JsonValue &cur() const;
     const JsonValue &member(const char *key) const;
-    [[noreturn]] void fail(const std::string &what) const;
 };
 
 /** The uniform checkpoint interface. Small hot structures satisfy it

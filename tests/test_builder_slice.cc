@@ -12,7 +12,6 @@
 
 #include "core/uthread_builder.hh"
 #include "prb_fixture.hh"
-#include "vpred/value_predictor.hh"
 
 namespace
 {
@@ -36,8 +35,6 @@ class BuilderSliceTest : public testing::Test
 {
   protected:
     Prb prb{64};
-    ssmt::vpred::ValuePredictor vp{256};
-    ssmt::vpred::ValuePredictor ap{256};
 };
 
 TEST_F(BuilderSliceTest, SimpleChainExtracted)
@@ -50,7 +47,7 @@ TEST_F(BuilderSliceTest, SimpleChainExtracted)
     fill.branch(13, Opcode::Bne, 3, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
 
     ASSERT_EQ(thread->size(), 4);
@@ -78,7 +75,7 @@ TEST_F(BuilderSliceTest, UnrelatedInstructionsExcluded)
     fill.branch(13, Opcode::Beq, 2, 0, 20, false);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     for (const MicroOp &op : thread->ops)
         EXPECT_NE(op.origPc, 11u);
@@ -94,7 +91,7 @@ TEST_F(BuilderSliceTest, LiveInsComputed)
     fill.branch(11, Opcode::Blt, 2, 6, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->liveIns.size(), 2u);
     EXPECT_EQ(thread->liveIns[0], 6);
@@ -111,7 +108,7 @@ TEST_F(BuilderSliceTest, MemoryDependenceTerminatesSlice)
     fill.branch(13, Opcode::Bne, 4, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_EQ(builder.stats().stopsMemDep, 1u);
     // The store is NOT included; the slice is load + Store_PCache,
@@ -137,7 +134,7 @@ TEST_F(BuilderSliceTest, StoreToOtherAddressDoesNotTerminate)
     fill.branch(13, Opcode::Bne, 4, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_EQ(builder.stats().stopsMemDep, 0u);
     EXPECT_EQ(thread->spawnPc, 10u);
@@ -157,7 +154,7 @@ TEST_F(BuilderSliceTest, McbCapacityTerminatesSlice)
     fill.branch(17, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(cfg);
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_EQ(builder.stats().stopsMcbFull, 1u);
     EXPECT_EQ(thread->size(), 4);
@@ -178,7 +175,7 @@ TEST_F(BuilderSliceTest, PrefixAndExpectedSplitAtSpawn)
     fill.branch(13, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({3, 11}), 2, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({3, 11}), 2);
     ASSERT_TRUE(thread.has_value());
     EXPECT_EQ(thread->spawnPc, 10u);
     // Branch at pc 3 precedes the spawn -> prefix; pc 11 follows ->
@@ -201,7 +198,7 @@ TEST_F(BuilderSliceTest, JalProducerBecomesConstant)
     fill.branch(40, Opcode::Bne, kRegLink, 0, 50, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5, 10}), 2, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5, 10}), 2);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->size(), 2);
     EXPECT_EQ(thread->ops[0].inst.op, Opcode::Ldi);
@@ -220,7 +217,7 @@ TEST_F(BuilderSliceTest, AheadCountsInstancesFromSpawn)
     fill.branch(12, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     // ops: addi(older, ahead=1), addi(younger, ahead=2), st_pcache.
     ASSERT_EQ(thread->size(), 3);
@@ -241,7 +238,7 @@ TEST_F(BuilderSliceTest, IndirectTerminatorSlicesTargetChain)
               77);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->size(), 3);
     EXPECT_EQ(thread->ops.back().inst.op, Opcode::StPCache);
@@ -258,7 +255,7 @@ TEST_F(BuilderSliceTest, PathLongerThanPrbFails)
     fill.branch(10, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 4, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 4);
     EXPECT_FALSE(thread.has_value());
     EXPECT_EQ(builder.stats().failScopeNotInPrb, 1u);
 }
@@ -270,7 +267,7 @@ TEST_F(BuilderSliceTest, PathIdMismatchFails)
     fill.branch(10, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, 0xdeadbeef, 1, vp, ap);
+    auto thread = builder.build(prb, 0xdeadbeef, 1);
     EXPECT_FALSE(thread.has_value());
     EXPECT_EQ(builder.stats().failPathMismatch, 1u);
 }
@@ -283,8 +280,8 @@ TEST_F(BuilderSliceTest, StatsAccumulateAcrossBuilds)
     fill.branch(11, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    ASSERT_TRUE(builder.build(prb, pathIdOf({5}), 1, vp, ap));
-    ASSERT_TRUE(builder.build(prb, pathIdOf({5}), 1, vp, ap));
+    ASSERT_TRUE(builder.build(prb, pathIdOf({5}), 1));
+    ASSERT_TRUE(builder.build(prb, pathIdOf({5}), 1));
     EXPECT_EQ(builder.stats().requests, 2u);
     EXPECT_EQ(builder.stats().built, 2u);
     EXPECT_GT(builder.stats().avgRoutineSize(), 0.0);
@@ -302,7 +299,7 @@ TEST_F(BuilderSliceTest, LongestChainReflectsDependencies)
     fill.branch(14, Opcode::Bne, 4, 0, 20, true);
 
     UthreadBuilder builder(rawConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     // ldi -> addi -> add -> st_pcache = 4-deep chain.
     EXPECT_EQ(thread->longestChain, 4);

@@ -10,7 +10,6 @@
 #include "core/microthread.hh"
 #include "core/uthread_builder.hh"
 #include "prb_fixture.hh"
-#include "vpred/value_predictor.hh"
 
 namespace
 {
@@ -178,9 +177,8 @@ TEST(ExecuteRoutineTest, MatchesPrimaryExecution)
     fill.alui(12, Opcode::Andi, 3, 2, 1, 1);
     fill.branch(13, Opcode::Bne, 3, 0, 20, true);
 
-    ssmt::vpred::ValuePredictor vp(64), ap(64);
     UthreadBuilder builder;
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
 
     RegFile regs;

@@ -9,7 +9,6 @@
 #include "core/uthread_builder.hh"
 #include "isa/executor.hh"
 #include "prb_fixture.hh"
-#include "vpred/value_predictor.hh"
 
 namespace
 {
@@ -23,8 +22,6 @@ class OptimizationTest : public testing::Test
 {
   protected:
     Prb prb{64};
-    ssmt::vpred::ValuePredictor vp{256};
-    ssmt::vpred::ValuePredictor ap{256};
 
     BuilderConfig
     optConfig()
@@ -47,7 +44,7 @@ TEST_F(OptimizationTest, MoveEliminated)
     fill.branch(11, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->size(), 1);
     EXPECT_EQ(thread->ops[0].inst.op, Opcode::StPCache);
@@ -66,7 +63,7 @@ TEST_F(OptimizationTest, MoveChainCollapses)
     fill.branch(13, Opcode::Bne, 4, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->size(), 1);
     EXPECT_EQ(thread->ops[0].inst.rs1, 6);
@@ -82,7 +79,7 @@ TEST_F(OptimizationTest, MoveNotForwardedPastRedefinition)
     fill.branch(13, Opcode::Bne, 3, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     // The add must NOT read r6 for its first operand (the copy fact
     // died at pc 11); the old r6 value flows through the move.
@@ -113,7 +110,7 @@ TEST_F(OptimizationTest, ConstantsFold)
     fill.branch(14, Opcode::Bne, 4, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     // Everything folds to one Ldi feeding Store_PCache.
     ASSERT_EQ(thread->size(), 2);
@@ -131,7 +128,7 @@ TEST_F(OptimizationTest, RegisterZeroIsAKnownConstant)
     fill.branch(11, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->size(), 2);
     EXPECT_EQ(thread->ops[0].inst.op, Opcode::Ldi);
@@ -146,7 +143,7 @@ TEST_F(OptimizationTest, NonConstantSourcesNotFolded)
     fill.branch(11, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     ASSERT_EQ(thread->size(), 2);
     EXPECT_EQ(thread->ops[0].inst.op, Opcode::Addi);
@@ -161,7 +158,7 @@ TEST_F(OptimizationTest, LoadsNeverFolded)
     fill.branch(12, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(optConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     bool has_load = false;
     for (const MicroOp &op : thread->ops)
@@ -204,8 +201,8 @@ TEST_F(OptimizationTest, OptimizedRoutineComputesSameOutcome)
 
     UthreadBuilder raw_builder(BuilderConfig{64, false, false, false});
     UthreadBuilder opt_builder(BuilderConfig{64, true, true, false});
-    auto raw = raw_builder.build(prb, pathIdOf({5}), 1, vp, ap);
-    auto opt = opt_builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto raw = raw_builder.build(prb, pathIdOf({5}), 1);
+    auto opt = opt_builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(raw && opt);
     EXPECT_LT(opt->size(), raw->size());
     for (uint64_t r6 : {0ull, 5ull, 1000ull, ~0ull})
@@ -227,8 +224,8 @@ TEST_F(OptimizationTest, ChainShortenedByFolding)
 
     UthreadBuilder raw_builder(BuilderConfig{64, false, false, false});
     UthreadBuilder opt_builder(BuilderConfig{64, true, true, false});
-    auto raw = raw_builder.build(prb, pathIdOf({5}), 1, vp, ap);
-    auto opt = opt_builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto raw = raw_builder.build(prb, pathIdOf({5}), 1);
+    auto opt = opt_builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(raw && opt);
     EXPECT_LT(opt->longestChain, raw->longestChain);
 }

@@ -8,7 +8,6 @@
 
 #include "core/uthread_builder.hh"
 #include "prb_fixture.hh"
-#include "vpred/value_predictor.hh"
 
 namespace
 {
@@ -22,8 +21,6 @@ class PruningTest : public testing::Test
 {
   protected:
     Prb prb{64};
-    ssmt::vpred::ValuePredictor vp{256};
-    ssmt::vpred::ValuePredictor ap{256};
 
     BuilderConfig
     pruneConfig()
@@ -46,7 +43,7 @@ TEST_F(PruningTest, ConfidentValueSubtreeReplacedByVpInst)
     fill.branch(13, Opcode::Bne, 3, 0, 20, true);
 
     UthreadBuilder builder(pruneConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_TRUE(thread->pruned);
     // The whole sub-tree collapses to Vp_Inst + Store_PCache.
@@ -68,7 +65,7 @@ TEST_F(PruningTest, UnconfidentOpsUntouched)
     fill.branch(11, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(pruneConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_FALSE(thread->pruned);
     EXPECT_EQ(thread->ops[0].inst.op, Opcode::Add);
@@ -86,7 +83,7 @@ TEST_F(PruningTest, AddressPrunedLoadKeepsLoadAddsApInst)
     fill.branch(12, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(pruneConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_TRUE(thread->pruned);
     // Ap_Inst provides r1; the load survives ("the prunable load
@@ -109,7 +106,7 @@ TEST_F(PruningTest, ValueConfidentLoadPrunedAsValue)
     fill.branch(12, Opcode::Bne, 2, 0, 20, true);
 
     UthreadBuilder builder(pruneConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     // Value pruning wins: no load, no Ap_Inst, just Vp_Inst.
     ASSERT_EQ(thread->size(), 2);
@@ -125,7 +122,7 @@ TEST_F(PruningTest, TerminatingBranchNeverPruned)
     fill.branch(11, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(pruneConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_EQ(thread->ops.back().inst.op, Opcode::StPCache);
 }
@@ -143,7 +140,7 @@ TEST_F(PruningTest, LdiNotWorthPruning)
     cfg.constantPropagation = false;    // keep the Ldi visible
     cfg.moveElimination = false;
     UthreadBuilder builder(cfg);
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     EXPECT_EQ(thread->ops[0].inst.op, Opcode::Ldi);
 }
@@ -164,8 +161,8 @@ TEST_F(PruningTest, PruningShortensChainAndSize)
     raw.pruningEnabled = false;
     UthreadBuilder raw_builder(raw);
     UthreadBuilder prune_builder(pruneConfig());
-    auto unpruned = raw_builder.build(prb, pathIdOf({5}), 1, vp, ap);
-    auto pruned = prune_builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto unpruned = raw_builder.build(prb, pathIdOf({5}), 1);
+    auto pruned = prune_builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(unpruned && pruned);
     EXPECT_LT(pruned->size(), unpruned->size());
     EXPECT_LT(pruned->longestChain, unpruned->longestChain);
@@ -182,7 +179,7 @@ TEST_F(PruningTest, AheadPropagatedToVpInst)
     fill.branch(12, Opcode::Bne, 1, 0, 20, true);
 
     UthreadBuilder builder(pruneConfig());
-    auto thread = builder.build(prb, pathIdOf({5}), 1, vp, ap);
+    auto thread = builder.build(prb, pathIdOf({5}), 1);
     ASSERT_TRUE(thread.has_value());
     // Both addis pruned; DCE keeps only the younger (its value feeds
     // the branch), whose ahead is 2.

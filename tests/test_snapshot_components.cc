@@ -253,13 +253,62 @@ TEST(SnapshotRoundTrip, ValuePredictor)
 
 TEST(SnapshotRoundTrip, FuPoolCarriesTheClock)
 {
-    cpu::FuPool a(4, 64);
+    cpu::FuPool a(4);
     for (uint64_t i = 0; i < 30; i++)
-        a.schedule(100 + i / 8);
-    cpu::FuPool b(4, 64);
+        a.schedule(100 + i / 8, 100);
+    cpu::FuPool b(4);
     roundTrip(a, b, /*clock=*/100);
     EXPECT_EQ(b.slotsGranted(), a.slotsGranted());
-    EXPECT_EQ(b.schedule(104), a.schedule(104));
+    EXPECT_EQ(b.schedule(104, 100), a.schedule(104, 100));
+}
+
+TEST(SnapshotRoundTrip, FuPoolGrownRestoresIntoAFreshPool)
+{
+    // 100 live claims 10,000 cycles apart grow the ring to 2,048
+    // slots; a freshly built pool must grow the same way on restore
+    // and then grant exactly what the saved pool grants.
+    cpu::FuPool a(2);
+    const uint64_t now = 50;
+    for (uint64_t i = 0; i < 100; i++)
+        a.schedule(now + 10000 * i, now);
+    ASSERT_EQ(a.ringSlots(), 2048u);
+    cpu::FuPool b(2);
+    roundTrip(a, b, now);
+    EXPECT_EQ(b.ringSlots(), a.ringSlots());
+    for (uint64_t i = 0; i < 100; i++)
+        for (int k = 0; k < 2; k++)
+            EXPECT_EQ(b.schedule(now + 10000 * i, now),
+                      a.schedule(now + 10000 * i, now));
+}
+
+TEST(SnapshotRoundTrip, FuPoolRejectsClaimsOutsideTheLiveSpan)
+{
+    cpu::FuPool a(2);
+    a.schedule(120, 100);
+    a.schedule(130, 100);
+    const std::string text = snapText(a, /*clock=*/100);
+    cpu::FuPool b(2);
+    auto rejects = [&](const std::string &doc) {
+        try {
+            snapRestore(b, doc, /*clock=*/100);
+        } catch (const sim::SimError &err) {
+            return err.code() == sim::ErrorCode::ParseError;
+        }
+        return false;
+    };
+    auto with = [&](const std::string &from, const std::string &to) {
+        std::string doc = text;
+        size_t at = doc.find(from);
+        EXPECT_NE(at, std::string::npos) << doc;
+        return doc.replace(at, from.size(), to);
+    };
+    EXPECT_FALSE(rejects(text));
+    EXPECT_TRUE(rejects(with("[120,130]", "[99,130]")));      // before clock
+    EXPECT_TRUE(rejects(with("[120,130]", "[130,120]")));     // unordered
+    EXPECT_TRUE(rejects(with("[120,130]", "[120,120]")));     // duplicate
+    EXPECT_TRUE(rejects(with("[120,130]",
+                             "[120,1099511627876]")));         // 2^40 away
+    EXPECT_TRUE(rejects(with("\"used\":[1,1]", "\"used\":[1,3]")));
 }
 
 TEST(SnapshotRoundTrip, CacheAndHierarchy)

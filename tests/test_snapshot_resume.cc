@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "isa/opcode.hh"
 #include "sim/golden.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_error.hh"
@@ -118,6 +119,61 @@ TEST(SnapshotResume, WarmupSnapshotFansOutAcrossModes)
             << sim::modeName(mode);
         EXPECT_EQ(stats.condBranches, baseline.condBranches)
             << sim::modeName(mode);
+    }
+}
+
+TEST(SnapshotResume, PruningSnapshotsCarryThePredictors)
+{
+    isa::Program prog = findWorkload("comp").make({});
+    sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
+    cfg.builder.pruningEnabled = true;
+
+    // The value and address predictors exist only with pruning, and
+    // a resume restores what they learned: its checkpoint at a later
+    // cycle and its final stats match the straight run's.
+    sim::RunArtifacts early, straightLater, resumedLater;
+    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, &early, 5000);
+    ASSERT_FALSE(early.snapshot.empty());
+    EXPECT_NE(early.snapshot.find("\"vpred\""), std::string::npos);
+    sim::Stats straight = sim::runProgramChecked(
+        prog, cfg, "comp", 0, nullptr, &straightLater, 7000);
+    sim::Stats resumed = sim::runProgramChecked(
+        prog, cfg, "comp", 0, nullptr, &resumedLater, 7000,
+        &early.snapshot);
+    EXPECT_EQ(resumedLater.snapshot, straightLater.snapshot);
+    EXPECT_EQ(goldenText("comp", resumed), goldenText("comp", straight));
+
+    sim::RunArtifacts plain;
+    sim::runProgramChecked(prog, testConfig(sim::Mode::Microthread),
+                           "comp", 0, nullptr, &plain, 5000);
+    ASSERT_FALSE(plain.snapshot.empty());
+    EXPECT_EQ(plain.snapshot.find("\"vpred\""), std::string::npos);
+}
+
+TEST(SnapshotResume, RejectsPrunedRoutineWithoutPruning)
+{
+    // Spawning a Vp/Ap op reads predictors a core without pruning
+    // does not have: a document that puts one in its MicroRAM is
+    // refused, not run.
+    isa::Program prog = findWorkload("comp").make({});
+    sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
+    sim::RunArtifacts art;
+    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, &art, 20000);
+    std::string doc = art.snapshot;
+    const size_t ram = doc.find("\"microRam\"");
+    ASSERT_NE(ram, std::string::npos);
+    const std::string key = "\"inst\":{\"op\":";
+    const size_t op = doc.find(key, ram);
+    ASSERT_NE(op, std::string::npos) << "no routine in the MicroRAM";
+    const size_t value = op + key.size();
+    doc.replace(value, doc.find(',', value) - value,
+                std::to_string(static_cast<unsigned>(isa::Opcode::VpInst)));
+    try {
+        sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, nullptr, 0,
+                               &doc);
+        FAIL() << "expected SimError(ParseError)";
+    } catch (const sim::SimError &err) {
+        EXPECT_EQ(err.code(), sim::ErrorCode::ParseError) << err.what();
     }
 }
 
