@@ -4,6 +4,8 @@
 // SsmtCore::dispatchMicrothreads(). This translation unit holds its
 // checkpoint serialization.
 
+#include <string>
+
 #include "sim/snapshot.hh"
 
 namespace ssmt
@@ -66,6 +68,13 @@ Microcontext::restore(sim::SnapshotReader &r)
     opsInFlight = static_cast<uint32_t>(r.u64("opsInFlight"));
     aborted = r.boolean("aborted");
     predictedValues = r.u64Array("predictedValues");
+    // Dispatch reads predictedValues[nextOp] at the routine's Vp/Ap
+    // ops. A free context keeps its last occupant's vector.
+    if (thread && predictedValues.size() != thread->ops.size())
+        r.fail("predictedValues has " +
+               std::to_string(predictedValues.size()) +
+               " values for a routine of " +
+               std::to_string(thread->ops.size()) + " ops");
     spawnSeq = r.u64("spawnSeq");
     targetSeq = r.u64("targetSeq");
     spawnCycle = r.u64("spawnCycle");

@@ -1516,7 +1516,12 @@ SsmtCore::restore(sim::SnapshotReader &r)
         r.enterItem(i);
         MicroCompletion e;
         e.cycle = r.u64("cycle");
-        e.ctx = static_cast<uint32_t>(r.u64("ctx"));
+        // processMicroEvents indexes contexts_ with it unchecked.
+        uint64_t ctx = r.u64("ctx");
+        if (ctx >= contexts_.size())
+            r.fail("microEvents[" + std::to_string(i) + "].ctx " +
+                   std::to_string(ctx) + " names no microcontext");
+        e.ctx = static_cast<uint32_t>(ctx);
         e.isStPCache = r.boolean("isStPCache");
         e.pathId = r.u64("pathId");
         e.targetSeq = r.u64("targetSeq");
@@ -1527,7 +1532,13 @@ SsmtCore::restore(sim::SnapshotReader &r)
     }
     r.leave();
     microOpsInWindow_ = r.u64("microOpsInWindow");
-    rrStart_ = static_cast<uint32_t>(r.u64("rrStart"));
+    // Dispatch wraps rrStart_ + i by subtracting n once, and tick()'s
+    // rotation never wraps a value past n back.
+    uint64_t rr_start = r.u64("rrStart");
+    if (rr_start >= contexts_.size())
+        r.fail("rrStart " + std::to_string(rr_start) +
+               " names no microcontext");
+    rrStart_ = static_cast<uint32_t>(rr_start);
 
     builderBusy_ = r.boolean("builderBusy");
     builderReadyCycle_ = r.u64("builderReadyCycle");

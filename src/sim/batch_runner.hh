@@ -83,7 +83,10 @@ struct BatchJob
 struct BatchResult
 {
     Stats stats;
-    double hostSeconds = 0.0;   ///< host wall-clock spent on this job
+    /** Host wall-clock spent on this job. In-process: its run.
+     *  Isolated: from its dispatch to a worker to its decoded result
+     *  (or its worker's death), so a worker's fork is not in it. */
+    double hostSeconds = 0.0;
     /** Empty on success; otherwise the job's diagnostic, which
      *  starts with its "[<errorCodeName>]" tag. */
     std::string error;
@@ -115,23 +118,34 @@ struct BatchPolicy
     // ---- Subprocess isolation (sim/proc_runner.hh) ----
 
     /**
-     * Run every job in a sandboxed child process (fork, result back
-     * over a pipe as canonical ssmt-job-result-v1 JSON). A job that
-     * segfaults, aborts, OOMs or hangs becomes a JobCrashed/JobKilled
-     * error slot; the batch always completes. Clean jobs produce
-     * byte-identical BatchResults to an in-process run. The parent
-     * stays single-threaded in this mode (fork from a threaded
-     * process is not async-signal-safe), scheduling up to jobs()
-     * concurrent children instead of threads.
+     * Run the batch on a pool of up to jobs() long-lived child
+     * processes, each forked once and running one job after another;
+     * results come back over a socketpair as canonical
+     * ssmt-job-result-v1 JSON. A job that segfaults, aborts, OOMs or
+     * hangs becomes a JobCrashed/JobKilled error slot, a new worker
+     * takes over the rest, and the batch always completes. Clean jobs
+     * produce byte-identical BatchResults to an in-process run. A job
+     * shares its worker's address space with the jobs before it, as
+     * in-process jobs share one process, so a job that silently
+     * corrupts memory could make a later job in its worker crash. The
+     * parent stays single-threaded in this mode (fork from a threaded
+     * process is not async-signal-safe), scheduling workers instead
+     * of threads.
      */
     bool isolate = false;
-    /** Per-job wall-clock deadline for an isolated child; the parent
-     *  SIGKILLs past-due children (JobKilled). 0 = none. */
+    /** Per-job wall-clock deadline, from the job's dispatch to its
+     *  worker; the parent SIGKILLs a worker whose job is past due
+     *  (JobKilled). 0 = none. */
     double wallDeadlineSeconds = 0.0;
-    /** RLIMIT_AS cap for an isolated child, in MiB; 0 = none. */
+    /** RLIMIT_AS cap per worker, in MiB, set once when it starts and
+     *  covering every job it runs; a job that runs out ends its
+     *  worker (JobCrashed). 0 = none. */
     uint64_t memLimitMb = 0;
-    /** RLIMIT_CPU cap for an isolated child, in seconds; the kernel
-     *  SIGXCPUs a runaway child (JobKilled). 0 = none. */
+    /** RLIMIT_CPU budget per job, in seconds: before each job the
+     *  worker sets its soft limit to its CPU time so far, rounded up,
+     *  plus this budget, capped at the hard limit (which it leaves
+     *  alone). The kernel SIGXCPUs a worker whose job overruns
+     *  (JobKilled). 0 = none. */
     uint64_t cpuLimitSeconds = 0;
     /**
      * Cooperative cancellation: when non-null and set, no *new* job
@@ -139,7 +153,9 @@ struct BatchPolicy
      * keep their default-constructed result slot (attempts == 0) and
      * never reach an onResult callback — exactly the state a
      * campaign journal sees after a mid-run kill, which is how the
-     * resume path is tested deterministically.
+     * resume path is tested deterministically. Under isolation, idle
+     * workers get their next jobs before onResult runs, so a flag set
+     * from onResult lets those jobs finish too.
      */
     const std::atomic<bool> *cancel = nullptr;
 };
@@ -190,8 +206,10 @@ class BatchRunner
 
     /** Per-result completion hook: called once per *finished* job
      *  (never for jobs skipped by policy.cancel), in completion
-     *  order, from whichever worker finished the job — synchronize
-     *  externally if it touches shared state. The campaign layer
+     *  order. In-process it runs on whichever thread finished the
+     *  job — synchronize externally if it touches shared state.
+     *  Under isolation it runs on the calling thread, after idle
+     *  workers have been given their next jobs. The campaign layer
      *  journals and stores each cell from here, so durability is
      *  per-cell, not per-batch. */
     using ResultHook = std::function<void(size_t, const BatchResult &)>;

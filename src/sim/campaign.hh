@@ -271,10 +271,11 @@ struct CampaignOptions
      * Per-cell completion hook (nullable): fired once per finished
      * cell — cache hits during the replay pass and fresh results as
      * they land — with the cell, its store key, the decoded result
-     * and whether it was served from the store. Called from worker
-     * threads for fresh cells (serialized with the journal/store
-     * critical section); progress reporting and per-cell timing
-     * hook in here.
+     * and whether it was served from the store. Fresh cells call it
+     * from the batch's threads in-process, or from the calling
+     * thread under isolation, serialized with the journal/store
+     * critical section either way; progress reporting and per-cell
+     * timing hook in here.
      */
     std::function<void(const CampaignCell &, const std::string &key,
                        const BatchResult &, bool cached)>

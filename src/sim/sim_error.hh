@@ -42,8 +42,8 @@ enum class ErrorCode : uint8_t
     FaultPlanInvalid,   ///< malformed fault-injection plan
     Fatal,              ///< SSMT_FATAL raised in fatal-throws mode
     Internal,           ///< anything else (wrapped foreign exception)
-    /** An isolated child process died (signal, nonzero exit, or an
-     *  unparsable result) instead of reporting a result. Only ever
+    /** An isolated worker process died with the job in flight
+     *  (signal or exit) or returned an unparsable result. Only ever
      *  produced by the subprocess path (BatchPolicy::isolate). */
     JobCrashed,
     /** An isolated child was killed by its resource envelope: the

@@ -1,24 +1,30 @@
 /**
  * @file
  * Subprocess isolation tests: clean jobs must produce byte-identical
- * results in-process and isolated (at any worker count), a crashing
- * or hanging child must become a typed error slot while every other
- * job completes, the parent must sleep while children run, and the
- * ssmt-job-result-v1 codec must round-trip.
+ * results in-process and isolated (at any worker count, with more
+ * jobs than workers), a crashing or hanging worker must turn its job
+ * into a typed error slot while every other job completes on the
+ * survivors or a replacement, limits must hold per job, the parent
+ * must sleep while workers run, no worker may outlive the call, and
+ * the ssmt-job-result-v1 codec must round-trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/wait.h>
 
 #include "sim/batch_runner.hh"
 #include "sim/golden.hh"
 #include "sim/job_codec.hh"
 #include "sim/metrics.hh"
+#include "sim/proc_runner.hh"
 #include "sim/sim_error.hh"
 #include "workloads/workloads.hh"
 
@@ -151,12 +157,173 @@ TEST(ProcIsolate, OomChildKilledByAddressSpaceLimit)
 
     EXPECT_TRUE(results[0].ok()) << results[0].error;
     EXPECT_TRUE(results[2].ok()) << results[2].error;
-    EXPECT_FALSE(results[1].ok());
-    EXPECT_TRUE(results[1].errorCode == sim::ErrorCode::JobCrashed ||
-                results[1].errorCode == sim::ErrorCode::JobKilled)
-        << results[1].error;
+    // The bad_alloc ends the worker with its documented status; it
+    // must not unwind into this test's frames inside the child.
+    EXPECT_EQ(results[1].errorCode, sim::ErrorCode::JobCrashed);
+    EXPECT_EQ(results[1].error,
+              "[job-crashed] isolate: child exited with status " +
+                  std::to_string(sim::kWorkerUncaught) +
+                  " without a result");
 }
 #endif
+
+TEST(ProcIsolate, MoreJobsThanWorkersByteIdenticalToInProcess)
+{
+    // Six jobs on one worker: each result must not depend on the
+    // jobs that ran before it in the same process.
+    std::vector<sim::BatchJob> batch = smallBatch();
+    for (sim::BatchJob job : smallBatch()) {
+        job.name += "/again";
+        job.config.sampleInterval = 0;
+        batch.push_back(job);
+    }
+    std::vector<sim::BatchResult> in_process =
+        sim::BatchRunner(1).run(batch);
+
+    sim::BatchPolicy policy;
+    policy.isolate = true;
+    std::vector<sim::BatchResult> isolated =
+        sim::BatchRunner(1).run(batch, policy);
+    ASSERT_EQ(isolated.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); i++) {
+        SCOPED_TRACE(batch[i].name);
+        EXPECT_TRUE(isolated[i].ok()) << isolated[i].error;
+        EXPECT_EQ(witness(isolated[i], batch[i].name),
+                  witness(in_process[i], batch[i].name));
+    }
+}
+
+TEST(ProcIsolate, CrashMidBatchHandsTheRestToAReplacement)
+{
+    // One worker: job 1 kills it, so jobs 2 and 3 can only run on
+    // the replacement forked after it.
+    std::vector<sim::BatchJob> batch = smallBatch();
+    batch.push_back(batch[0]);
+    batch[3].name += "/again";
+    batch[1].crash = sim::CrashKind::Segv;
+    std::vector<sim::BatchResult> in_process(batch.size());
+    for (size_t i : {0, 2, 3})
+        sim::detail::runJobOnce(batch[i], sim::BatchPolicy{},
+                                in_process[i]);
+
+    sim::BatchPolicy policy;
+    policy.isolate = true;
+    std::vector<size_t> order;
+    std::vector<sim::BatchResult> results = sim::BatchRunner(1).run(
+        batch, policy,
+        [&](size_t i, const sim::BatchResult &) { order.push_back(i); });
+
+    // (Under ASan the SEGV ends the worker with exit status 1, not
+    // the signal, so only the error code is pinned.)
+    EXPECT_EQ(results[1].errorCode, sim::ErrorCode::JobCrashed)
+        << results[1].error;
+    for (size_t i : {0, 2, 3}) {
+        SCOPED_TRACE(batch[i].name);
+        EXPECT_TRUE(results[i].ok()) << results[i].error;
+        EXPECT_EQ(witness(results[i], batch[i].name),
+                  witness(in_process[i], batch[i].name));
+    }
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));
+}
+
+/** User plus system CPU time this process has used, in seconds. */
+double
+parentCpuSeconds()
+{
+    struct rusage usage;
+    ::getrusage(RUSAGE_SELF, &usage);
+    auto seconds = [](const struct timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) / 1e6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ProcIsolate, CpuLimitHoldsPerJobNotPerWorker)
+{
+    // Jobs that each use well under half of a 1 s limit, but about
+    // 2.5 s together, all on one worker. A limit armed once, when the
+    // worker starts, would be 2 s (its first fraction of a second
+    // rounds up) and would SIGXCPU one of the later jobs.
+    sim::BatchJob job;
+    job.name = "comp/baseline";
+    job.program = workloads::makeCompress({16, 0x5eed});
+    job.config.mode = sim::Mode::Baseline;
+    sim::BatchResult probe;
+    const double before = parentCpuSeconds();
+    sim::detail::runJobOnce(job, sim::BatchPolicy{}, probe);
+    const double per_job = parentCpuSeconds() - before;
+    ASSERT_TRUE(probe.ok()) << probe.error;
+    ASSERT_LT(per_job, 0.4) << "the premise needs a job well under "
+                               "half the limit";
+    const size_t count = static_cast<size_t>(2.5 / per_job) + 1;
+    std::vector<sim::BatchJob> batch(count, job);
+
+    sim::BatchPolicy policy;
+    policy.isolate = true;
+    policy.cpuLimitSeconds = 1;
+    std::vector<sim::BatchResult> results =
+        sim::BatchRunner(1).run(batch, policy);
+    for (size_t i = 0; i < count; i++) {
+        SCOPED_TRACE("job " + std::to_string(i) + " of " +
+                     std::to_string(count));
+        EXPECT_TRUE(results[i].ok()) << results[i].error;
+    }
+
+    // One job with all that work runs past its budget: the kernel's
+    // SIGXCPU ends its worker, and the job is reported as killed.
+    sim::BatchJob runaway = job;
+    runaway.program = workloads::makeCompress({16 * (count + 1), 0x5eed});
+    results = sim::BatchRunner(1).run({runaway}, policy);
+    EXPECT_EQ(results[0].errorCode, sim::ErrorCode::JobKilled);
+    EXPECT_EQ(results[0].error, "[job-killed] isolate: child exceeded "
+                                "the cpu limit (SIGXCPU)");
+}
+
+/** True when this process has no child, running or unreaped. */
+bool
+noChildLeft()
+{
+    int status = 0;
+    return ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(ProcIsolate, NoWorkerOutlivesTheCall)
+{
+    std::vector<sim::BatchJob> batch = smallBatch();
+    for (const sim::BatchJob &job : smallBatch())
+        batch.push_back(job);
+    sim::BatchPolicy policy;
+    policy.isolate = true;
+    ASSERT_TRUE(noChildLeft());
+
+    // Clean.
+    for (const sim::BatchResult &r :
+         sim::BatchRunner(2).run(batch, policy))
+        EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(noChildLeft()) << "after a clean batch";
+
+    // Cancelled after the first result: the rest never start.
+    std::atomic<bool> cancel{false};
+    sim::BatchPolicy cancelling = policy;
+    cancelling.cancel = &cancel;
+    std::vector<sim::BatchResult> results = sim::BatchRunner(2).run(
+        batch, cancelling,
+        [&](size_t, const sim::BatchResult &) { cancel.store(true); });
+    EXPECT_EQ(results.back().attempts, 0u);
+    EXPECT_TRUE(noChildLeft()) << "after a cancelled batch";
+
+    // onResult throws while another worker hangs with no deadline:
+    // the hung worker must be killed, not waited for.
+    batch[1].crash = sim::CrashKind::Hang;
+    EXPECT_THROW(sim::BatchRunner(2).run(
+                     batch, policy,
+                     [](size_t, const sim::BatchResult &) {
+                         throw std::runtime_error("hook failed");
+                     }),
+                 std::runtime_error);
+    EXPECT_TRUE(noChildLeft()) << "after onResult threw";
+}
 
 TEST(ProcIsolate, InProcessRunRefusesCrashInjection)
 {
@@ -227,19 +394,6 @@ TEST(JobCodec, MalformedDocumentsThrowParseError)
     for (size_t keep : {wire.size() / 10, wire.size() / 2,
                         wire.size() - 2})
         expect_parse_error(wire.substr(0, keep));
-}
-
-/** User plus system CPU time this process has used, in seconds. */
-double
-parentCpuSeconds()
-{
-    struct rusage usage;
-    ::getrusage(RUSAGE_SELF, &usage);
-    auto seconds = [](const struct timeval &tv) {
-        return static_cast<double>(tv.tv_sec) +
-               static_cast<double>(tv.tv_usec) / 1e6;
-    };
-    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 TEST(ProcIsolate, ParentSleepsWhileAChildHoldsTheSlot)

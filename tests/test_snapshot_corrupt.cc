@@ -69,6 +69,39 @@ class SnapshotCorrupt : public ::testing::Test
         // it as the failure it is.
     }
 
+    /** Restore @p doc into a fresh core, without running it.
+     *  @return the text of the ParseError it raised, or "" when the
+     *  document was accepted. */
+    static std::string
+    restoreError(const std::string &doc)
+    {
+        cpu::SsmtCore core(*prog_, cfg_);
+        try {
+            sim::restoreMachineSnapshot(core, *prog_, cfg_, doc);
+        } catch (const sim::SimError &err) {
+            EXPECT_EQ(err.code(), sim::ErrorCode::ParseError)
+                << err.what();
+            return err.what();
+        }
+        return "";
+    }
+
+    /** snapshot_ with the number that follows @p key, at its first
+     *  occurrence after @p anchor, replaced by @p value. */
+    static std::string
+    withNumber(const std::string &anchor, const std::string &key,
+               uint64_t value)
+    {
+        size_t at = snapshot_.find(anchor);
+        EXPECT_NE(at, std::string::npos) << anchor;
+        at = snapshot_.find(key, at);
+        EXPECT_NE(at, std::string::npos) << key;
+        at += key.size();
+        size_t end = snapshot_.find_first_not_of("0123456789", at);
+        return snapshot_.substr(0, at) + std::to_string(value) +
+               snapshot_.substr(end);
+    }
+
     static isa::Program *prog_;
     static sim::MachineConfig cfg_;
     static std::string snapshot_;
@@ -173,6 +206,41 @@ TEST_F(SnapshotCorrupt, DuplicatedAndSplicedDocumentsAreRejected)
     ASSERT_NE(mid, std::string::npos);
     EXPECT_NE(resumeVerdict(snapshot_.substr(0, mid) + "}"),
               sim::ErrorCode::None);
+}
+
+// The checks below guard indices the core uses unchecked after a
+// restore. The fixture's snapshot has micro-ops in flight on context
+// 0, which runs a routine; the bit-flip corpus never lands on them.
+
+TEST_F(SnapshotCorrupt, MicroEventOnAMissingContextIsRejected)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    std::string error = restoreError(withNumber(
+        "\"microEvents\":[{", "\"ctx\":", cfg_.numMicrocontexts));
+    EXPECT_NE(error.find("microEvents[0].ctx"), std::string::npos)
+        << error;
+}
+
+TEST_F(SnapshotCorrupt, RoundRobinStartPastTheContextsIsRejected)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    std::string error = restoreError(
+        withNumber("\"microOpsInWindow\":", "\"rrStart\":",
+                   cfg_.numMicrocontexts));
+    EXPECT_NE(error.find("rrStart"), std::string::npos) << error;
+}
+
+TEST_F(SnapshotCorrupt, PredictedValuesMustCoverTheRoutine)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    const std::string key = "\"predictedValues\":[";
+    size_t at = snapshot_.find(key, snapshot_.find("\"hasThread\":true"));
+    ASSERT_NE(at, std::string::npos);
+    at += key.size();
+    std::string error = restoreError(snapshot_.substr(0, at) + "0," +
+                                     snapshot_.substr(at));
+    EXPECT_NE(error.find("predictedValues"), std::string::npos)
+        << error;
 }
 
 } // namespace

@@ -11,8 +11,8 @@
  * run at any --jobs. A failed cell is never stored, so running the
  * campaign again executes it again, under that run's --budget and
  * isolation limits. The manifest records only what each cell's
- * simulation computed; warnings go to stderr. With --isolate each
- * cell runs in a sandboxed child process under optional wall-clock /
+ * simulation computed; warnings go to stderr. With --isolate the
+ * cells run in sandboxed worker processes under optional wall-clock /
  * address-space / CPU limits, so a crashing or hanging cell becomes
  * a typed error slot while every other cell still completes.
  *
@@ -82,10 +82,10 @@ const char kUsage[] =
     "\n"
     "failure policy (part of the spec; each cell runs once, and a\n"
     "failed cell is not stored, so a rerun executes it again):\n"
-    "  --isolate             run each cell in a sandboxed child\n"
+    "  --isolate             run cells in sandboxed worker processes\n"
     "  --deadline-ms N       per-cell wall deadline (isolate)\n"
-    "  --mem-limit-mb N      per-child RLIMIT_AS (isolate)\n"
-    "  --cpu-limit N         per-child RLIMIT_CPU seconds (isolate)\n"
+    "  --mem-limit-mb N      per-worker RLIMIT_AS (isolate)\n"
+    "  --cpu-limit N         per-cell RLIMIT_CPU seconds (isolate)\n"
     "  --budget CYCLES       watchdog cycle budget\n"
     "  --crash CELL=KIND     deliberately crash a cell (test hook;\n"
     "                        kinds: segv abort oom hang exit)\n"
