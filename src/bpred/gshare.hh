@@ -9,9 +9,9 @@
 #define SSMT_BPRED_GSHARE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "bpred/sat_counter.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -79,7 +79,7 @@ class Gshare
     void restore(sim::SnapshotReader &r);
 
   private:
-    std::vector<Counter2> pht_;
+    sim::TableVector<Counter2> pht_;
     uint64_t mask_;
     uint64_t histMask_;     ///< precomputed, safe for 64-bit history
     uint64_t history_ = 0;

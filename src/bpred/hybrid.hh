@@ -8,12 +8,12 @@
 #define SSMT_BPRED_HYBRID_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "bpred/direction_predictor.hh"
 #include "bpred/gshare.hh"
 #include "bpred/pas.hh"
 #include "bpred/sat_counter.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -107,7 +107,7 @@ class Hybrid final : public DirectionPredictor
   private:
     Gshare gshare_;
     Pas pas_;
-    std::vector<Counter2> selector_;
+    sim::TableVector<Counter2> selector_;
     uint64_t selectorMask_;
 
     uint64_t

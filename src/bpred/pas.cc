@@ -23,7 +23,7 @@ Pas::Pas(uint64_t num_bht_entries, int history_bits,
 void
 Pas::save(sim::SnapshotWriter &w) const
 {
-    w.u64Array("bht", bht_);
+    w.u64Array("bht", bht_.data(), bht_.size());
     std::vector<uint64_t> pht(pht_.size());
     for (size_t i = 0; i < pht_.size(); i++)
         pht[i] = pht_[i].value();
@@ -33,9 +33,7 @@ Pas::save(sim::SnapshotWriter &w) const
 void
 Pas::restore(sim::SnapshotReader &r)
 {
-    std::vector<uint64_t> bht = r.u64Array("bht");
-    r.requireSize("bht", bht.size(), bht_.size());
-    bht_ = std::move(bht);
+    r.u64ArrayInto("bht", bht_.data(), bht_.size());
     std::vector<uint64_t> pht = r.u64Array("pht");
     r.requireSize("pht", pht.size(), pht_.size());
     for (size_t i = 0; i < pht_.size(); i++)

@@ -11,9 +11,9 @@
 #define SSMT_BPRED_PAS_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "bpred/sat_counter.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -74,8 +74,8 @@ class Pas
     void restore(sim::SnapshotReader &r);
 
   private:
-    std::vector<uint64_t> bht_;
-    std::vector<Counter2> pht_;
+    sim::TableVector<uint64_t> bht_;
+    sim::TableVector<Counter2> pht_;
     uint64_t bhtMask_;
     uint64_t phtMask_;
     int historyBits_;

@@ -102,7 +102,7 @@ Perceptron::save(sim::SnapshotWriter &w) const
 {
     // Signed weights travel as their two's-complement bit pattern,
     // matching the writer's i64 convention.
-    auto packed = [](const std::vector<int16_t> &v) {
+    auto packed = [](const sim::TableVector<int16_t> &v) {
         std::vector<uint64_t> out(v.size());
         for (size_t i = 0; i < v.size(); i++)
             out[i] = static_cast<uint64_t>(
@@ -122,7 +122,7 @@ Perceptron::save(sim::SnapshotWriter &w) const
 void
 Perceptron::restore(sim::SnapshotReader &r)
 {
-    auto unpack = [&r](const char *key, std::vector<int16_t> &v) {
+    auto unpack = [&r](const char *key, sim::TableVector<int16_t> &v) {
         std::vector<uint64_t> raw = r.u64Array(key);
         r.requireSize(key, raw.size(), v.size());
         for (size_t i = 0; i < v.size(); i++)

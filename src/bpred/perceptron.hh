@@ -20,9 +20,9 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "bpred/direction_predictor.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -68,8 +68,8 @@ class Perceptron final : public DirectionPredictor
     Lookup lookup(uint64_t pc) const;
     void train(const Lookup &lk, bool taken);
 
-    std::vector<int16_t> bias_;
-    std::array<std::vector<int16_t>, kNumTables> tables_;
+    sim::TableVector<int16_t> bias_;
+    std::array<sim::TableVector<int16_t>, kNumTables> tables_;
     uint64_t mask_;
     uint64_t hist_ = 0;             ///< bit 0 newest outcome
 };

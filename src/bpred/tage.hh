@@ -26,10 +26,10 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "bpred/direction_predictor.hh"
 #include "bpred/sat_counter.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -114,9 +114,9 @@ class Tage final : public DirectionPredictor
     bool historyBit(int pos) const;
     void pushHistory(bool taken);
 
-    std::vector<Counter2> base_;
+    sim::TableVector<Counter2> base_;
     uint64_t baseMask_;
-    std::array<std::vector<Entry>, kNumTables> tables_;
+    std::array<sim::TableVector<Entry>, kNumTables> tables_;
     uint64_t taggedEntries_;
     uint32_t idxMask_;
     std::array<Folded, kNumTables> foldIdx_;

@@ -39,16 +39,14 @@ TargetCache::update(uint64_t pc, uint64_t target)
 void
 TargetCache::save(sim::SnapshotWriter &w) const
 {
-    w.u64Array("table", table_);
+    w.u64Array("table", table_.data(), table_.size());
     w.u64("history", history_);
 }
 
 void
 TargetCache::restore(sim::SnapshotReader &r)
 {
-    std::vector<uint64_t> table = r.u64Array("table");
-    r.requireSize("table", table.size(), table_.size());
-    table_ = std::move(table);
+    r.u64ArrayInto("table", table_.data(), table_.size());
     history_ = r.u64("history");
 }
 

@@ -10,7 +10,8 @@
 #define SSMT_BPRED_TARGET_CACHE_HH
 
 #include <cstdint>
-#include <vector>
+
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -37,7 +38,7 @@ class TargetCache
     void restore(sim::SnapshotReader &r);
 
   private:
-    std::vector<uint64_t> table_;
+    sim::TableVector<uint64_t> table_;
     uint64_t mask_;
     uint64_t history_ = 0;
 

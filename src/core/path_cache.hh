@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/path_id.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -142,14 +143,14 @@ class PathCache
         uint64_t lastUse = 0;
     };
 
-    std::vector<Entry> entries_;
+    sim::TableVector<Entry> entries_;
     /** Tag array mirroring entries_[i].id (valid or not): a set's
      *  tags pack into one cache line, so the dominant miss probe
      *  scans 64 bytes instead of the set's five lines of full
      *  entries. A tag hit is confirmed against the entry (valid +
      *  id) before use, so a stale tag can never produce a false
      *  positive. Not serialized — rebuilt from entries_ on restore. */
-    std::vector<PathId> tags_;
+    sim::TableVector<PathId> tags_;
     uint32_t numSets_;
     uint32_t assoc_;
     uint32_t trainingInterval_;

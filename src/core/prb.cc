@@ -96,8 +96,18 @@ Prb::restore(sim::SnapshotReader &r)
         r.leave();
     }
     r.leave();
-    head_ = static_cast<uint32_t>(r.u64("head"));
-    size_ = static_cast<uint32_t>(r.u64("size"));
+    // pushSlot writes ring_[head_] unchecked and wraps only at the
+    // capacity exactly; size_ bounds every walk of the ring.
+    const uint64_t head = r.u64("head");
+    if (head >= ring_.size())
+        r.fail("prb head " + std::to_string(head) + " is past its " +
+               std::to_string(ring_.size()) + " slots");
+    const uint64_t size = r.u64("size");
+    if (size > ring_.size())
+        r.fail("prb size " + std::to_string(size) + " exceeds its " +
+               std::to_string(ring_.size()) + " slots");
+    head_ = static_cast<uint32_t>(head);
+    size_ = static_cast<uint32_t>(size);
 }
 
 static_assert(sim::SnapshotterLike<PrbEntry>);

@@ -1511,6 +1511,7 @@ SsmtCore::restore(sim::SnapshotReader &r)
     }
 
     microEvents_.clear();
+    std::vector<uint64_t> events_per_ctx(contexts_.size(), 0);
     n = r.enterArray("microEvents");
     for (size_t i = 0; i < n; i++) {
         r.enterItem(i);
@@ -1522,6 +1523,7 @@ SsmtCore::restore(sim::SnapshotReader &r)
             r.fail("microEvents[" + std::to_string(i) + "].ctx " +
                    std::to_string(ctx) + " names no microcontext");
         e.ctx = static_cast<uint32_t>(ctx);
+        events_per_ctx[ctx]++;
         e.isStPCache = r.boolean("isStPCache");
         e.pathId = r.u64("pathId");
         e.targetSeq = r.u64("targetSeq");
@@ -1531,7 +1533,21 @@ SsmtCore::restore(sim::SnapshotReader &r)
         r.leave();
     }
     r.leave();
+    // processMicroEvents decrements both counters once per event, so
+    // each must count exactly the events: one short panics on an idle
+    // context or wraps the window count.
+    for (size_t c = 0; c < contexts_.size(); c++) {
+        if (contexts_[c].opsInFlight != events_per_ctx[c])
+            r.fail("contexts[" + std::to_string(c) + "].opsInFlight " +
+                   std::to_string(contexts_[c].opsInFlight) +
+                   " differs from its " +
+                   std::to_string(events_per_ctx[c]) + " micro-events");
+    }
     microOpsInWindow_ = r.u64("microOpsInWindow");
+    if (microOpsInWindow_ != n)
+        r.fail("microOpsInWindow " + std::to_string(microOpsInWindow_) +
+               " differs from the " + std::to_string(n) +
+               " micro-events");
     // Dispatch wraps rrStart_ + i by subtracting n once, and tick()'s
     // rotation never wraps a value past n back.
     uint64_t rr_start = r.u64("rrStart");

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/flat_hash.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -82,6 +83,20 @@ class MemoryImage
     struct Page
     {
         uint64_t words[kWordsPerPage] = {};
+
+        // Pages recycle between a batch's cells with the model's
+        // tables (sim/table_pool.hh).
+        static void *
+        operator new(size_t bytes)
+        {
+            return sim::takeTableBlock(bytes);
+        }
+
+        static void
+        operator delete(void *page, size_t bytes) noexcept
+        {
+            sim::giveTableBlock(page, bytes);
+        }
     };
 
     /** Page table: a flat open-addressing map, so the (frequent) MRU

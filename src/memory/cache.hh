@@ -14,7 +14,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -105,14 +106,14 @@ class Cache
     uint32_t lineBytes_;
     uint64_t numSets_ = 0;
     uint32_t lineShift_ = 0;
-    std::vector<Line> sets_;
+    sim::TableVector<Line> sets_;
     /** Tag of each way when valid, ~0 otherwise — a packed mirror of
      *  sets_ so the probe loop in access() compares against one
      *  contiguous run of tags instead of striding across 24-byte
      *  Lines. A tag match is re-verified against the Line (a real
      *  line tag could equal the ~0 sentinel), so the mirror can never
      *  change an outcome. Not serialized; restore() rebuilds it. */
-    std::vector<uint64_t> tags_;
+    sim::TableVector<uint64_t> tags_;
     uint64_t stamp_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

@@ -11,6 +11,7 @@
 #include "sim/logging.hh"
 #include "sim/proc_runner.hh"
 #include "sim/sim_runner.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -67,6 +68,7 @@ BatchRunner::forEach(size_t n, const std::function<void(size_t)> &fn) const
     if (jobs_ <= 1 || n <= 1) {
         // Serial degenerate case: same thread, same order, and
         // exceptions propagate naturally.
+        RecycleTables recycle;
         for (size_t i = 0; i < n; i++)
             fn(i);
         return;
@@ -76,6 +78,7 @@ BatchRunner::forEach(size_t n, const std::function<void(size_t)> &fn) const
     std::atomic<size_t> next{0};
     std::vector<std::exception_ptr> errors(n);
     auto drain = [&] {
+        RecycleTables recycle;
         for (size_t i = next++; i < n; i = next++) {
             try {
                 fn(i);

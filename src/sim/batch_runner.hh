@@ -17,6 +17,13 @@
  * order regardless of which worker finished first. `--jobs 1`
  * degenerates to a plain serial loop on the calling thread.
  *
+ * Every thread forEach runs indices on, the caller's serial loop
+ * included, holds a sim::RecycleTables scope (sim/table_pool.hh) for
+ * the call: a cell's freed table memory parks on its thread and the
+ * next cell there builds its core from it, without mapping or
+ * faulting any. The scope closes, and releases every parked block,
+ * before forEach returns.
+ *
  * Worker count resolution: sim::resolveJobs (sim/jobs.hh) — explicit
  * request, then SSMT_JOBS, then host cores.
  */
@@ -138,8 +145,10 @@ struct BatchPolicy
      *  (JobKilled). 0 = none. */
     double wallDeadlineSeconds = 0.0;
     /** RLIMIT_AS cap per worker, in MiB, set once when it starts and
-     *  covering every job it runs; a job that runs out ends its
-     *  worker (JobCrashed). 0 = none. */
+     *  covering every job it runs, and the table blocks its earlier
+     *  jobs left parked for the next (up to kParkedTableBytesCap,
+     *  sim/table_pool.hh); a job that runs out ends its worker
+     *  (JobCrashed). 0 = none. */
     uint64_t memLimitMb = 0;
     /** RLIMIT_CPU budget per job, in seconds: before each job the
      *  worker sets its soft limit to its CPU time so far, rounded up,
@@ -176,7 +185,8 @@ class BatchRunner
      * the lowest-indexed exception is rethrown on the calling thread.
      * Every thread is joined before the call returns. Runs serially
      * on the calling thread when jobs() <= 1 or n <= 1; calls may
-     * nest.
+     * nest. Each thread recycles table memory between its indices
+     * (see the file comment); none stays parked after the call.
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 

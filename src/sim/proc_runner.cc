@@ -19,6 +19,7 @@
 
 #include "sim/job_codec.hh"
 #include "sim/logging.hh"
+#include "sim/table_pool.hh"
 
 namespace ssmt
 {
@@ -229,6 +230,7 @@ workerMain(const std::vector<BatchJob> &batch, const BatchPolicy &policy,
                 static_cast<rlim_t>(policy.memLimitMb) << 20;
             ::setrlimit(RLIMIT_AS, &rl);
         }
+        RecycleTables recycle;
         for (;;) {
             uint64_t index = 0;
             ssize_t got = readFull(fd, &index, sizeof(index));

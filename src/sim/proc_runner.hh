@@ -9,8 +9,11 @@
  * copy-on-write, so the parent sends it only an 8-byte job index.
  * The worker runs that job's detail::runJobOnce, replies with a
  * length-prefixed ssmt-job-result-v1 document (sim/job_codec.hh) and
- * waits for the next index; EOF from the parent ends it. The parent
- * is a single-threaded event loop: poll() over the busy workers'
+ * waits for the next index; EOF from the parent ends it. A worker
+ * holds one sim::RecycleTables scope (sim/table_pool.hh) for its
+ * life, so each job after its first builds its core from the table
+ * memory the jobs before it freed. The parent is a single-threaded
+ * event loop: poll() over the busy workers'
  * channels, nonblocking drains, wall-clock deadline SIGKILLs and
  * waitpid reaping. It hands out jobs in index order and sleeps in
  * poll() until a worker replies or a deadline falls due. After each

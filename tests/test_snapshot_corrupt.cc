@@ -243,4 +243,44 @@ TEST_F(SnapshotCorrupt, PredictedValuesMustCoverTheRoutine)
         << error;
 }
 
+// The PRB's ring position and fill are trusted by every retirement:
+// pushSlot writes ring_[head] and wraps only at the capacity exactly.
+
+TEST_F(SnapshotCorrupt, PrbHeadPastTheRingIsRejected)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    std::string error = restoreError(
+        withNumber("\"prb\":{", "\"head\":", cfg_.prbEntries));
+    EXPECT_NE(error.find("prb head"), std::string::npos) << error;
+}
+
+TEST_F(SnapshotCorrupt, PrbSizePastTheRingIsRejected)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    std::string error = restoreError(
+        withNumber("\"prb\":{", "\"size\":", cfg_.prbEntries + 1));
+    EXPECT_NE(error.find("prb size"), std::string::npos) << error;
+}
+
+// Each completing micro-event decrements its context's opsInFlight and
+// the window's microOpsInWindow, so both must count the events.
+
+TEST_F(SnapshotCorrupt, OpsInFlightMustCountTheContextsEvents)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    std::string error = restoreError(
+        withNumber("\"contexts\":[", "\"opsInFlight\":", 0));
+    EXPECT_NE(error.find("contexts[0].opsInFlight"), std::string::npos)
+        << error;
+}
+
+TEST_F(SnapshotCorrupt, MicroOpsInWindowMustCountTheEvents)
+{
+    ASSERT_EQ(restoreError(snapshot_), "");
+    std::string error = restoreError(
+        withNumber("\"microEvents\":[", "\"microOpsInWindow\":", 0));
+    EXPECT_NE(error.find("microOpsInWindow"), std::string::npos)
+        << error;
+}
+
 } // namespace
