@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "sim/report.hh"
 
 using namespace ssmt;
 

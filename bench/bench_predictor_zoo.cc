@@ -17,7 +17,6 @@
 
 #include "bench_util.hh"
 #include "bpred/direction_predictor.hh"
-#include "sim/report.hh"
 
 using namespace ssmt;
 

@@ -2,11 +2,11 @@
  * @file
  * Shared helpers for the paper-reproduction bench binaries.
  *
- * Every bench parses its flags in one pass (parseArgs). A results
- * table is a grid of (workload, config variant) cells, and
- * BenchRun::grid runs it as one sim::runCampaign: a bench cell has
- * the same config builder, store key and ssmt-campaign-v1 manifest
- * as an `ssmt_campaign run` cell.
+ * Every bench parses its flags with the tools' cli::ArgParser
+ * (parseArgs). A results table is a grid of (workload, config
+ * variant) cells, and BenchRun::grid runs it as one
+ * sim::runCampaign: a bench cell has the same config builder, store
+ * key and ssmt-campaign-v1 manifest as an `ssmt_campaign run` cell.
  */
 
 #ifndef SSMT_BENCH_BENCH_UTIL_HH
@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_common.hh"
 #include "sim/batch_runner.hh"
 #include "sim/campaign.hh"
 #include "sim/fsio.hh"
@@ -36,7 +37,7 @@ namespace bench
 {
 
 /**
- * Flags shared by every bench binary (see usage()) plus any
+ * Flags shared by every bench binary (see parseArgs) plus any
  * binary-specific flags passed via @p extra. Unknown flags are an
  * error, not a silent no-op.
  */
@@ -54,72 +55,44 @@ struct Args
     }
 };
 
-inline void
-usage(std::FILE *out, const char *argv0,
-      std::initializer_list<const char *> extra)
+/**
+ * Parse the shared flags plus the boolean flags in @p extra through
+ * cli::ArgParser: --help prints the usage and exits 0, and an
+ * unknown flag, a stray argument, a missing value or a malformed
+ * number exits 2.
+ */
+inline Args
+parseArgs(int argc, char **argv,
+          std::initializer_list<const char *> extra = {})
 {
-    std::fprintf(out, "usage: %s [--quick] [--jobs N] [--dir D]", argv0);
-    for (const char *f : extra)
-        std::fprintf(out, " [%s]", f);
-    std::fputs(
-        "\n  --quick   run a third of the suite for smoke checks\n"
+    std::string usage = std::string("usage: ") + argv[0] +
+                        " [--quick] [--jobs N|auto] [--dir D]";
+    std::vector<cli::FlagSpec> specs = {
+        {"--quick"}, {"--jobs", nullptr, true}, {"--dir", nullptr, true}};
+    for (const char *f : extra) {
+        usage += std::string(" [") + f + "]";
+        specs.push_back({f});
+    }
+    usage +=
+        " [--list-workloads]\n"
+        "  --quick   run a third of the suite for smoke checks\n"
         "  --jobs N  worker threads (default: SSMT_JOBS, then all cores)\n"
         "  --dir D   keep the campaign (journal, store, manifest.json)\n"
         "            in D, not in a temporary directory; a rerun serves\n"
         "            the stored cells, a different grid is refused.\n"
         "            Store keys do not hash the simulator code: clear D\n"
-        "            after changing the simulator.\n",
-        out);
-}
-
-/** Single pass over argv; exits with status 2 on a bad command line. */
-inline Args
-parseArgs(int argc, char **argv,
-          std::initializer_list<const char *> extra = {})
-{
+        "            after changing the simulator.\n";
+    cli::ArgParser parser(argc, argv, usage, specs);
+    if (!parser.positionals().empty())
+        parser.fail("unexpected argument '" + parser.positionals()[0] +
+                    "'");
     Args args;
-    unsigned requested = 0;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg == "--quick") {
-            args.quick = true;
-            continue;
-        }
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout, argv[0], extra);
-            std::exit(0);
-        }
-        if (arg == "--jobs" || arg == "--dir") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n",
-                             argv[0], arg.c_str());
-                std::exit(2);
-            }
-            if (arg == "--dir") {
-                args.dir = argv[++i];
-                continue;
-            }
-            long parsed = std::strtol(argv[++i], nullptr, 10);
-            if (parsed <= 0) {
-                std::fprintf(stderr,
-                             "%s: --jobs wants a positive integer, "
-                             "got '%s'\n",
-                             argv[0], argv[i]);
-                std::exit(2);
-            }
-            requested = static_cast<unsigned>(parsed);
-            continue;
-        }
-        if (std::find(extra.begin(), extra.end(), arg) != extra.end()) {
-            args.flags.push_back(arg);
-            continue;
-        }
-        std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
-                     arg.c_str());
-        usage(stderr, argv[0], extra);
-        std::exit(2);
-    }
-    args.jobs = sim::resolveJobs(requested);
+    args.quick = parser.has("--quick");
+    args.jobs = sim::resolveJobs(cli::jobsFlag(parser));
+    args.dir = parser.str("--dir");
+    for (const char *f : extra)
+        if (parser.has(f))
+            args.flags.push_back(f);
     return args;
 }
 

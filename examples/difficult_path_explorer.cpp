@@ -16,13 +16,17 @@
 
 #include "cpu/ssmt_core.hh"
 #include "sim/path_profiler.hh"
+#include "sim/sim_error.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
 using namespace ssmt;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+explore(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "go";
     int n = argc > 2 ? std::atoi(argv[2]) : 10;
@@ -93,4 +97,18 @@ main(int argc, char **argv)
         std::printf("%s\n", thread->toString().c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // An unknown workload name is a usage error, not a crash.
+    try {
+        return explore(argc, argv);
+    } catch (const sim::SimError &err) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+        return 2;
+    }
 }

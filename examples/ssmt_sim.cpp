@@ -15,12 +15,13 @@
  *   ./ssmt_sim --suite --mode microthread --jobs 8
  */
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli_common.hh"
 #include "sim/batch_runner.hh"
 #include "sim/path_profiler.hh"
 #include "sim/sim_error.hh"
@@ -32,114 +33,92 @@ using namespace ssmt;
 namespace
 {
 
-void
-usage()
-{
-    std::printf(
-        "usage: ssmt_sim [options]\n"
-        "  --list                 list suite workloads and exit\n"
-        "  --workload NAME        workload to run (default: go)\n"
-        "  --suite                run every suite workload under the\n"
-        "                         chosen config, in parallel\n"
-        "  --jobs N               worker threads for --suite\n"
-        "                         (default: SSMT_JOBS, then all cores)\n"
-        "  --mode MODE            baseline | microthread |\n"
-        "                         microthread-no-predictions |\n"
-        "                         oracle-difficult-path |\n"
-        "                         oracle-all-branches\n"
-        "  --n N                  path depth (default 10)\n"
-        "  --threshold T          difficulty threshold (default .10)\n"
-        "  --pruning              enable Vp/Ap pruning\n"
-        "  --throttle             enable the usefulness throttle\n"
-        "  --scale K              workload scale factor (default 1)\n"
-        "  --seed S               workload data seed\n"
-        "  --hints FILE           load difficult-path hints\n"
-        "  --profile-hints FILE   profile the workload, write hints,"
-        " exit\n"
-        "  --config               print the machine model and exit\n"
-        "  --report               print the full stats report\n");
-}
+const char kUsage[] =
+    "usage: ssmt_sim [options]\n"
+    "  --list                 list suite workloads and exit\n"
+    "  --list-workloads       print workload names only and exit\n"
+    "  --workload NAME        workload to run (default: go)\n"
+    "  --suite                run every suite workload under the\n"
+    "                         chosen config, in parallel\n"
+    "  --jobs N|auto          worker threads for --suite\n"
+    "                         (default: SSMT_JOBS, then all cores)\n"
+    "  --mode MODE            baseline | microthread |\n"
+    "                         microthread-no-predictions |\n"
+    "                         oracle-difficult-path |\n"
+    "                         oracle-all-branches\n"
+    "  --n N                  path depth (default 10)\n"
+    "  --threshold T          difficulty threshold (default .10)\n"
+    "  --pruning              enable Vp/Ap pruning\n"
+    "  --throttle             enable the usefulness throttle\n"
+    "  --scale K              workload scale factor (default 1)\n"
+    "  --seed S               workload data seed (decimal)\n"
+    "  --hints FILE           load difficult-path hints\n"
+    "  --profile-hints FILE   profile the workload, write hints, exit\n"
+    "  --config               print the machine model and exit\n"
+    "  --report               print the full stats report\n";
 
 int
 run(int argc, char **argv)
 {
-    std::string workload = "go";
-    std::string hints_file;
-    std::string profile_file;
-    sim::MachineConfig cfg;
-    workloads::WorkloadParams params;
-    bool report = false;
-    bool run_suite = false;
-    unsigned jobs = 0;
-
-    for (int i = 1; i < argc; i++) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            for (const auto &info : workloads::allWorkloads())
-                std::printf("%-12s %s\n", info.name.c_str(),
-                            info.description.c_str());
-            return 0;
-        } else if (arg == "--workload") {
-            workload = next();
-        } else if (arg == "--suite") {
-            run_suite = true;
-        } else if (arg == "--jobs") {
-            long parsed = std::strtol(next(), nullptr, 10);
-            if (parsed <= 0) {
-                std::fprintf(stderr,
-                             "--jobs wants a positive integer\n");
-                return 2;
-            }
-            jobs = static_cast<unsigned>(parsed);
-        } else if (arg == "--mode") {
-            if (!sim::parseMode(next(), &cfg.mode)) {
-                std::fprintf(stderr, "unknown mode\n");
-                return 2;
-            }
-        } else if (arg == "--n") {
-            cfg.pathN = std::atoi(next());
-        } else if (arg == "--threshold") {
-            cfg.difficultyThreshold = std::atof(next());
-        } else if (arg == "--pruning") {
-            cfg.builder.pruningEnabled = true;
-        } else if (arg == "--throttle") {
-            cfg.throttleEnabled = true;
-        } else if (arg == "--scale") {
-            params.scale = std::strtoull(next(), nullptr, 10);
-            if (params.scale == 0) {
-                std::fprintf(stderr, "--scale must be >= 1\n");
-                return 2;
-            }
-        } else if (arg == "--seed") {
-            params.seed = std::strtoull(next(), nullptr, 0);
-        } else if (arg == "--hints") {
-            hints_file = next();
-        } else if (arg == "--profile-hints") {
-            profile_file = next();
-        } else if (arg == "--config") {
-            std::printf("%s", cfg.toString().c_str());
-            return 0;
-        } else if (arg == "--report") {
-            report = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            usage();
-            return 2;
-        }
+    cli::ArgParser args(argc, argv, kUsage,
+                        {{"--list"},
+                         {"--workload", nullptr, true},
+                         {"--suite"},
+                         {"--jobs", nullptr, true},
+                         {"--mode", nullptr, true},
+                         {"--n", nullptr, true},
+                         {"--threshold", nullptr, true},
+                         {"--pruning"},
+                         {"--throttle"},
+                         {"--scale", nullptr, true},
+                         {"--seed", nullptr, true},
+                         {"--hints", nullptr, true},
+                         {"--profile-hints", nullptr, true},
+                         {"--config"},
+                         {"--report"}});
+    if (!args.positionals().empty())
+        args.fail("unexpected argument '" + args.positionals()[0] +
+                  "'");
+    if (args.has("--list")) {
+        for (const auto &info : workloads::allWorkloads())
+            std::printf("%-12s %s\n", info.name.c_str(),
+                        info.description.c_str());
+        return 0;
     }
 
-    if (run_suite) {
+    std::string workload = args.str("--workload", "go");
+    std::string hints_file = args.str("--hints");
+    std::string profile_file = args.str("--profile-hints");
+    bool report = args.has("--report");
+    unsigned jobs = cli::jobsFlag(args);
+
+    sim::MachineConfig cfg;
+    if (args.has("--mode")) {
+        std::string name = args.str("--mode");
+        if (!sim::parseMode(name, &cfg.mode))
+            args.fail("unknown mode '" + name + "'");
+    }
+    // Values past INT_MAX saturate, so validate() rejects them
+    // instead of seeing a wrapped depth.
+    cfg.pathN = static_cast<int>(std::min<uint64_t>(
+        args.u64("--n", static_cast<uint64_t>(cfg.pathN)), INT_MAX));
+    cfg.difficultyThreshold =
+        args.dbl("--threshold", cfg.difficultyThreshold);
+    cfg.builder.pruningEnabled = args.has("--pruning");
+    cfg.throttleEnabled = args.has("--throttle");
+
+    workloads::WorkloadParams params;
+    params.scale = args.u64("--scale", params.scale);
+    if (params.scale == 0)
+        args.fail("--scale must be >= 1");
+    params.seed = args.u64("--seed", params.seed);
+
+    if (args.has("--config")) {
+        std::printf("%s", cfg.toString().c_str());
+        return 0;
+    }
+
+    if (args.has("--suite")) {
         // One BatchJob per suite workload; results come back in
         // workload order regardless of the worker count.
         sim::BatchRunner runner(jobs);

@@ -13,12 +13,16 @@
 #include <string>
 
 #include "cpu/ssmt_core.hh"
+#include "sim/sim_error.hh"
 #include "workloads/workloads.hh"
 
 using namespace ssmt;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+explore(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "comp";
     isa::Program prog = workloads::makeWorkload(name);
@@ -102,4 +106,18 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // An unknown workload name is a usage error, not a crash.
+    try {
+        return explore(argc, argv);
+    } catch (const sim::SimError &err) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.what());
+        return 2;
+    }
 }

@@ -68,8 +68,7 @@ makeDirectionPredictor(const DirectionConfig &cfg)
       case PredictorKind::Perceptron:
         return std::make_unique<Perceptron>(scaled(32, 256));
     }
-    SSMT_FATAL("unknown direction-predictor kind");
-    return nullptr;
+    SSMT_PANIC("unknown direction-predictor kind");
 }
 
 } // namespace bpred

@@ -29,37 +29,6 @@ FrontEndPredictor::FrontEndPredictor(const DirectionConfig &direction,
 {
 }
 
-HwPrediction
-FrontEndPredictor::predictOnly(uint64_t pc, const isa::Inst &inst) const
-{
-    HwPrediction pred;
-    switch (inst.op) {
-      case isa::Opcode::J:
-      case isa::Opcode::Jal:
-        pred.taken = true;
-        pred.target = static_cast<uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Jr:
-        pred.taken = true;
-        pred.target = inst.rs1 == isa::kRegLink
-                          ? ras_.top()
-                          : targetCache_.predict(pc);
-        break;
-      case isa::Opcode::Jalr:
-        pred.taken = true;
-        pred.target = targetCache_.predict(pc);
-        break;
-      default:
-        SSMT_ASSERT(inst.isCondBranch(),
-                    "predictOnly on a non-control instruction");
-        pred.taken = dir_->predict(pc);
-        pred.target = static_cast<uint64_t>(inst.imm);
-        break;
-    }
-    return pred;
-}
-
-
 void
 FrontEndPredictor::save(sim::SnapshotWriter &w) const
 {

@@ -8,8 +8,8 @@
  *
  * Direct targets are taken as always available at fetch, modelling
  * the paper's idealized front-end ("in a sense, we are modeling a
- * very efficient trace cache"); the BTB class is provided and tested
- * but the idealized fetch path does not depend on it.
+ * very efficient trace cache"), so the machine has no BTB and no
+ * target lookup for direct branches.
  */
 
 #ifndef SSMT_BPRED_FRONTEND_PREDICTOR_HH
@@ -138,12 +138,6 @@ class FrontEndPredictor
         }
         return pred;
     }
-
-    /**
-     * Predict only, without training or stats (used to ask "what
-     * would the hardware have said" for coverage studies).
-     */
-    HwPrediction predictOnly(uint64_t pc, const isa::Inst &inst) const;
 
     uint64_t condPredictions() const { return condPredictions_; }
     uint64_t condMispredicts() const { return condMispredicts_; }

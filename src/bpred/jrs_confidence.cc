@@ -1,7 +1,5 @@
 #include "bpred/jrs_confidence.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -48,27 +46,6 @@ JrsConfidence::update(uint64_t pc, uint64_t history, bool correct)
     else if (counter < maxCount_)
         counter++;
 }
-
-
-void
-JrsConfidence::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> table(table_.begin(), table_.end());
-    w.u64Array("table", table);
-    w.u64("updates", updates_);
-}
-
-void
-JrsConfidence::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> table = r.u64Array("table");
-    r.requireSize("table", table.size(), table_.size());
-    for (size_t i = 0; i < table_.size(); i++)
-        table_[i] = static_cast<uint8_t>(table[i]);
-    updates_ = r.u64("updates");
-}
-
-static_assert(sim::SnapshotterLike<JrsConfidence>);
 
 } // namespace bpred
 } // namespace ssmt

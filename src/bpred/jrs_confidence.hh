@@ -21,11 +21,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -55,9 +50,6 @@ class JrsConfidence
     void update(uint64_t pc, uint64_t history, bool correct);
 
     uint64_t updates() const { return updates_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     std::vector<uint8_t> table_;

@@ -3,7 +3,7 @@
  * 32-entry call/return stack (Table 3). Wraps on overflow like real
  * hardware rather than growing.
  *
- * Over/underflow semantics, pinned by test_btb_ras_tc.cc:
+ * Over/underflow semantics, pinned by test_ras_tc.cc:
  *
  *  - push past depth overwrites the *oldest* live entry (hardware
  *    wrap); the stack never reports more than depth entries.

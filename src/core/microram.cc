@@ -127,15 +127,6 @@ MicroRam::unindex(const MicroThread &thread)
 }
 
 void
-MicroRam::clear()
-{
-    routines_.clear();
-    spawnIndex_.clear();
-    std::fill(spawnAtPc_.begin(), spawnAtPc_.end(), 0);
-}
-
-
-void
 MicroRam::save(sim::SnapshotWriter &w) const
 {
     // Routines sorted by path id for canonical bytes.

@@ -119,8 +119,6 @@ class MicroRam
     uint64_t rejectedFull() const { return rejectedFull_; }
     uint64_t removals() const { return removals_; }
 
-    void clear();
-
     void save(sim::SnapshotWriter &w) const;
     void restore(sim::SnapshotReader &r);
 

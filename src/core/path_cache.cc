@@ -1,7 +1,5 @@
 #include "core/path_cache.hh"
 
-#include <algorithm>
-
 #include "sim/snapshot.hh"
 
 #include "sim/logging.hh"
@@ -175,14 +173,6 @@ PathCache::occupancy() const
     return count;
 }
 
-std::vector<PathId>
-PathCache::takeEvictedPromotions()
-{
-    std::vector<PathId> out;
-    out.swap(evictedPromotions_);
-    return out;
-}
-
 void
 PathCache::drainEvictedPromotions(std::vector<PathId> &out)
 {
@@ -235,19 +225,6 @@ PathCache::injectEvict(uint64_t rnd)
     }
     return false;
 }
-
-void
-PathCache::reset()
-{
-    for (Entry &entry : entries_)
-        entry = Entry{};
-    std::fill(tags_.begin(), tags_.end(), 0);
-    stamp_ = 0;
-    updates_ = allocations_ = allocationsSkipped_ = 0;
-    evictions_ = difficultEvictions_ = 0;
-    evictedPromotions_.clear();
-}
-
 
 void
 PathCache::save(sim::SnapshotWriter &w) const

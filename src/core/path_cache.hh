@@ -92,13 +92,6 @@ class PathCache
         return static_cast<uint32_t>(entries_.size());
     }
 
-    /**
-     * Path_Ids of *promoted* entries that were evicted since the last
-     * call. The owner must demote these in the MicroRAM, or their
-     * routines would leak.
-     */
-    std::vector<PathId> takeEvictedPromotions();
-
     /** Cheap guard so the owner's retire loop can skip the drain
      *  entirely in the common no-eviction case. */
     bool
@@ -107,11 +100,13 @@ class PathCache
         return !evictedPromotions_.empty();
     }
 
-    /** Allocation-free variant of takeEvictedPromotions(): moves the
-     *  pending ids into @p out (cleared first), reusing its storage. */
+    /**
+     * Move the Path_Ids of *promoted* entries evicted since the last
+     * call into @p out (cleared first, its storage reused). The owner
+     * must demote these in the MicroRAM, or their routines would
+     * leak.
+     */
     void drainEvictedPromotions(std::vector<PathId> &out);
-
-    void reset();
 
     // ---- Fault injection (sim/faultinject.hh) ----
 

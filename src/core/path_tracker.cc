@@ -15,16 +15,6 @@ PathTracker::PathTracker(int depth) : ring_(depth, 0), depth_(depth)
 }
 
 void
-PathTracker::reset()
-{
-    std::fill(ring_.begin(), ring_.end(), 0);
-    head_ = 0;
-    pushes_ = 0;
-    cachedN_ = -1;
-}
-
-
-void
 PathTracker::save(sim::SnapshotWriter &w) const
 {
     w.u64Array("ring", ring_);

@@ -100,8 +100,6 @@ class PathTracker
 
     uint64_t totalPushes() const { return pushes_; }
 
-    void reset();
-
     void save(sim::SnapshotWriter &w) const;
     void restore(sim::SnapshotReader &r);
 

@@ -25,14 +25,6 @@ Prb::at(uint32_t pos) const
 }
 
 void
-Prb::clear()
-{
-    head_ = 0;
-    size_ = 0;
-}
-
-
-void
 PrbEntry::save(sim::SnapshotWriter &w) const
 {
     w.u64("seq", seq);

@@ -96,8 +96,6 @@ class Prb
     /** Youngest entry; size() must be > 0. */
     const PrbEntry &youngest() const { return at(size_ - 1); }
 
-    void clear();
-
     void save(sim::SnapshotWriter &w) const;
     void restore(sim::SnapshotReader &r);
 

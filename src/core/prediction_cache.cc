@@ -47,13 +47,6 @@ PredictionCache::setBase(PathId id, uint64_t seq_num)
                      assoc_];
 }
 
-const PredEntry *
-PredictionCache::setBase(PathId id, uint64_t seq_num) const
-{
-    return &entries_[static_cast<size_t>(setIndex(id, seq_num)) *
-                     assoc_];
-}
-
 PredEntry *
 PredictionCache::findSlot(PathId id, uint64_t seq_num)
 {
@@ -179,16 +172,6 @@ PredictionCache::injectDrop(uint64_t rnd)
     }
     return false;
 }
-
-void
-PredictionCache::clear()
-{
-    for (PredEntry &entry : entries_)
-        entry = PredEntry{};
-    liveCount_ = 0;
-    minLiveSeq_ = ~0ull;
-}
-
 
 void
 PredictionCache::save(sim::SnapshotWriter &w) const

@@ -125,8 +125,6 @@ class PredictionCache
 
     uint32_t occupancy() const { return liveCount_; }
 
-    void clear();
-
     // ---- Fault injection (sim/faultinject.hh) ----
     // Both hooks bypass lookup()/write() deliberately: injected
     // corruption must not perturb the lookup/write counters the
@@ -170,7 +168,6 @@ class PredictionCache
     uint64_t evictions_ = 0;
 
     PredEntry *setBase(PathId id, uint64_t seq_num);
-    const PredEntry *setBase(PathId id, uint64_t seq_num) const;
     PredEntry *findSlot(PathId id, uint64_t seq_num);
 };
 

@@ -30,20 +30,6 @@ traceEventName(TraceEvent event)
 }
 
 std::string
-TraceRecord::toString() const
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "[%10llu] %-18s pc=%llu seq=%llu aux=%016llx",
-                  static_cast<unsigned long long>(cycle),
-                  traceEventName(event),
-                  static_cast<unsigned long long>(pc),
-                  static_cast<unsigned long long>(seq),
-                  static_cast<unsigned long long>(aux));
-    return buf;
-}
-
-std::string
 TraceRecord::toJsonLine() const
 {
     char buf[192];
@@ -136,25 +122,6 @@ PipelineTrace::records() const
     for (size_t i = 0; i < size_; i++)
         out.push_back(ring_[(start + i) % ring_.size()]);
     return out;
-}
-
-std::string
-PipelineTrace::toString() const
-{
-    std::string out;
-    for (const TraceRecord &record : records()) {
-        out += record.toString();
-        out += '\n';
-    }
-    return out;
-}
-
-void
-PipelineTrace::clear()
-{
-    head_ = 0;
-    size_ = 0;
-    totalRecorded_ = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -370,12 +337,6 @@ chromeTraceJson(const std::vector<TraceRecord> &records)
 
     out << "\n  ]\n}\n";
     return out.str();
-}
-
-std::string
-chromeTraceJson(const PipelineTrace &trace)
-{
-    return chromeTraceJson(trace.records());
 }
 
 } // namespace cpu

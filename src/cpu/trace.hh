@@ -7,7 +7,7 @@
  *
  * Two capture modes compose freely:
  *  - the bounded ring retains the last `capacity` events for
- *    post-run inspection (text dump or Chrome-trace export), and
+ *    post-run inspection (Chrome-trace export), and
  *  - an optional JSONL stream appends every event as one JSON line
  *    to a file, for unbounded captures that would overflow any ring.
  *
@@ -64,8 +64,6 @@ struct TraceRecord
     /** Owning microcontext index, or kNoTraceCtx. */
     uint32_t ctx = kNoTraceCtx;
 
-    std::string toString() const;
-
     /** One-line JSON object (the JSONL streaming format). */
     std::string toJsonLine() const;
 };
@@ -113,11 +111,6 @@ class PipelineTrace
     /** Total events ever recorded (including overwritten). */
     uint64_t totalRecorded() const { return totalRecorded_; }
 
-    /** Multi-line dump of the retained events. */
-    std::string toString() const;
-
-    void clear();
-
   private:
     void recordSlow(uint64_t cycle, TraceEvent event, uint64_t pc,
                     uint64_t seq, uint64_t aux, uint32_t ctx);
@@ -137,9 +130,6 @@ class PipelineTrace
  * Deterministic: depends only on the record sequence.
  */
 std::string chromeTraceJson(const std::vector<TraceRecord> &records);
-
-/** Convenience: chromeTraceJson over the ring's retained events. */
-std::string chromeTraceJson(const PipelineTrace &trace);
 
 } // namespace cpu
 } // namespace ssmt

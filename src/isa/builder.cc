@@ -216,7 +216,7 @@ ProgramBuilder::build(std::string name)
     for (const Fixup &fixup : fixups_) {
         auto it = labels_.find(fixup.label);
         if (it == labels_.end())
-            SSMT_FATAL("unbound label '" + fixup.label +
+            SSMT_PANIC("unbound label '" + fixup.label +
                        "' in program " + name);
         code_[fixup.pc].imm = static_cast<int64_t>(it->second);
     }
@@ -224,7 +224,7 @@ ProgramBuilder::build(std::string name)
     for (const DataFixup &fixup : dataFixups_) {
         auto it = labels_.find(fixup.label);
         if (it == labels_.end())
-            SSMT_FATAL("unbound data label '" + fixup.label +
+            SSMT_PANIC("unbound data label '" + fixup.label +
                        "' in program " + name);
         data_[fixup.dataIndex].value = it->second;
     }

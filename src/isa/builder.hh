@@ -123,7 +123,8 @@ class ProgramBuilder
 
     /**
      * Resolve all label fixups and produce the program.
-     * Calls SSMT_FATAL on unbound labels.
+     * An unbound label is a bug in the program's generator: it
+     * panics, as a duplicate label does.
      *
      * Consumes the builder: the code and data image move into the
      * Program rather than being copied, and the builder is left

@@ -1,7 +1,5 @@
 #include "memory/cache.hh"
 
-#include <algorithm>
-
 #include "sim/snapshot.hh"
 
 #include "sim/logging.hh"
@@ -100,17 +98,6 @@ Cache::invalidate(uint64_t addr)
         }
     }
 }
-
-void
-Cache::reset()
-{
-    for (Line &line : sets_)
-        line = Line{};
-    std::fill(tags_.begin(), tags_.end(), ~0ull);
-    hits_ = misses_ = 0;
-    stamp_ = 0;
-}
-
 
 void
 Cache::save(sim::SnapshotWriter &w) const

@@ -79,9 +79,6 @@ class Cache
     /** Invalidate the line containing @p addr if present. */
     void invalidate(uint64_t addr);
 
-    /** Clear all lines and counters. */
-    void reset();
-
     const std::string &name() const { return name_; }
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }

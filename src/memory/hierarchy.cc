@@ -16,15 +16,6 @@ Hierarchy::Hierarchy(const HierarchyConfig &config)
 }
 
 void
-Hierarchy::reset()
-{
-    l1i_.reset();
-    l1d_.reset();
-    l2_.reset();
-}
-
-
-void
 Hierarchy::save(sim::SnapshotWriter &w) const
 {
     w.beginObject("l1i");

@@ -94,9 +94,6 @@ class Hierarchy
                config_.dramLatency;
     }
 
-    /** Reset all cache state and counters. */
-    void reset();
-
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }

@@ -338,12 +338,6 @@ ResultStore::pathFor(const std::string &key) const
 }
 
 bool
-ResultStore::contains(const std::string &key) const
-{
-    return pathExists(pathFor(key));
-}
-
-bool
 ResultStore::load(const std::string &key,
                   const MachineConfig &config,
                   BatchResult *result) const
@@ -589,7 +583,6 @@ campaignManifest(const CampaignSpec &spec,
         w.u64("seed", cell.seed);
         w.str("errorCode", errorCodeName(result.errorCode));
         w.str("error", result.error);
-        w.u64("attempts", result.attempts);
         w.u64Array("counters", statsValues(result.stats));
         w.beginObject("faults");
         w.u64("armed", result.faults.armed);

@@ -167,8 +167,6 @@ class ResultStore
                                const MachineConfig &config,
                                uint64_t seed);
 
-    bool contains(const std::string &key) const;
-
     /** Load and decode the document under @p key. @return false when
      *  absent; an unreadable/corrupt document is treated as absent
      *  (warned, so the cell simply re-runs), and so is a stored
@@ -316,7 +314,7 @@ CampaignOutcome runCampaign(const CampaignSpec &spec,
 /**
  * The deterministic ssmt-campaign-v1 manifest for @p spec given each
  * cell's result (in campaignCells order): per cell its errorCode,
- * error, attempts, counters and fault stats, then the cell and
+ * error, counters and fault stats, then the cell and
  * failure totals. Contains no host timings, cache-hit flags,
  * timestamps or warnings.
  */

@@ -71,27 +71,10 @@ class CompletionHeap
         std::push_heap(heap_.begin(), heap_.end(), LaterCycle{});
     }
 
-    /**
-     * Pop the earliest event into @p out when its cycle is at or
-     * before @p now. @return false when nothing is ready.
-     */
-    bool
-    popReady(uint64_t now, T &out)
-    {
-        if (heap_.empty() || heap_.front().cycle > now)
-            return false;
-        uint32_t slot = heap_.front().slot;
-        out = slab_[slot];
-        free_.push_back(slot);
-        std::pop_heap(heap_.begin(), heap_.end(), LaterCycle{});
-        heap_.pop_back();
-        return true;
-    }
-
     /** Payload of the earliest event when its cycle is at or before
      *  @p now, nullptr otherwise. Valid until the next push or pop:
-     *  pair with popFront() to consume events in place, skipping the
-     *  payload copy popReady() pays per event. */
+     *  pair with popFront() to consume events in place, without a
+     *  payload copy. */
     const T *
     peekReady(uint64_t now) const
     {

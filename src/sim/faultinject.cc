@@ -80,18 +80,6 @@ FaultPlan::validate() const
     return "";
 }
 
-std::string
-FaultPlan::toString() const
-{
-    if (!enabled())
-        return "faults: disabled";
-    return std::string("faults: site=") + faultSiteName(site) +
-           " seed=" + std::to_string(seed) +
-           " count=" + std::to_string(count) +
-           " start=" + std::to_string(startCycle) +
-           " period=" + std::to_string(period);
-}
-
 FaultInjector::FaultInjector(const FaultPlan &plan)
     : plan_(plan), rng_(plan.seed ? plan.seed : 1),
       nextEligible_(plan.startCycle)

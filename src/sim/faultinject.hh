@@ -80,8 +80,6 @@ struct FaultPlan
 
     /** @return "" if well-formed, else an actionable diagnostic. */
     std::string validate() const;
-
-    std::string toString() const;
 };
 
 /** Bookkeeping of what a FaultInjector actually did. */

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sim/sim_error.hh"
-
 namespace ssmt
 {
 namespace detail
@@ -13,27 +11,10 @@ namespace detail
 namespace
 {
 
-std::atomic<bool> fatalThrows_{[] {
-    const char *env = std::getenv("SSMT_FATAL_THROWS");
-    return env && env[0] != '\0' && env[0] != '0';
-}()};
-
 std::atomic<uint64_t> warnEmitted_{0};
 std::atomic<uint64_t> warnSuppressed_{0};
 
 } // namespace
-
-void
-setFatalThrows(bool enabled)
-{
-    fatalThrows_.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-fatalThrows()
-{
-    return fatalThrows_.load(std::memory_order_relaxed);
-}
 
 uint64_t
 warnSuppressedTotal()
@@ -52,18 +33,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::abort();
-}
-
-void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    if (fatalThrows()) {
-        throw sim::FatalError(std::string(file) + ":" +
-                                  std::to_string(line),
-                              msg);
-    }
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
 }
 
 void

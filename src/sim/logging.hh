@@ -2,16 +2,12 @@
  * @file
  * Error and status reporting helpers in the gem5 tradition.
  *
- * panic()  - an internal invariant was violated (simulator bug);
- *            aborts so a debugger/core dump can capture state.
- * fatal()  - the user asked for something unsatisfiable (bad
- *            configuration, bad workload parameters). By default this
- *            exits cleanly, preserving the historical CLI behavior;
- *            in fatal-throws mode (setFatalThrows(true), or the
- *            SSMT_FATAL_THROWS environment variable) it throws
- *            sim::FatalError instead, so library callers and tests
- *            can observe the failure without dying. CLIs that enable
- *            the mode catch at main() and keep exit(1).
+ * panic()  - an internal invariant was violated (simulator bug, or a
+ *            caller bug such as an unbound label); aborts so a
+ *            debugger/core dump can capture state. Unusable user
+ *            input (bad configuration, unknown workload) is not a
+ *            panic: library code throws sim::SimError
+ *            (sim/sim_error.hh) and the caller decides what happens.
  * warn()   - something questionable happened but simulation can
  *            continue. Warnings are rate-limited per call site: the
  *            first kWarnVerbatimPerSite fire verbatim, then one
@@ -40,17 +36,10 @@ constexpr uint64_t kWarnVerbatimPerSite = 5;
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
 /** @p site_count is the calling SSMT_WARN's own static counter: how
  *  often that site fired, which drives its rate limit. */
 void warnImpl(const char *file, int line, const std::string &msg,
               std::atomic<uint64_t> &site_count);
-
-/** Enable/disable throwing sim::FatalError from SSMT_FATAL. */
-void setFatalThrows(bool enabled);
-/** Current fatal-throws mode (env SSMT_FATAL_THROWS seeds it). */
-bool fatalThrows();
 
 /** Total warnings swallowed by rate limiting, process-wide. */
 uint64_t warnSuppressedTotal();
@@ -63,8 +52,6 @@ uint64_t warnEmittedTotal();
 
 #define SSMT_PANIC(msg) \
     ::ssmt::detail::panicImpl(__FILE__, __LINE__, (msg))
-#define SSMT_FATAL(msg) \
-    ::ssmt::detail::fatalImpl(__FILE__, __LINE__, (msg))
 #define SSMT_WARN(msg) \
     do { \
         static std::atomic<uint64_t> ssmt_warn_count_{0}; \

@@ -101,7 +101,7 @@ PathProfiler::mapFor(int n) const
     for (size_t i = 0; i < ns_.size(); i++)
         if (ns_[i] == n)
             return pathStats_[i];
-    SSMT_FATAL("path profiler was not configured for that n");
+    SSMT_PANIC("path profiler was not configured for that n");
 }
 
 uint64_t

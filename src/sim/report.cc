@@ -1,7 +1,6 @@
 #include "sim/report.hh"
 
 #include <cmath>
-#include <cstdio>
 
 namespace ssmt
 {
@@ -22,42 +21,6 @@ asciiBar(double value, double unit, int max_chars)
     if (scaled >= static_cast<double>(max_chars))
         return std::string(static_cast<size_t>(max_chars), '#');
     return std::string(static_cast<size_t>(scaled), '#');
-}
-
-std::string
-padLeft(const std::string &text, int width)
-{
-    if (static_cast<int>(text.size()) >= width)
-        return text;
-    return std::string(width - text.size(), ' ') + text;
-}
-
-std::string
-padRight(const std::string &text, int width)
-{
-    if (static_cast<int>(text.size()) >= width)
-        return text;
-    return text + std::string(width - text.size(), ' ');
-}
-
-std::string
-fmt(double value, int decimals)
-{
-    // Render non-finite values explicitly rather than leaning on
-    // printf's locale-ish "nan"/"inf" spellings.
-    if (std::isnan(value))
-        return "nan";
-    if (std::isinf(value))
-        return value > 0.0 ? "inf" : "-inf";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-    return buf;
-}
-
-std::string
-rule(int width)
-{
-    return std::string(static_cast<size_t>(width), '-');
 }
 
 } // namespace sim

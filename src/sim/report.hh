@@ -1,15 +1,13 @@
 /**
  * @file
- * Small text-report helpers shared by the benches and examples:
- * fixed-width table rows and ASCII bars for the figure
- * reproductions.
+ * The ASCII bar the figure benches (fig6, fig7) draw next to their
+ * speedup rows. Table rows themselves are printf calls in each bench.
  */
 
 #ifndef SSMT_SIM_REPORT_HH
 #define SSMT_SIM_REPORT_HH
 
 #include <string>
-#include <vector>
 
 namespace ssmt
 {
@@ -22,18 +20,6 @@ namespace sim
  * a terminal.
  */
 std::string asciiBar(double value, double unit, int max_chars = 60);
-
-/** Left-pad @p text to @p width. */
-std::string padLeft(const std::string &text, int width);
-
-/** Right-pad @p text to @p width. */
-std::string padRight(const std::string &text, int width);
-
-/** Format a double with @p decimals places. */
-std::string fmt(double value, int decimals = 2);
-
-/** A horizontal rule sized to @p width. */
-std::string rule(int width);
 
 } // namespace sim
 } // namespace ssmt

@@ -7,13 +7,10 @@
  * *job*-level failure that a batch driver can record or report — not
  * a reason to exit(1) under a caller's feet. SimError carries a
  * machine-checkable code, the site that raised it and a human
- * context string. CLIs catch it at main() and keep the traditional
- * exit(1); sim::BatchRunner catches it per job and turns it into a
- * BatchResult::error instead of dying.
- *
- * The companion SSMT_FATAL path (sim/logging.hh) throws FatalError —
- * the user-level leaf of this taxonomy — when fatal-throws mode is
- * enabled, making historical fatal() call sites unit-testable.
+ * context string. CLIs catch it at main() and choose the exit
+ * status; sim::BatchRunner catches it per job and turns it into a
+ * BatchResult::error instead of dying. A bug in the calling code is
+ * not a SimError: it panics (SSMT_PANIC, sim/logging.hh).
  */
 
 #ifndef SSMT_SIM_SIM_ERROR_HH
@@ -40,7 +37,6 @@ enum class ErrorCode : uint8_t
     InvariantViolation, ///< StatsChecker / structural check tripped
     WatchdogExpired,    ///< per-job cycle budget exhausted
     FaultPlanInvalid,   ///< malformed fault-injection plan
-    Fatal,              ///< SSMT_FATAL raised in fatal-throws mode
     Internal,           ///< anything else (wrapped foreign exception)
     /** An isolated worker process died with the job in flight
      *  (signal or exit) or returned an unparsable result. Only ever
@@ -64,7 +60,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::InvariantViolation: return "invariant-violation";
       case ErrorCode::WatchdogExpired:    return "watchdog-expired";
       case ErrorCode::FaultPlanInvalid:   return "fault-plan-invalid";
-      case ErrorCode::Fatal:              return "fatal";
       case ErrorCode::Internal:           return "internal";
       case ErrorCode::JobCrashed:         return "job-crashed";
       case ErrorCode::JobKilled:          return "job-killed";
@@ -110,17 +105,6 @@ class SimError : public std::runtime_error
     ErrorCode code_;
     std::string site_;
     std::string context_;
-};
-
-/** The throwing form of SSMT_FATAL: a user-level error. */
-class FatalError : public SimError
-{
-  public:
-    FatalError(std::string site, std::string context)
-        : SimError(ErrorCode::Fatal, std::move(site),
-                   std::move(context))
-    {
-    }
 };
 
 } // namespace sim

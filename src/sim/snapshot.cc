@@ -94,15 +94,6 @@ SnapshotWriter::endObject()
 }
 
 void
-SnapshotWriter::beginArray()
-{
-    separator();
-    out_ += '[';
-    scopes_.push_back('[');
-    first_.push_back(true);
-}
-
-void
 SnapshotWriter::beginArray(const char *key)
 {
     emitKey(key);

@@ -87,7 +87,6 @@ class SnapshotWriter
     void beginObject();
     void beginObject(const char *key);
     void endObject();
-    void beginArray();
     void beginArray(const char *key);
     void endArray();
 

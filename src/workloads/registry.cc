@@ -1,6 +1,6 @@
 #include "workloads/workloads.hh"
 
-#include "sim/logging.hh"
+#include "sim/sim_error.hh"
 
 namespace ssmt
 {
@@ -64,8 +64,9 @@ makeWorkload(const std::string &name, const WorkloadParams &p)
     std::string known;
     for (const WorkloadInfo &info : allWorkloads())
         known += (known.empty() ? "" : ", ") + info.name;
-    SSMT_FATAL("unknown workload: " + name + " (known: " + known +
-               ")");
+    throw sim::SimError(sim::ErrorCode::UnknownWorkload, "workloads",
+                        "unknown workload '" + name + "' (known: " +
+                            known + ")");
 }
 
 } // namespace workloads

@@ -116,7 +116,8 @@ const std::vector<WorkloadInfo> &allWorkloads();
 /** Names only, in suite order. */
 std::vector<std::string> workloadNames();
 
-/** Build a workload by name; SSMT_FATALs on an unknown name. */
+/** Build a workload by name; an unknown name throws
+ *  sim::SimError(UnknownWorkload). */
 isa::Program makeWorkload(const std::string &name,
                           const WorkloadParams &p = {});
 

@@ -58,19 +58,6 @@ mtConfig()
     return cfg;
 }
 
-// Scoped opt-in to throwing SSMT_FATAL; restores the previous mode
-// so the EXPECT_EXIT tests elsewhere in this binary keep seeing the
-// default exit(1) behavior.
-struct FatalThrowsGuard
-{
-    bool prev;
-    FatalThrowsGuard() : prev(ssmt::detail::fatalThrows())
-    {
-        ssmt::detail::setFatalThrows(true);
-    }
-    ~FatalThrowsGuard() { ssmt::detail::setFatalThrows(prev); }
-};
-
 TEST(BatchFaultsTest, ThrowingJobBecomesErrorSlot)
 {
     std::vector<BatchJob> batch(3);
@@ -186,21 +173,6 @@ TEST(BatchFaultsTest, FailureSummaryDigestsFailedJobs)
         BatchRunner(1).run(all_good);
     EXPECT_TRUE(
         BatchRunner::failureSummary(all_good, good_results).empty());
-}
-
-TEST(LoggingTest, FatalThrowsModeRaisesFatalError)
-{
-    FatalThrowsGuard guard;
-    EXPECT_THROW(workloads::makeWorkload("no-such-workload"),
-                 FatalError);
-    try {
-        workloads::makeWorkload("no-such-workload");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Fatal);
-        EXPECT_NE(std::string(e.what()).find("unknown workload"),
-                  std::string::npos);
-    }
 }
 
 TEST(LoggingTest, WarnIsRateLimitedPerSiteAcrossThreads)

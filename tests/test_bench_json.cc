@@ -38,7 +38,7 @@ TEST(BenchJsonTest, EscapedStringsRoundTrip)
 }
 
 /** Each manifest cell's recorded result (errorCode, error,
- *  attempts, counters, faults), in file order. */
+ *  counters, faults), in file order. */
 std::vector<sim::BatchResult>
 manifestResults(const std::string &text)
 {
@@ -51,7 +51,6 @@ manifestResults(const std::string &text)
         EXPECT_TRUE(sim::parseErrorCode(r.str("errorCode"),
                                         &result.errorCode));
         result.error = r.str("error");
-        result.attempts = static_cast<unsigned>(r.u64("attempts"));
         sim::statsFromValues(result.stats, r.u64Array("counters"));
         r.enter("faults");
         result.faults.armed = r.u64("armed");

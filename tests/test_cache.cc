@@ -74,15 +74,6 @@ TEST(CacheTest, FillWithoutAccounting)
     EXPECT_TRUE(c.probe(0x300));
 }
 
-TEST(CacheTest, ResetClearsStateAndCounters)
-{
-    Cache c("t", 1024, 2, 64);
-    c.access(0x100);
-    c.reset();
-    EXPECT_EQ(c.hits() + c.misses(), 0u);
-    EXPECT_FALSE(c.probe(0x100));
-}
-
 TEST(CacheDeathTest, NonPowerOfTwoGeometryPanics)
 {
     EXPECT_DEATH(Cache("bad", 1000, 2, 64), "power-of-two");

@@ -1,11 +1,13 @@
 /**
  * @file
  * Dedicated CompletionHeap unit tests: the now-boundary on
- * popReady/peekReady, same-cycle tie stability as a pure function of
- * push history, slab-slot recycling under steady-state churn, and
- * clear()-then-reuse equivalence with a fresh heap. (test_flat_map.cc
- * holds the reference-model sweep against the payload heap this
- * replaced; these tests pin the contract edges directly.)
+ * peekReady, same-cycle tie stability as a pure function of push
+ * history, slab-slot recycling under steady-state churn, and
+ * clear()-then-reuse equivalence with a fresh heap. Every pop goes
+ * through peekReady/popFront, the calls the core makes.
+ * (test_flat_map.cc holds the reference-model sweep against the
+ * payload heap this replaced; these tests pin the contract edges
+ * directly.)
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +16,14 @@
 #include <random>
 #include <vector>
 
+#include "heap_pop.hh"
 #include "sim/event_queue.hh"
 
 namespace
 {
 
 using namespace ssmt;
+using test::popReady;
 
 struct Event
 {
@@ -33,7 +37,7 @@ drain(sim::CompletionHeap<Event> &heap, uint64_t now)
 {
     std::vector<Event> out;
     Event e;
-    while (heap.popReady(now, e))
+    while (popReady(heap, now, e))
         out.push_back(e);
     return out;
 }
@@ -45,43 +49,13 @@ TEST(CompletionHeapTest, PopReadyRespectsTheNowBoundary)
     heap.push({11, 2});
 
     Event e;
-    EXPECT_FALSE(heap.popReady(9, e));      // nothing due yet
+    EXPECT_FALSE(popReady(heap, 9, e));     // nothing due yet
     EXPECT_EQ(heap.size(), 2u);
 
-    ASSERT_TRUE(heap.popReady(10, e));      // due exactly at now
+    ASSERT_TRUE(popReady(heap, 10, e));     // due exactly at now
     EXPECT_EQ(e.tag, 1u);
-    EXPECT_FALSE(heap.popReady(10, e));     // next is still future
+    EXPECT_FALSE(popReady(heap, 10, e));    // next is still future
     EXPECT_EQ(heap.nextCycle(), 11u);
-}
-
-TEST(CompletionHeapTest, PeekAndPopFrontMatchPopReady)
-{
-    // peekReady/popFront is the copy-free consumption path; it must
-    // yield exactly the popReady sequence.
-    std::mt19937 rng(7);
-    std::vector<Event> pushed;
-    for (uint32_t i = 0; i < 200; i++)
-        pushed.push_back({rng() % 50, i});
-
-    sim::CompletionHeap<Event> a;
-    sim::CompletionHeap<Event> b;
-    for (const Event &e : pushed) {
-        a.push(e);
-        b.push(e);
-    }
-
-    std::vector<Event> via_pop = drain(a, 50);
-    std::vector<Event> via_peek;
-    while (const Event *e = b.peekReady(50)) {
-        via_peek.push_back(*e);
-        b.popFront();
-    }
-    ASSERT_EQ(via_pop.size(), pushed.size());
-    ASSERT_EQ(via_peek.size(), pushed.size());
-    for (size_t i = 0; i < via_pop.size(); i++) {
-        EXPECT_EQ(via_pop[i].cycle, via_peek[i].cycle) << i;
-        EXPECT_EQ(via_pop[i].tag, via_peek[i].tag) << i;
-    }
 }
 
 TEST(CompletionHeapTest, TieOrderIsAFunctionOfPushHistoryAlone)
@@ -97,7 +71,7 @@ TEST(CompletionHeapTest, TieOrderIsAFunctionOfPushHistoryAlone)
     for (uint32_t i = 0; i < 32; i++)
         churned.push({i, 1000 + i});
     Event sink;
-    while (churned.popReady(31, sink)) {
+    while (popReady(churned, 31, sink)) {
     }
 
     std::mt19937 rng(21);
@@ -125,7 +99,7 @@ TEST(CompletionHeapTest, SteadyStateChurnRecyclesSlabSlots)
         heap.push({now + 1 + rng() % 4, static_cast<uint32_t>(round)});
         if (heap.size() > 8) {
             Event e;
-            while (heap.popReady(++now, e)) {
+            while (popReady(heap, ++now, e)) {
             }
         }
         size_t visited = 0;
@@ -171,7 +145,7 @@ TEST(CompletionHeapTest, VerbatimAppendReproducesBackingOrder)
     // insertion order.
     Event sink;
     for (int i = 0; i < 30; i++)
-        original.popReady(20, sink);
+        popReady(original, 20, sink);
 
     std::vector<Event> saved;
     original.forEachInOrder(

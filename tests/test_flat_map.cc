@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/microram.hh"
+#include "heap_pop.hh"
 #include "isa/inst.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_hash.hh"
@@ -334,7 +335,7 @@ TEST(CompletionHeap, PopPermutationMatchesPayloadHeapExactly)
         now++;
         Ev a, b;
         while (true) {
-            bool got_a = heap.popReady(now, a);
+            bool got_a = test::popReady(heap, now, a);
             bool got_b = ref.popReady(now, b);
             ASSERT_EQ(got_a, got_b);
             if (!got_a)
@@ -360,7 +361,7 @@ TEST(CompletionHeap, VerbatimRoundTripPreservesPopOrder)
     }
     Ev sink;
     for (int i = 0; i < 80; i++)
-        ASSERT_TRUE(heap.popReady(~0ull, sink));
+        ASSERT_TRUE(test::popReady(heap, ~0ull, sink));
 
     // Serialize in backing-array order, rebuild verbatim.
     std::vector<Ev> wire;
@@ -381,8 +382,8 @@ TEST(CompletionHeap, VerbatimRoundTripPreservesPopOrder)
     // ...and the future pop sequence is identical.
     Ev a, b;
     while (true) {
-        bool got_a = heap.popReady(~0ull, a);
-        bool got_b = rebuilt.popReady(~0ull, b);
+        bool got_a = test::popReady(heap, ~0ull, a);
+        bool got_b = test::popReady(rebuilt, ~0ull, b);
         ASSERT_EQ(got_a, got_b);
         if (!got_a)
             break;

@@ -78,15 +78,6 @@ TEST(FrontEndTest, ConditionalBiasLearned)
     EXPECT_GT(fep.condPredictions(), 0u);
 }
 
-TEST(FrontEndTest, PredictOnlyHasNoSideEffects)
-{
-    FrontEndPredictor fep(1024, 1024, 1024, 8);
-    Inst br = condBr(1, 2, 50);
-    uint64_t before = fep.condPredictions();
-    (void)fep.predictOnly(9, br);
-    EXPECT_EQ(fep.condPredictions(), before);
-}
-
 TEST(FrontEndTest, MispredictStatsCount)
 {
     FrontEndPredictor fep(1024, 1024, 1024, 8);
@@ -104,8 +95,9 @@ TEST(FrontEndTest, PredictedNotTakenBranchHasFallThroughSemantics)
     Inst br = condBr(1, 2, 50);
     for (int i = 0; i < 64; i++)
         fep.predictAndTrain(9, br, false, 50);
-    HwPrediction pred = fep.predictOnly(9, br);
+    HwPrediction pred = fep.predictAndTrain(9, br, false, 50);
     EXPECT_FALSE(pred.taken);
+    EXPECT_TRUE(pred.correct);
 }
 
 } // namespace

@@ -79,16 +79,6 @@ TEST(HierarchyTest, PrefetchEffect)
     EXPECT_EQ(second, cfg.l1Latency);
 }
 
-TEST(HierarchyTest, ResetColdensEverything)
-{
-    HierarchyConfig cfg;
-    Hierarchy h(cfg);
-    h.read(0x4000);
-    h.reset();
-    EXPECT_EQ(h.read(0x4000),
-              cfg.l1Latency + cfg.l2Latency + cfg.dramLatency);
-}
-
 TEST(HierarchyTest, CustomLatenciesRespected)
 {
     HierarchyConfig cfg;

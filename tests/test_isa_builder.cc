@@ -203,7 +203,7 @@ TEST(BuilderDeathTest, UnboundLabelIsFatal)
 {
     ProgramBuilder b;
     b.j("nowhere");
-    EXPECT_EXIT(b.build("t"), testing::ExitedWithCode(1), "nowhere");
+    EXPECT_DEATH(b.build("t"), "unbound label 'nowhere'");
 }
 
 TEST(BuilderDeathTest, DuplicateLabelPanics)

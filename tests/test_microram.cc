@@ -89,15 +89,6 @@ TEST(MicroRamTest, SharedHandleOutlivesRemoval)
     EXPECT_EQ(ram.findShared(1), nullptr);
 }
 
-TEST(MicroRamTest, ClearEmptiesEverything)
-{
-    MicroRam ram(8);
-    ram.insert(makeThread(1, 100));
-    ram.clear();
-    EXPECT_EQ(ram.size(), 0u);
-    EXPECT_TRUE(ram.routinesAt(100).empty());
-}
-
 TEST(MicroRamTest, InsertionStatCounts)
 {
     MicroRam ram(8);

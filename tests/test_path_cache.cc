@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/path_cache.hh"
 
 namespace
@@ -131,11 +133,15 @@ TEST(PathCacheTest, EvictedPromotionsSurfaced)
     pc.setPromoted(0x10, true);
     pc.setPromoted(0x20, true);
     pc.update(0x30, true);      // evicts promoted 0x10
-    auto evicted = pc.takeEvictedPromotions();
+    ASSERT_TRUE(pc.hasEvictedPromotions());
+    std::vector<PathId> evicted{0x99};  // cleared first
+    pc.drainEvictedPromotions(evicted);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_EQ(evicted[0], 0x10u);
     // The list drains.
-    EXPECT_TRUE(pc.takeEvictedPromotions().empty());
+    EXPECT_FALSE(pc.hasEvictedPromotions());
+    pc.drainEvictedPromotions(evicted);
+    EXPECT_TRUE(evicted.empty());
 }
 
 TEST(PathCacheTest, DifficultCountReflectsState)
@@ -154,16 +160,6 @@ TEST(PathCacheTest, ThresholdBoundaryIsStrict)
     pc.update(5, true);                 // 1 miss
     updateN(pc, 5, 9, false);           // 1/10 == T exactly
     EXPECT_FALSE(pc.isDifficult(5));
-}
-
-TEST(PathCacheTest, ResetClearsEverything)
-{
-    PathCache pc(64, 4, 4, 0.10);
-    updateN(pc, 5, 4, true);
-    pc.reset();
-    EXPECT_FALSE(pc.isDifficult(5));
-    EXPECT_EQ(pc.updates(), 0u);
-    EXPECT_EQ(pc.difficultCount(), 0u);
 }
 
 } // namespace

@@ -120,8 +120,7 @@ TEST(PathProfilerDeathTest, UnconfiguredNIsFatal)
 {
     PathProfiler profiler({4});
     profiler.profile(workloads::makeSynthetic(spec()), 100'000);
-    EXPECT_EXIT((void)profiler.uniquePaths(10),
-                testing::ExitedWithCode(1), "not configured");
+    EXPECT_DEATH((void)profiler.uniquePaths(10), "not configured");
 }
 
 TEST(PathProfilerTest, HonorsMaxInsts)

@@ -87,14 +87,4 @@ TEST(PathTrackerTest, DistinctCallSitesYieldDistinctIds)
     EXPECT_EQ(a.pathId(1), b.pathId(1));
 }
 
-TEST(PathTrackerTest, ResetClears)
-{
-    PathTracker t(8);
-    t.push(4);
-    t.reset();
-    EXPECT_EQ(t.size(), 0);
-    EXPECT_EQ(t.totalPushes(), 0u);
-    EXPECT_EQ(t.pathId(4), 0u);
-}
-
 } // namespace

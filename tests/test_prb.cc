@@ -61,15 +61,6 @@ TEST(PrbTest, MetadataRoundTrip)
     EXPECT_TRUE(entry.inst.isLoad());
 }
 
-TEST(PrbTest, ClearEmpties)
-{
-    Prb prb(8);
-    PrbFiller fill(prb);
-    fill.ldi(1, 1, 0);
-    prb.clear();
-    EXPECT_EQ(prb.size(), 0u);
-}
-
 TEST(PrbDeathTest, OutOfRangePositionPanics)
 {
     Prb prb(8);

@@ -94,15 +94,6 @@ TEST(PredictionCacheTest, HitAndLookupStats)
     EXPECT_EQ(pc.writes(), 1u);
 }
 
-TEST(PredictionCacheTest, ClearResetsEntries)
-{
-    PredictionCache pc(8);
-    pc.write(1, 10, true, 0, 0);
-    pc.clear();
-    EXPECT_EQ(pc.occupancy(), 0u);
-    EXPECT_EQ(pc.lookup(1, 10), nullptr);
-}
-
 TEST(PredictionCacheTest, SetGeometryCoversCapacity)
 {
     // Sets * ways must equal the capacity; odd capacities degenerate

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the BTB, return-address stack, and indirect target cache.
+ * Tests for the return-address stack and the indirect target cache.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "bpred/btb.hh"
 #include "bpred/ras.hh"
 #include "bpred/target_cache.hh"
 #include "sim/sim_error.hh"
@@ -16,39 +15,8 @@
 namespace
 {
 
-using ssmt::bpred::Btb;
 using ssmt::bpred::Ras;
 using ssmt::bpred::TargetCache;
-
-TEST(BtbTest, MissThenHit)
-{
-    Btb btb(64, 4);
-    EXPECT_FALSE(btb.lookup(100).has_value());
-    btb.update(100, 555);
-    auto hit = btb.lookup(100);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, 555u);
-}
-
-TEST(BtbTest, UpdateRefreshesTarget)
-{
-    Btb btb(64, 4);
-    btb.update(100, 1);
-    btb.update(100, 2);
-    EXPECT_EQ(*btb.lookup(100), 2u);
-}
-
-TEST(BtbTest, ConflictEvictionIsLru)
-{
-    Btb btb(8, 2);      // 4 sets; same-set stride = 4
-    btb.update(0, 10);
-    btb.update(4, 20);
-    btb.lookup(0);      // refresh 0
-    btb.update(8, 30);  // evicts 4
-    EXPECT_TRUE(btb.lookup(0).has_value());
-    EXPECT_FALSE(btb.lookup(4).has_value());
-    EXPECT_TRUE(btb.lookup(8).has_value());
-}
 
 TEST(RasTest, LifoOrder)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the text-report helpers.
+ * Tests for the benches' ASCII bar.
  */
 
 #include <limits>
@@ -42,35 +42,6 @@ TEST(ReportTest, AsciiBarNonFinite)
     EXPECT_EQ(asciiBar(-inf, 1.0, 10), "");
     EXPECT_EQ(asciiBar(nan, 1.0, 10), "");
     EXPECT_EQ(asciiBar(1.0, 0.0, 10), "");  // inf ratio via unit
-}
-
-TEST(ReportTest, Padding)
-{
-    EXPECT_EQ(padLeft("ab", 5), "   ab");
-    EXPECT_EQ(padRight("ab", 5), "ab   ");
-    EXPECT_EQ(padLeft("abcdef", 3), "abcdef");
-}
-
-TEST(ReportTest, FmtDecimals)
-{
-    EXPECT_EQ(fmt(3.14159, 2), "3.14");
-    EXPECT_EQ(fmt(2.0, 0), "2");
-    EXPECT_EQ(fmt(0.5, 3), "0.500");
-}
-
-TEST(ReportTest, FmtNonFinite)
-{
-    double inf = std::numeric_limits<double>::infinity();
-    double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_EQ(fmt(nan, 2), "nan");
-    EXPECT_EQ(fmt(inf, 2), "inf");
-    EXPECT_EQ(fmt(-inf, 2), "-inf");
-}
-
-TEST(ReportTest, Rule)
-{
-    EXPECT_EQ(rule(4), "----");
-    EXPECT_EQ(rule(0), "");
 }
 
 } // namespace

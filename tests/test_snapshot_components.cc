@@ -16,11 +16,9 @@
 
 #include <string>
 
-#include "bpred/btb.hh"
 #include "bpred/frontend_predictor.hh"
 #include "bpred/gshare.hh"
 #include "bpred/hybrid.hh"
-#include "bpred/jrs_confidence.hh"
 #include "bpred/pas.hh"
 #include "bpred/ras.hh"
 #include "bpred/target_cache.hh"
@@ -171,29 +169,8 @@ TEST(SnapshotRoundTrip, PasAndHybrid)
     EXPECT_EQ(hb.predict(12), ha.predict(12));
 }
 
-TEST(SnapshotRoundTrip, JrsConfidence)
-{
-    bpred::JrsConfidence a(256);
-    for (uint64_t i = 0; i < 100; i++)
-        a.update(i * 8, i, (i % 4) != 0);
-    bpred::JrsConfidence b(256);
-    roundTrip(a, b);
-    EXPECT_EQ(b.updates(), a.updates());
-    EXPECT_EQ(b.count(16, 2), a.count(16, 2));
-}
-
 TEST(SnapshotRoundTrip, BtbRasTargetCache)
 {
-    bpred::Btb ba(64, 4);
-    for (uint64_t pc = 0; pc < 40; pc++) {
-        ba.update(pc * 4, pc + 100);
-        ba.lookup(pc * 4);
-    }
-    bpred::Btb bb(64, 4);
-    roundTrip(ba, bb);
-    EXPECT_EQ(bb.hits(), ba.hits());
-    EXPECT_EQ(bb.lookup(16), ba.lookup(16));
-
     bpred::Ras ra(8);
     for (uint64_t i = 0; i < 11; i++)   // wraps past the depth
         ra.push(1000 + i);
@@ -231,7 +208,7 @@ TEST(SnapshotRoundTrip, FrontEndPredictor)
     EXPECT_EQ(b.condPredictions(), a.condPredictions());
     EXPECT_EQ(b.condMispredicts(), a.condMispredicts());
     EXPECT_EQ(b.indirectMispredicts(), a.indirectMispredicts());
-    EXPECT_EQ(b.predictOnly(5, beq).taken, a.predictOnly(5, beq).taken);
+    EXPECT_EQ(b.direction().predict(5), a.direction().predict(5));
 }
 
 // ---- vpred / cpu / memory / isa ----

@@ -55,29 +55,12 @@ TEST(TraceTest, RingKeepsNewest)
     EXPECT_EQ(records.back().cycle, 9u);
 }
 
-TEST(TraceTest, ClearResets)
-{
-    PipelineTrace trace(4);
-    trace.record(1, TraceEvent::Spawn);
-    trace.clear();
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.totalRecorded(), 0u);
-}
-
 TEST(TraceTest, EveryEventHasAName)
 {
     for (int e = 0; e <= static_cast<int>(TraceEvent::BogusRecovery);
          e++) {
         EXPECT_STRNE(traceEventName(static_cast<TraceEvent>(e)), "?");
     }
-}
-
-TEST(TraceTest, RecordToStringMentionsEvent)
-{
-    TraceRecord record{5, TraceEvent::Promote, 0, 0, 0xabcd};
-    std::string text = record.toString();
-    EXPECT_NE(text.find("promote"), std::string::npos);
-    EXPECT_NE(text.find("abcd"), std::string::npos);
 }
 
 TEST(TraceTest, CoreEmitsMechanismEvents)
@@ -175,7 +158,7 @@ TEST(TraceTest, ChromeTraceJsonIsValidAndHasTracks)
     cpu::SsmtCore core(tracedProgram(), cfg);
     core.run();
 
-    std::string doc = cpu::chromeTraceJson(core.trace());
+    std::string doc = cpu::chromeTraceJson(core.trace().records());
     sim::JsonValue root;
     std::string err;
     ASSERT_TRUE(sim::parseJson(doc, root, &err)) << err;

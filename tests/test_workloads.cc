@@ -9,6 +9,7 @@
 
 #include "isa/executor.hh"
 #include "sim/path_profiler.hh"
+#include "sim/sim_error.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -131,10 +132,16 @@ TEST(WorkloadRegistryTest, NamesMatchPaperSuite)
     }
 }
 
-TEST(WorkloadRegistryDeathTest, UnknownNameIsFatal)
+TEST(WorkloadRegistryTest, UnknownNameThrowsUnknownWorkload)
 {
-    EXPECT_EXIT(workloads::makeWorkload("spec2077"),
-                testing::ExitedWithCode(1), "unknown workload");
+    try {
+        workloads::makeWorkload("spec2077");
+        FAIL() << "expected SimError";
+    } catch (const sim::SimError &err) {
+        EXPECT_EQ(err.code(), sim::ErrorCode::UnknownWorkload);
+        EXPECT_NE(std::string(err.what()).find("spec2077"),
+                  std::string::npos);
+    }
 }
 
 TEST(WorkloadRegistryTest, DescriptionsPresent)

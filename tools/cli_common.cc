@@ -1,5 +1,7 @@
 #include "cli_common.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -84,9 +86,14 @@ ArgParser::u64(const std::string &flag, uint64_t def) const
         return def;
     const std::string &text = it->second.back();
     char *end = nullptr;
+    errno = 0;
     unsigned long long parsed =
         std::strtoull(text.c_str(), &end, 10);
-    if (!end || end == text.c_str() || *end != '\0') {
+    // strtoull skips blanks, takes a sign and wraps "-1" to 2^64-1:
+    // only plain decimal digits that fit count as a number here.
+    if (text.empty() ||
+        !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE) {
         std::fprintf(stderr, "%s: %s needs a number (got '%s')\n",
                      argv0_.c_str(), flag.c_str(), text.c_str());
         usage(2);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared command-line plumbing for the ssmt_* tools.
+ * Shared command-line plumbing for the ssmt_* tools, the bench
+ * binaries (bench_util.hh's parseArgs) and ssmt_sim.
  *
  * Every tool used to carry its own copy of the same argv loop,
  * usage() trampoline and comma-splitter; this header is the single
@@ -74,8 +75,9 @@ class ArgParser
     std::string str(const std::string &flag,
                     const std::string &def = "") const;
 
-    /** Last value of @p flag parsed as a decimal uint64_t
-     *  (malformed text exits 2), or @p def when absent. */
+    /** Last value of @p flag parsed as a decimal uint64_t (anything
+     *  but digits, a sign included, or a value past 2^64-1 exits 2),
+     *  or @p def when absent. */
     uint64_t u64(const std::string &flag, uint64_t def = 0) const;
 
     /** Last value of @p flag parsed as a double (exits 2 on

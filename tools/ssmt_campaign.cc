@@ -38,7 +38,6 @@
 #include "sim/campaign.hh"
 #include "sim/faultinject.hh"
 #include "sim/fsio.hh"
-#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "workloads/workloads.hh"
 
@@ -422,9 +421,6 @@ cmdGc(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    // Library errors must surface as catchable exceptions so a bad
-    // spec reports cleanly instead of aborting mid-campaign.
-    ssmt::detail::setFatalThrows(true);
     Options opt = parseOptions(argc, argv);
     try {
         if (opt.command == "status")

@@ -51,7 +51,6 @@
 #include "sim/batch_runner.hh"
 #include "sim/fsio.hh"
 #include "sim/golden.hh"
-#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_error.hh"
 #include "sim/sim_runner.hh"
@@ -384,9 +383,6 @@ runVerify(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    // Library panics must surface as catchable exceptions so one bad
-    // cell reports cleanly instead of aborting the whole sweep.
-    ssmt::detail::setFatalThrows(true);
     Options opt = parseOptions(argc, argv);
     try {
         if (opt.command == "save")

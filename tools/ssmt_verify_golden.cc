@@ -35,7 +35,6 @@
 #include "sim/campaign.hh"
 #include "sim/fsio.hh"
 #include "sim/golden.hh"
-#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace
@@ -178,9 +177,6 @@ verify(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    // Library errors must surface as catchable exceptions, so a bad
-    // workload name or an unwritable directory reports cleanly.
-    ssmt::detail::setFatalThrows(true);
     Options opt = parseOptions(argc, argv);
     try {
         return verify(opt);
