@@ -10,15 +10,12 @@
  *  - **Determinism.** predict() is const and side-effect free;
  *    update() evolves state as a pure function of (pc, taken) and
  *    prior state. No randomness, clocks, or allocation-order
- *    dependence: two instances fed the same stream are byte-identical
- *    under save(), regardless of host, thread, or --jobs count.
+ *    dependence: two instances fed the same stream predict alike and
+ *    count alike, regardless of host, thread, or --jobs count.
  *  - **Fused == split.** predictAndTrain(pc, taken) must return
  *    exactly predict(pc) and leave exactly the state update(pc,
  *    taken) would have left. Backends may fuse the table probes for
  *    speed, but never diverge the result (property-tested).
- *  - **Snapshot.** save()/restore() round-trip byte-exactly under
- *    ssmt-snapshot-v1. Geometry is config-derived and never
- *    serialized; only mutable state travels.
  *  - **Stats.** predictions()/mispredictions() count every trained
  *    branch, charged against the pre-update prediction.
  */
@@ -33,17 +30,12 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
 /** Which direction backend a machine runs. Names (predictorKindName)
- *  participate in configFingerprint, so snapshots taken under one
- *  backend can never restore into another. */
+ *  participate in configFingerprint, so a stored result computed
+ *  under one backend is never served for another. */
 enum class PredictorKind : uint8_t
 {
     /** Table 3 gshare/PAs hybrid with a selector — the paper's
@@ -83,9 +75,6 @@ class DirectionPredictor
     /** predict() + update() fused; must be bit-equivalent to the
      *  split calls (see the header contract). */
     virtual bool predictAndTrain(uint64_t pc, bool taken) = 0;
-
-    virtual void save(sim::SnapshotWriter &w) const = 0;
-    virtual void restore(sim::SnapshotReader &r) = 0;
 
     uint64_t predictions() const { return predictions_; }
     uint64_t mispredictions() const { return mispredictions_; }

@@ -26,11 +26,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -146,9 +141,6 @@ class FrontEndPredictor
 
     /** The active conditional-direction backend. */
     const DirectionPredictor &direction() const { return *dir_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     std::unique_ptr<DirectionPredictor> dir_;

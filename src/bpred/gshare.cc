@@ -1,7 +1,5 @@
 #include "bpred/gshare.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -31,28 +29,6 @@ Gshare::Gshare(uint64_t num_entries, int history_bits)
     histMask_ = historyBits_ == 64 ? ~0ull
                                    : (1ull << historyBits_) - 1;
 }
-
-void
-Gshare::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> pht(pht_.size());
-    for (size_t i = 0; i < pht_.size(); i++)
-        pht[i] = pht_[i].value();
-    w.u64Array("pht", pht);
-    w.u64("history", history_);
-}
-
-void
-Gshare::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> pht = r.u64Array("pht");
-    r.requireSize("pht", pht.size(), pht_.size());
-    for (size_t i = 0; i < pht_.size(); i++)
-        pht_[i] = Counter2(static_cast<uint8_t>(pht[i]));
-    history_ = r.u64("history");
-}
-
-static_assert(sim::SnapshotterLike<Gshare>);
 
 } // namespace bpred
 } // namespace ssmt

@@ -15,11 +15,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -74,9 +69,6 @@ class Gshare
     uint64_t history() const { return history_; }
     uint64_t numEntries() const { return pht_.size(); }
     int historyBits() const { return historyBits_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     sim::TableVector<Counter2> pht_;

@@ -1,7 +1,5 @@
 #include "bpred/hybrid.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -18,42 +16,6 @@ Hybrid::Hybrid(uint64_t component_entries, uint64_t selector_entries,
     SSMT_ASSERT((selector_entries & selectorMask_) == 0,
                 "selector size must be a power of two");
 }
-
-void
-Hybrid::save(sim::SnapshotWriter &w) const
-{
-    w.beginObject("gshare");
-    gshare_.save(w);
-    w.endObject();
-    w.beginObject("pas");
-    pas_.save(w);
-    w.endObject();
-    std::vector<uint64_t> selector(selector_.size());
-    for (size_t i = 0; i < selector_.size(); i++)
-        selector[i] = selector_[i].value();
-    w.u64Array("selector", selector);
-    w.u64("predictions", predictions_);
-    w.u64("mispredictions", mispredictions_);
-}
-
-void
-Hybrid::restore(sim::SnapshotReader &r)
-{
-    r.enter("gshare");
-    gshare_.restore(r);
-    r.leave();
-    r.enter("pas");
-    pas_.restore(r);
-    r.leave();
-    std::vector<uint64_t> selector = r.u64Array("selector");
-    r.requireSize("selector", selector.size(), selector_.size());
-    for (size_t i = 0; i < selector_.size(); i++)
-        selector_[i] = Counter2(static_cast<uint8_t>(selector[i]));
-    predictions_ = r.u64("predictions");
-    mispredictions_ = r.u64("mispredictions");
-}
-
-static_assert(sim::SnapshotterLike<Hybrid>);
 
 } // namespace bpred
 } // namespace ssmt

@@ -17,11 +17,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -100,9 +95,6 @@ class Hybrid final : public DirectionPredictor
 
     const Gshare &gshare() const { return gshare_; }
     const Pas &pas() const { return pas_; }
-
-    void save(sim::SnapshotWriter &w) const override;
-    void restore(sim::SnapshotReader &r) override;
 
   private:
     Gshare gshare_;

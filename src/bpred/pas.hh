@@ -17,11 +17,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -69,9 +64,6 @@ class Pas
 
     /** @return the local history of @p pc (for tests). */
     uint64_t localHistory(uint64_t pc) const { return bht_[pc & bhtMask_]; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     sim::TableVector<uint64_t> bht_;

@@ -1,7 +1,6 @@
 #include "bpred/perceptron.hh"
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -96,51 +95,6 @@ Perceptron::predictAndTrain(uint64_t pc, bool taken)
     train(lk, taken);
     return lk.pred;
 }
-
-void
-Perceptron::save(sim::SnapshotWriter &w) const
-{
-    // Signed weights travel as their two's-complement bit pattern,
-    // matching the writer's i64 convention.
-    auto packed = [](const sim::TableVector<int16_t> &v) {
-        std::vector<uint64_t> out(v.size());
-        for (size_t i = 0; i < v.size(); i++)
-            out[i] = static_cast<uint64_t>(
-                static_cast<int64_t>(v[i]));
-        return out;
-    };
-    w.u64Array("bias", packed(bias_));
-    for (int i = 0; i < kNumTables; i++) {
-        std::string key = "table" + std::to_string(i);
-        w.u64Array(key.c_str(), packed(tables_[i]));
-    }
-    w.u64("history", hist_);
-    w.u64("predictions", predictions_);
-    w.u64("mispredictions", mispredictions_);
-}
-
-void
-Perceptron::restore(sim::SnapshotReader &r)
-{
-    auto unpack = [&r](const char *key, sim::TableVector<int16_t> &v) {
-        std::vector<uint64_t> raw = r.u64Array(key);
-        r.requireSize(key, raw.size(), v.size());
-        for (size_t i = 0; i < v.size(); i++)
-            v[i] = static_cast<int16_t>(
-                static_cast<int64_t>(raw[i]));
-    };
-    unpack("bias", bias_);
-    for (int i = 0; i < kNumTables; i++) {
-        std::string key = "table" + std::to_string(i);
-        unpack(key.c_str(), tables_[i]);
-    }
-    hist_ = r.u64("history");
-    predictions_ = r.u64("predictions");
-    mispredictions_ = r.u64("mispredictions");
-}
-
-static_assert(sim::SnapshotterLike<Perceptron>);
-SSMT_SNAPSHOT_PIN_LAYOUT(Perceptron, 256);
 
 } // namespace bpred
 } // namespace ssmt

@@ -51,9 +51,6 @@ class Perceptron final : public DirectionPredictor
     void update(uint64_t pc, bool taken) override;
     bool predictAndTrain(uint64_t pc, bool taken) override;
 
-    void save(sim::SnapshotWriter &w) const override;
-    void restore(sim::SnapshotReader &r) override;
-
     uint64_t tableEntries() const { return bias_.size(); }
 
   private:

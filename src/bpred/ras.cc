@@ -1,8 +1,6 @@
 #include "bpred/ras.hh"
 
 #include "sim/logging.hh"
-#include "sim/sim_error.hh"
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -44,37 +42,6 @@ Ras::top() const
     uint32_t idx = (topIdx_ + stack_.size() - 1) % stack_.size();
     return stack_[idx];
 }
-
-
-void
-Ras::save(sim::SnapshotWriter &w) const
-{
-    w.u64Array("stack", stack_);
-    w.u64("topIdx", topIdx_);
-    w.u64("size", size_);
-}
-
-void
-Ras::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> stack = r.u64Array("stack");
-    r.requireSize("stack", stack.size(), stack_.size());
-    uint64_t top_idx = r.u64("topIdx");
-    uint64_t size = r.u64("size");
-    // A corrupt snapshot must not plant indices past the configured
-    // depth: the next push would write out of bounds.
-    if (top_idx >= stack.size() || size > stack.size())
-        throw sim::SimError(
-            sim::ErrorCode::ParseError, "snapshot",
-            "ras: topIdx " + std::to_string(top_idx) + " / size " +
-                std::to_string(size) + " exceed depth " +
-                std::to_string(stack.size()));
-    stack_ = std::move(stack);
-    topIdx_ = static_cast<uint32_t>(top_idx);
-    size_ = static_cast<uint32_t>(size);
-}
-
-static_assert(sim::SnapshotterLike<Ras>);
 
 } // namespace bpred
 } // namespace ssmt

@@ -10,8 +10,6 @@
  *  - pop on empty returns 0 and moves nothing — it must not walk
  *    topIdx_ backwards into stale slots, or a call/return-imbalanced
  *    region would resurrect long-dead return addresses.
- *  - restore() validates topIdx_/size_ against the configured depth,
- *    so a corrupt snapshot cannot set up out-of-bounds indexing.
  */
 
 #ifndef SSMT_BPRED_RAS_HH
@@ -22,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -48,9 +41,6 @@ class Ras
 
     uint32_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     std::vector<uint64_t> stack_;

@@ -1,7 +1,6 @@
 #include "bpred/tage.hh"
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -197,78 +196,6 @@ Tage::predictAndTrain(uint64_t pc, bool taken)
     train(lk, pc, taken);
     return lk.pred;
 }
-
-void
-Tage::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> base(base_.size());
-    for (size_t i = 0; i < base_.size(); i++)
-        base[i] = base_[i].value();
-    w.u64Array("base", base);
-
-    // One word per tagged entry: tag | ctr<<16 | useful<<24.
-    std::vector<uint64_t> packed(taggedEntries_);
-    for (int i = 0; i < kNumTables; i++) {
-        for (size_t j = 0; j < tables_[i].size(); j++) {
-            const Entry &e = tables_[i][j];
-            packed[j] = static_cast<uint64_t>(e.tag) |
-                        (static_cast<uint64_t>(e.ctr) << 16) |
-                        (static_cast<uint64_t>(e.useful) << 24);
-        }
-        std::string key = "table" + std::to_string(i);
-        w.u64Array(key.c_str(), packed);
-    }
-
-    std::vector<uint64_t> folds;
-    folds.reserve(3 * kNumTables);
-    for (int i = 0; i < kNumTables; i++) {
-        folds.push_back(foldIdx_[i].comp);
-        folds.push_back(foldTag0_[i].comp);
-        folds.push_back(foldTag1_[i].comp);
-    }
-    w.u64Array("folds", folds);
-    w.u64Array("history", hist_.data(), hist_.size());
-    w.u64("tick", tick_);
-    w.u64("predictions", predictions_);
-    w.u64("mispredictions", mispredictions_);
-}
-
-void
-Tage::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> base = r.u64Array("base");
-    r.requireSize("tage base", base.size(), base_.size());
-    for (size_t i = 0; i < base_.size(); i++)
-        base_[i] = Counter2(static_cast<uint8_t>(base[i]));
-
-    for (int i = 0; i < kNumTables; i++) {
-        std::string key = "table" + std::to_string(i);
-        std::vector<uint64_t> packed = r.u64Array(key.c_str());
-        r.requireSize("tage table", packed.size(),
-                      tables_[i].size());
-        for (size_t j = 0; j < tables_[i].size(); j++) {
-            Entry &e = tables_[i][j];
-            e.tag = static_cast<uint16_t>(packed[j] & 0xffff);
-            e.ctr = static_cast<uint8_t>((packed[j] >> 16) & 0xff);
-            e.useful = static_cast<uint8_t>((packed[j] >> 24) & 0xff);
-        }
-    }
-
-    std::vector<uint64_t> folds = r.u64Array("folds");
-    r.requireSize("tage folds", folds.size(), 3 * kNumTables);
-    for (int i = 0; i < kNumTables; i++) {
-        foldIdx_[i].comp = static_cast<uint32_t>(folds[3 * i + 0]);
-        foldTag0_[i].comp = static_cast<uint32_t>(folds[3 * i + 1]);
-        foldTag1_[i].comp = static_cast<uint32_t>(folds[3 * i + 2]);
-    }
-    r.u64ArrayInto("history", hist_.data(), hist_.size());
-    tick_ = static_cast<uint32_t>(r.u64("tick"));
-    predictions_ = r.u64("predictions");
-    mispredictions_ = r.u64("mispredictions");
-}
-
-static_assert(sim::SnapshotterLike<Tage>);
-SSMT_SNAPSHOT_PIN_LAYOUT(Tage, 456);
 
 } // namespace bpred
 } // namespace ssmt

@@ -62,9 +62,6 @@ class Tage final : public DirectionPredictor
     void update(uint64_t pc, bool taken) override;
     bool predictAndTrain(uint64_t pc, bool taken) override;
 
-    void save(sim::SnapshotWriter &w) const override;
-    void restore(sim::SnapshotReader &r) override;
-
     uint64_t baseEntries() const { return base_.size(); }
     uint64_t taggedEntries() const { return taggedEntries_; }
 

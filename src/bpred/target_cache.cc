@@ -1,7 +1,5 @@
 #include "bpred/target_cache.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -34,23 +32,6 @@ TargetCache::update(uint64_t pc, uint64_t target)
     table_[index(pc)] = target;
     history_ = (history_ << 4) ^ target;
 }
-
-
-void
-TargetCache::save(sim::SnapshotWriter &w) const
-{
-    w.u64Array("table", table_.data(), table_.size());
-    w.u64("history", history_);
-}
-
-void
-TargetCache::restore(sim::SnapshotReader &r)
-{
-    r.u64ArrayInto("table", table_.data(), table_.size());
-    history_ = r.u64("history");
-}
-
-static_assert(sim::SnapshotterLike<TargetCache>);
 
 } // namespace bpred
 } // namespace ssmt

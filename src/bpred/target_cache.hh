@@ -15,11 +15,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace bpred
 {
 
@@ -33,9 +28,6 @@ class TargetCache
 
     /** Train with the actual @p target and rotate it into history. */
     void update(uint64_t pc, uint64_t target);
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     sim::TableVector<uint64_t> table_;

@@ -1,7 +1,5 @@
 #include "core/microram.hh"
 
-#include "sim/snapshot.hh"
-
 #include <algorithm>
 
 #include "sim/logging.hh"
@@ -21,13 +19,9 @@ MicroRam::MicroRam(uint32_t capacity) : capacity_(capacity)
 void
 MicroRam::setProgramSize(size_t num_pcs)
 {
+    SSMT_ASSERT(routines_.empty(),
+                "size the spawn filter before the first insert");
     spawnAtPc_.assign(num_pcs, 0);
-    spawnIndex_.forEach(
-        [&](uint64_t pc, const std::vector<SpawnTarget> &ids) {
-            if (pc < spawnAtPc_.size())
-                spawnAtPc_[pc] =
-                    static_cast<uint16_t>(ids.size());
-        });
 }
 
 void
@@ -125,97 +119,6 @@ MicroRam::unindex(const MicroThread &thread)
     if (vec->empty())
         spawnIndex_.erase(thread.spawnPc);
 }
-
-void
-MicroRam::save(sim::SnapshotWriter &w) const
-{
-    // Routines sorted by path id for canonical bytes.
-    std::vector<PathId> ids_sorted = ids();
-    std::sort(ids_sorted.begin(), ids_sorted.end());
-    w.beginArray("routines");
-    for (PathId id : ids_sorted) {
-        w.beginObject();
-        (*routines_.find(id))->save(w);
-        w.endObject();
-    }
-    w.endArray();
-    // The spawn index keyed by pc (sorted), each pc's id vector in
-    // its *verbatim* order: insert() moves a rebuilt routine to the
-    // back of its vector and routinesAt() drives spawn-attempt order,
-    // so this order is architecturally visible.
-    std::vector<uint64_t> pcs;
-    pcs.reserve(spawnIndex_.size());
-    spawnIndex_.forEach(
-        [&](uint64_t pc, const std::vector<SpawnTarget> &) {
-            pcs.push_back(pc);
-        });
-    std::sort(pcs.begin(), pcs.end());
-    w.beginArray("spawnIndex");
-    for (uint64_t pc : pcs) {
-        w.beginObject();
-        w.u64("pc", pc);
-        std::vector<uint64_t> ids_at;
-        for (const SpawnTarget &t : *spawnIndex_.find(pc))
-            ids_at.push_back(t.id);
-        w.u64Array("ids", ids_at);
-        w.endObject();
-    }
-    w.endArray();
-    w.u64("insertions", insertions_);
-    w.u64("rejectedFull", rejectedFull_);
-    w.u64("removals", removals_);
-}
-
-void
-MicroRam::restore(sim::SnapshotReader &r)
-{
-    routines_.clear();
-    spawnIndex_.clear();
-    size_t n = r.enterArray("routines");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        auto thread = std::make_shared<MicroThread>();
-        thread->restore(r);
-        const PathId id = thread->pathId;
-        routines_.insert(id, std::move(thread));
-        r.leave();
-    }
-    r.leave();
-    n = r.enterArray("spawnIndex");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        uint64_t pc = r.u64("pc");
-        std::vector<SpawnTarget> targets;
-        for (uint64_t id : r.u64Array("ids")) {
-            // Re-bind the routine handle (and the denormalized
-            // prefix head) to the restored store.
-            const std::shared_ptr<const MicroThread> *thread =
-                routines_.find(id);
-            SSMT_ASSERT(thread,
-                        "spawn index references a missing routine");
-            SpawnTarget target;
-            target.id = id;
-            target.thread = *thread;
-            target.prefixLen = static_cast<uint32_t>(
-                (*thread)->prefix.size());
-            target.lastPrefixAddr =
-                target.prefixLen > 0
-                    ? (*thread)->prefix.back().pc * isa::kInstBytes
-                    : 0;
-            targets.push_back(target);
-        }
-        spawnIndex_.insert(pc, std::move(targets));
-        r.leave();
-    }
-    r.leave();
-    // Rebuild the dense fetch filter over the restored index.
-    setProgramSize(spawnAtPc_.size());
-    insertions_ = r.u64("insertions");
-    rejectedFull_ = r.u64("rejectedFull");
-    removals_ = r.u64("removals");
-}
-
-static_assert(sim::SnapshotterLike<MicroRam>);
 
 } // namespace core
 } // namespace ssmt

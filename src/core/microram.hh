@@ -20,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -88,8 +83,9 @@ class MicroRam
      * instructions. routinesAt() is asked about *every* fetched
      * instruction; with the filter in place the (overwhelmingly
      * common) "no routine spawns here" answer is one array load
-     * instead of a hash probe. Optional — without it routinesAt()
-     * falls back to probing the spawn index.
+     * instead of a hash probe. Call it before the first insert.
+     * Optional — without it routinesAt() falls back to probing the
+     * spawn index.
      */
     void setProgramSize(size_t num_pcs);
 
@@ -119,15 +115,12 @@ class MicroRam
     uint64_t rejectedFull() const { return rejectedFull_; }
     uint64_t removals() const { return removals_; }
 
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
-
   private:
     uint32_t capacity_;
     sim::FlatMap<std::shared_ptr<const MicroThread>> routines_;
     sim::FlatMap<std::vector<SpawnTarget>> spawnIndex_;
     /** Routine count per spawn pc — the fetch-path filter. Empty
-     *  until setProgramSize(); rebuilt on restore(). */
+     *  until setProgramSize(). */
     std::vector<uint16_t> spawnAtPc_;
     uint64_t insertions_ = 0;
     uint64_t rejectedFull_ = 0;

@@ -1,7 +1,5 @@
 #include "core/microthread.hh"
 
-#include "sim/snapshot.hh"
-
 #include <array>
 #include <cstdio>
 
@@ -208,134 +206,6 @@ MicroThread::toString() const
     }
     return out;
 }
-
-
-void
-MicroOp::save(sim::SnapshotWriter &w) const
-{
-    w.beginObject("inst");
-    inst.save(w);
-    w.endObject();
-    w.u64("origPc", origPc);
-    w.u64("branchOp", static_cast<uint64_t>(branchOp));
-    w.u64("ahead", ahead);
-    w.u64("prbPos", prbPos);
-    w.boolean("vpConf", vpConf);
-    w.boolean("apConf", apConf);
-}
-
-void
-MicroOp::restore(sim::SnapshotReader &r)
-{
-    r.enter("inst");
-    inst.restore(r);
-    r.leave();
-    origPc = r.u64("origPc");
-    branchOp = static_cast<isa::Opcode>(r.u64("branchOp"));
-    ahead = r.u64("ahead");
-    prbPos = static_cast<uint32_t>(r.u64("prbPos"));
-    vpConf = r.boolean("vpConf");
-    apConf = r.boolean("apConf");
-}
-
-void
-ExpectedBranch::save(sim::SnapshotWriter &w) const
-{
-    w.u64("pc", pc);
-    w.u64("target", target);
-}
-
-void
-ExpectedBranch::restore(sim::SnapshotReader &r)
-{
-    pc = r.u64("pc");
-    target = r.u64("target");
-}
-
-void
-MicroThread::save(sim::SnapshotWriter &w) const
-{
-    w.u64("pathId", pathId);
-    w.i64("pathN", pathN);
-    w.u64("branchPc", branchPc);
-    w.u64("spawnPc", spawnPc);
-    w.u64("seqDelta", seqDelta);
-    w.beginArray("prefix");
-    for (const ExpectedBranch &b : prefix) {
-        w.beginObject();
-        b.save(w);
-        w.endObject();
-    }
-    w.endArray();
-    w.beginArray("expected");
-    for (const ExpectedBranch &b : expected) {
-        w.beginObject();
-        b.save(w);
-        w.endObject();
-    }
-    w.endArray();
-    w.beginArray("ops");
-    for (const MicroOp &op : ops) {
-        w.beginObject();
-        op.save(w);
-        w.endObject();
-    }
-    w.endArray();
-    std::vector<uint64_t> live_ins(liveIns.begin(), liveIns.end());
-    w.u64Array("liveIns", live_ins);
-    w.i64("longestChain", longestChain);
-    w.boolean("speculatesOnMemory", speculatesOnMemory);
-    w.boolean("pruned", pruned);
-}
-
-void
-MicroThread::restore(sim::SnapshotReader &r)
-{
-    pathId = r.u64("pathId");
-    pathN = static_cast<int>(r.i64("pathN"));
-    branchPc = r.u64("branchPc");
-    spawnPc = r.u64("spawnPc");
-    seqDelta = r.u64("seqDelta");
-    size_t n = r.enterArray("prefix");
-    prefix.assign(n, ExpectedBranch{});
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        prefix[i].restore(r);
-        r.leave();
-    }
-    r.leave();
-    n = r.enterArray("expected");
-    expected.assign(n, ExpectedBranch{});
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        expected[i].restore(r);
-        r.leave();
-    }
-    r.leave();
-    n = r.enterArray("ops");
-    ops.assign(n, MicroOp{});
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        ops[i].restore(r);
-        r.leave();
-    }
-    r.leave();
-    std::vector<uint64_t> live_ins = r.u64Array("liveIns");
-    liveIns.resize(live_ins.size());
-    for (size_t i = 0; i < live_ins.size(); i++)
-        liveIns[i] = static_cast<isa::RegIndex>(live_ins[i]);
-    longestChain = static_cast<int>(r.i64("longestChain"));
-    speculatesOnMemory = r.boolean("speculatesOnMemory");
-    pruned = r.boolean("pruned");
-    indexPredPositions(*this);
-}
-
-static_assert(sim::SnapshotterLike<MicroOp>);
-static_assert(sim::SnapshotterLike<ExpectedBranch>);
-static_assert(sim::SnapshotterLike<MicroThread>);
-SSMT_SNAPSHOT_PIN_LAYOUT(MicroOp, 6 * 8);
-SSMT_SNAPSHOT_PIN_LAYOUT(ExpectedBranch, 2 * 8);
-SSMT_SNAPSHOT_PIN_LAYOUT(MicroThread, 21 * 8);
 
 } // namespace core
 } // namespace ssmt

@@ -20,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -45,9 +40,6 @@ struct MicroOp
     uint32_t prbPos = 0;    ///< PRB position the op came from
     bool vpConf = false;    ///< value predictor confident at build
     bool apConf = false;    ///< address predictor confident at build
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 };
 
 /** A taken branch the primary thread must execute for the path to
@@ -58,9 +50,6 @@ struct ExpectedBranch
     uint64_t target = 0;    ///< its destination
 
     bool operator==(const ExpectedBranch &) const = default;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 };
 
 /** A complete difficult-path prediction microthread. */
@@ -100,16 +89,13 @@ struct MicroThread
     /** Indices into ops of the Vp_Inst/Ap_Inst placeholders, so the
      *  spawn path can seed its prediction captures without scanning
      *  every op of the routine. Derived state: analyzeMicroThread()
-     *  and restore() rebuild it, save() skips it. */
+     *  builds it. */
     std::vector<uint32_t> predPositions;
 
     int size() const { return static_cast<int>(ops.size()); }
 
     /** Multi-line listing for debugging/examples. */
     std::string toString() const;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 };
 
 /**

@@ -1,7 +1,5 @@
 #include "core/path_cache.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -225,75 +223,6 @@ PathCache::injectEvict(uint64_t rnd)
     }
     return false;
 }
-
-void
-PathCache::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> valid, id, occurrences, mispredicts,
-        difficult, promoted, last_use;
-    valid.reserve(entries_.size());
-    for (const Entry &e : entries_) {
-        valid.push_back(e.valid);
-        id.push_back(e.id);
-        occurrences.push_back(e.occurrences);
-        mispredicts.push_back(e.mispredicts);
-        difficult.push_back(e.difficult);
-        promoted.push_back(e.promoted);
-        last_use.push_back(e.lastUse);
-    }
-    w.u64Array("valid", valid);
-    w.u64Array("id", id);
-    w.u64Array("occurrences", occurrences);
-    w.u64Array("mispredicts", mispredicts);
-    w.u64Array("difficult", difficult);
-    w.u64Array("promoted", promoted);
-    w.u64Array("lastUse", last_use);
-    w.u64("stamp", stamp_);
-    w.u64("updates", updates_);
-    w.u64("allocations", allocations_);
-    w.u64("allocationsSkipped", allocationsSkipped_);
-    w.u64("evictions", evictions_);
-    w.u64("difficultEvictions", difficultEvictions_);
-    w.u64Array("evictedPromotions", evictedPromotions_);
-}
-
-void
-PathCache::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> valid = r.u64Array("valid");
-    std::vector<uint64_t> id = r.u64Array("id");
-    std::vector<uint64_t> occurrences = r.u64Array("occurrences");
-    std::vector<uint64_t> mispredicts = r.u64Array("mispredicts");
-    std::vector<uint64_t> difficult = r.u64Array("difficult");
-    std::vector<uint64_t> promoted = r.u64Array("promoted");
-    std::vector<uint64_t> last_use = r.u64Array("lastUse");
-    r.requireSize("valid", valid.size(), entries_.size());
-    r.requireSize("id", id.size(), entries_.size());
-    r.requireSize("occurrences", occurrences.size(), entries_.size());
-    r.requireSize("mispredicts", mispredicts.size(), entries_.size());
-    r.requireSize("difficult", difficult.size(), entries_.size());
-    r.requireSize("promoted", promoted.size(), entries_.size());
-    r.requireSize("lastUse", last_use.size(), entries_.size());
-    for (size_t i = 0; i < entries_.size(); i++) {
-        entries_[i].valid = valid[i] != 0;
-        entries_[i].id = id[i];
-        entries_[i].occurrences = static_cast<uint32_t>(occurrences[i]);
-        entries_[i].mispredicts = static_cast<uint32_t>(mispredicts[i]);
-        entries_[i].difficult = difficult[i] != 0;
-        entries_[i].promoted = promoted[i] != 0;
-        entries_[i].lastUse = last_use[i];
-        tags_[i] = entries_[i].id;
-    }
-    stamp_ = r.u64("stamp");
-    updates_ = r.u64("updates");
-    allocations_ = r.u64("allocations");
-    allocationsSkipped_ = r.u64("allocationsSkipped");
-    evictions_ = r.u64("evictions");
-    difficultEvictions_ = r.u64("difficultEvictions");
-    evictedPromotions_ = r.u64Array("evictedPromotions");
-}
-
-static_assert(sim::SnapshotterLike<PathCache>);
 
 } // namespace core
 } // namespace ssmt

@@ -28,11 +28,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -123,9 +118,6 @@ class PathCache
      *  @return false if the cache is empty. */
     bool injectEvict(uint64_t rnd);
 
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
-
   private:
     struct Entry
     {
@@ -144,7 +136,7 @@ class PathCache
      *  scans 64 bytes instead of the set's five lines of full
      *  entries. A tag hit is confirmed against the entry (valid +
      *  id) before use, so a stale tag can never produce a false
-     *  positive. Not serialized — rebuilt from entries_ on restore. */
+     *  positive. */
     sim::TableVector<PathId> tags_;
     uint32_t numSets_;
     uint32_t assoc_;

@@ -18,11 +18,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -100,9 +95,6 @@ class PathTracker
 
     uint64_t totalPushes() const { return pushes_; }
 
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
-
   private:
     std::vector<uint64_t> ring_;
     int depth_;
@@ -112,7 +104,7 @@ class PathTracker
      *  id of the same fixed n once per terminating branch, but the
      *  history only changes on *taken* branches — the cache turns
      *  the not-taken re-asks into one compare. Derived state: push()
-     *  and restore() invalidate, snapshots ignore it. */
+     *  invalidates it. */
     mutable int cachedN_ = -1;
     mutable PathId cachedId_ = 0;
 };

@@ -20,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -46,9 +41,6 @@ struct PrbEntry
     bool vpConfident = false;
     /** Address predictor was confident for this pc at retirement. */
     bool apConfident = false;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 };
 
 class Prb
@@ -95,9 +87,6 @@ class Prb
 
     /** Youngest entry; size() must be > 0. */
     const PrbEntry &youngest() const { return at(size_ - 1); }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     std::vector<PrbEntry> ring_;

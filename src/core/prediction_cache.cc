@@ -1,7 +1,5 @@
 #include "core/prediction_cache.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -172,80 +170,6 @@ PredictionCache::injectDrop(uint64_t rnd)
     }
     return false;
 }
-
-void
-PredictionCache::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> valid, path_id, seq_num, taken, target,
-        write_cycle, consumed;
-    valid.reserve(entries_.size());
-    for (const PredEntry &e : entries_) {
-        valid.push_back(e.valid);
-        path_id.push_back(e.pathId);
-        seq_num.push_back(e.seqNum);
-        taken.push_back(e.taken);
-        target.push_back(e.target);
-        write_cycle.push_back(e.writeCycle);
-        consumed.push_back(e.consumed);
-    }
-    w.u64Array("valid", valid);
-    w.u64Array("pathId", path_id);
-    w.u64Array("seqNum", seq_num);
-    w.u64Array("taken", taken);
-    w.u64Array("target", target);
-    w.u64Array("writeCycle", write_cycle);
-    w.u64Array("consumed", consumed);
-    w.u64("lookups", lookups_);
-    w.u64("lookupHits", lookupHits_);
-    w.u64("writes", writes_);
-    w.u64("overwrites", overwrites_);
-    w.u64("reclaimedUnconsumed", reclaimedUnconsumed_);
-    w.u64("evictions", evictions_);
-}
-
-void
-PredictionCache::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> valid = r.u64Array("valid");
-    std::vector<uint64_t> path_id = r.u64Array("pathId");
-    std::vector<uint64_t> seq_num = r.u64Array("seqNum");
-    std::vector<uint64_t> taken = r.u64Array("taken");
-    std::vector<uint64_t> target = r.u64Array("target");
-    std::vector<uint64_t> write_cycle = r.u64Array("writeCycle");
-    std::vector<uint64_t> consumed = r.u64Array("consumed");
-    r.requireSize("valid", valid.size(), entries_.size());
-    r.requireSize("pathId", path_id.size(), entries_.size());
-    r.requireSize("seqNum", seq_num.size(), entries_.size());
-    r.requireSize("taken", taken.size(), entries_.size());
-    r.requireSize("target", target.size(), entries_.size());
-    r.requireSize("writeCycle", write_cycle.size(), entries_.size());
-    r.requireSize("consumed", consumed.size(), entries_.size());
-    liveCount_ = 0;
-    minLiveSeq_ = ~0ull;
-    for (size_t i = 0; i < entries_.size(); i++) {
-        entries_[i].valid = valid[i] != 0;
-        entries_[i].pathId = path_id[i];
-        entries_[i].seqNum = seq_num[i];
-        entries_[i].taken = taken[i] != 0;
-        entries_[i].target = target[i];
-        entries_[i].writeCycle = write_cycle[i];
-        entries_[i].consumed = consumed[i] != 0;
-        if (entries_[i].valid) {
-            liveCount_++;
-            if (entries_[i].seqNum < minLiveSeq_)
-                minLiveSeq_ = entries_[i].seqNum;
-        }
-    }
-    lookups_ = r.u64("lookups");
-    lookupHits_ = r.u64("lookupHits");
-    writes_ = r.u64("writes");
-    overwrites_ = r.u64("overwrites");
-    reclaimedUnconsumed_ = r.u64("reclaimedUnconsumed");
-    evictions_ = r.u64("evictions");
-}
-
-static_assert(sim::SnapshotterLike<PredictionCache>);
-SSMT_SNAPSHOT_PIN_LAYOUT(PredEntry, 7 * 8);
 
 } // namespace core
 } // namespace ssmt

@@ -31,11 +31,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -139,9 +134,6 @@ class PredictionCache
      *  cache is empty. */
     bool injectDrop(uint64_t rnd);
 
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
-
   private:
     std::vector<PredEntry> entries_;    ///< set-major: set * assoc_ + way
     uint32_t numSets_;
@@ -157,8 +149,7 @@ class PredictionCache
      *  almost every reclaimOlderThan(retired) call sits at or below
      *  this bound and skips the table scan entirely. Insertions
      *  tighten it; single-entry invalidations may leave it stale-low,
-     *  which only costs a scan, never a missed reclaim. Derived
-     *  state: restore() recomputes it. */
+     *  which only costs a scan, never a missed reclaim. */
     uint64_t minLiveSeq_ = ~0ull;
     mutable uint64_t lookups_ = 0;
     mutable uint64_t lookupHits_ = 0;

@@ -1,7 +1,5 @@
 #include "core/spawn_unit.hh"
 
-#include "sim/snapshot.hh"
-
 #include "isa/inst.hh"
 
 namespace ssmt
@@ -15,24 +13,6 @@ PathMatcher::PathMatcher(const MicroThread *thread)
                                                   : Status::Live)
 {
 }
-
-void
-PathMatcher::save(sim::SnapshotWriter &w) const
-{
-    // thread_ is identity, not state: the owner re-binds it to the
-    // restored MicroThread before calling restore().
-    w.u64("matched", index_);
-    w.u64("status", static_cast<uint64_t>(status_));
-}
-
-void
-PathMatcher::restore(sim::SnapshotReader &r)
-{
-    index_ = r.u64("matched");
-    status_ = static_cast<Status>(r.u64("status"));
-}
-
-static_assert(sim::SnapshotterLike<PathMatcher>);
 
 } // namespace core
 } // namespace ssmt

@@ -29,11 +29,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -104,9 +99,6 @@ class PathMatcher
 
     Status status() const { return status_; }
     size_t matched() const { return index_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     const MicroThread *thread_;

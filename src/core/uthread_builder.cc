@@ -1,7 +1,5 @@
 #include "core/uthread_builder.hh"
 
-#include "sim/snapshot.hh"
-
 #include <algorithm>
 #include <array>
 #include <bitset>
@@ -434,59 +432,6 @@ UthreadBuilder::eliminateDeadOps(MicroThread &thread)
     std::reverse(kept.begin(), kept.end());
     thread.ops = std::move(kept);
 }
-
-
-void
-BuildStats::save(sim::SnapshotWriter &w) const
-{
-    w.u64("requests", requests);
-    w.u64("built", built);
-    w.u64("failScopeNotInPrb", failScopeNotInPrb);
-    w.u64("failPathMismatch", failPathMismatch);
-    w.u64("stopsMemDep", stopsMemDep);
-    w.u64("stopsMcbFull", stopsMcbFull);
-    w.u64("totalOps", totalOps);
-    w.u64("totalChain", totalChain);
-    w.u64("totalLiveIns", totalLiveIns);
-    w.u64("prunedRoutines", prunedRoutines);
-    w.u64("prunedSubtrees", prunedSubtrees);
-}
-
-void
-BuildStats::restore(sim::SnapshotReader &r)
-{
-    requests = r.u64("requests");
-    built = r.u64("built");
-    failScopeNotInPrb = r.u64("failScopeNotInPrb");
-    failPathMismatch = r.u64("failPathMismatch");
-    stopsMemDep = r.u64("stopsMemDep");
-    stopsMcbFull = r.u64("stopsMcbFull");
-    totalOps = r.u64("totalOps");
-    totalChain = r.u64("totalChain");
-    totalLiveIns = r.u64("totalLiveIns");
-    prunedRoutines = r.u64("prunedRoutines");
-    prunedSubtrees = r.u64("prunedSubtrees");
-}
-
-void
-UthreadBuilder::save(sim::SnapshotWriter &w) const
-{
-    w.beginObject("stats");
-    stats_.save(w);
-    w.endObject();
-}
-
-void
-UthreadBuilder::restore(sim::SnapshotReader &r)
-{
-    r.enter("stats");
-    stats_.restore(r);
-    r.leave();
-}
-
-static_assert(sim::SnapshotterLike<BuildStats>);
-static_assert(sim::SnapshotterLike<UthreadBuilder>);
-SSMT_SNAPSHOT_PIN_LAYOUT(BuildStats, 11 * 8);
 
 } // namespace core
 } // namespace ssmt

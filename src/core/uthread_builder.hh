@@ -20,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace core
 {
 
@@ -63,9 +58,6 @@ struct BuildStats
     {
         return built ? static_cast<double>(totalChain) / built : 0.0;
     }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 };
 
 class UthreadBuilder
@@ -90,9 +82,6 @@ class UthreadBuilder
 
     const BuildStats &stats() const { return stats_; }
     const BuilderConfig &config() const { return config_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     BuilderConfig config_;

@@ -15,11 +15,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace cpu
 {
 
@@ -82,9 +77,6 @@ class FuPool
 
     /** Slots in a freshly built pool. */
     static constexpr size_t kInitialSlots = 1024;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     /** Issue slots claimed at one cycle; used == 0 marks a slot that

@@ -19,11 +19,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace cpu
 {
 
@@ -58,9 +53,6 @@ struct Microcontext
     /** Dispatch holds off until this cycle (fault injection's
      *  spawn-delay site; 0 = immediately eligible). */
     uint64_t dispatchEligibleCycle = 0;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
     /** All ops dispatched (or the thread aborted) and none pending:
      *  the microcontext can be reclaimed. */

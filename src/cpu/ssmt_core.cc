@@ -20,20 +20,6 @@ pathAddr(uint64_t pc)
     return pc * isa::kInstBytes;
 }
 
-/** Canonical (sorted) key order for serializing a keyed container
- *  (anything exposing size() and forEach(fn(key, value))). */
-template <typename M>
-std::vector<uint64_t>
-sortedKeys(const M &map)
-{
-    std::vector<uint64_t> out;
-    out.reserve(map.size());
-    map.forEach(
-        [&](uint64_t key, const auto &) { out.push_back(key); });
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 } // namespace
 
 SsmtCore::SsmtCore(const isa::Program &prog,
@@ -800,8 +786,8 @@ SsmtCore::attemptSpawns(uint64_t pc, uint64_t seq)
             free_ctx->regReady[reg] = regReady_[reg];
         }
         // Capture pruning predictions now, anchored at the spawn.
-        // Zero-fill the whole vector (checkpoints serialize it, so
-        // stale slots from a previous occupant must not leak), then
+        // Zero-fill the whole vector (a previous occupant's stale
+        // slots must not leak into this routine), then
         // seed only the precomputed Vp/Ap positions instead of
         // scanning every op of the routine. Only a pruned routine has
         // such positions, and pruning implies the predictors.
@@ -1249,407 +1235,6 @@ SsmtCore::checkStructuralInvariants() const
           contexts_.size());
     return out;
 }
-
-// ---------------------------------------------------------------------
-// Checkpoint / restore (ssmt-snapshot-v1)
-// ---------------------------------------------------------------------
-
-void
-SsmtCore::save(sim::SnapshotWriter &w) const
-{
-    SSMT_ASSERT(!finalized_,
-                "cannot snapshot a finalized core (end-of-run "
-                "reclamation already folded into the stats)");
-    w.setClock(cycle_);
-
-    // ---- Pipeline scalars ----
-    w.u64("cycle", cycle_);
-    w.u64("fetchPc", fetchPc_);
-    w.u64("nextSeq", nextSeq_);
-    w.u64("lastRetiredSeq", lastRetiredSeq_);
-    w.u64("fetchResumeCycle", fetchResumeCycle_);
-    w.u64("stallOwnerSeq", stallOwnerSeq_);
-    w.boolean("halted", halted_);
-    w.u64Array("regReady", regReady_.data(), regReady_.size());
-    w.u64Array("lastWriterSeq", lastWriterSeq_.data(),
-               lastWriterSeq_.size());
-
-    w.beginArray("rob");
-    for (size_t i = 0; i < rob_.size(); i++) {
-        const RobEntry &e = rob_.at(i);
-        w.beginObject();
-        w.u64("seq", e.seq);
-        w.u64("pc", e.pc);
-        w.beginObject("inst");
-        e.inst.save(w);
-        w.endObject();
-        w.u64("completeCycle", e.completeCycle);
-        w.u64("value", e.value);
-        w.u64("memAddr", e.memAddr);
-        w.boolean("taken", e.taken);
-        w.u64("target", e.target);
-        w.u64("srcSeq0", e.srcSeq[0]);
-        w.u64("srcSeq1", e.srcSeq[1]);
-        w.boolean("isTerm", e.isTerm);
-        w.endObject();
-    }
-    w.endArray();
-
-    std::vector<uint64_t> seqs = sortedKeys(inflight_);
-    w.beginArray("inflight");
-    for (uint64_t seq : seqs) {
-        const InFlightBranch &br = *inflight_.find(seq);
-        w.beginObject();
-        w.u64("seq", seq);
-        w.u64("pathId", br.pathId);
-        w.u64("resolveCycle", br.resolveCycle);
-        w.boolean("actualTaken", br.actualTaken);
-        w.u64("actualTarget", br.actualTarget);
-        w.boolean("usedTaken", br.usedTaken);
-        w.u64("usedTarget", br.usedTarget);
-        w.boolean("hwCorrect", br.hwCorrect);
-        w.boolean("usedCorrectAtFetch", br.usedCorrectAtFetch);
-        w.boolean("microPredWrongConsumed",
-                  br.microPredWrongConsumed);
-        w.endObject();
-    }
-    w.endArray();
-
-    // ---- Microthread state ----
-    w.beginArray("contexts");
-    for (const Microcontext &ctx : contexts_) {
-        w.beginObject();
-        ctx.save(w);
-        w.endObject();
-    }
-    w.endArray();
-    // The heap's backing-array order verbatim: push_heap/pop_heap
-    // order is deterministic, so restoring the same array reproduces
-    // the same future pop sequence without re-heapifying.
-    w.beginArray("microEvents");
-    microEvents_.forEachInOrder([&](const MicroCompletion &e) {
-        w.beginObject();
-        w.u64("cycle", e.cycle);
-        w.u64("ctx", e.ctx);
-        w.boolean("isStPCache", e.isStPCache);
-        w.u64("pathId", e.pathId);
-        w.u64("targetSeq", e.targetSeq);
-        w.boolean("taken", e.taken);
-        w.u64("target", e.target);
-        w.endObject();
-    });
-    w.endArray();
-    w.u64("microOpsInWindow", microOpsInWindow_);
-    w.u64("rrStart", rrStart_);
-
-    // ---- Builder occupancy ----
-    w.boolean("builderBusy", builderBusy_);
-    w.u64("builderReadyCycle", builderReadyCycle_);
-    if (builderBusy_) {
-        w.beginObject("pendingInstall");
-        pendingInstall_.save(w);
-        w.endObject();
-    }
-
-    // ---- Promotion bookkeeping ----
-    w.u64Array("oraclePromoted", oraclePromoted_.sorted());
-    w.u64Array("suppressed", suppressed_.sorted());
-    std::vector<uint64_t> fbIds = sortedKeys(feedback_);
-    w.beginArray("feedback");
-    for (uint64_t id : fbIds) {
-        const RoutineFeedback &fb = *feedback_.find(id);
-        w.beginObject();
-        w.u64("id", id);
-        w.u64("spawns", fb.spawns);
-        w.u64("useful", fb.useful);
-        w.endObject();
-    }
-    w.endArray();
-    w.u64("spawnSuppressUntil", spawnSuppressUntil_);
-    w.u64("pendingSpawnDelay", pendingSpawnDelay_);
-
-    // ---- Components (construction order) ----
-    w.beginObject("memory");
-    mem_.save(w);
-    w.endObject();
-    w.beginObject("regs");
-    regs_.save(w);
-    w.endObject();
-    w.beginObject("hierarchy");
-    hier_.save(w);
-    w.endObject();
-    w.beginObject("frontend");
-    fep_.save(w);
-    w.endObject();
-    if (vpred_) {
-        w.beginObject("vpred");
-        vpred_->save(w);
-        w.endObject();
-        w.beginObject("apred");
-        apred_->save(w);
-        w.endObject();
-    }
-    w.beginObject("tracker");
-    tracker_.save(w);
-    w.endObject();
-    w.beginObject("pathCache");
-    pathCache_.save(w);
-    w.endObject();
-    w.beginObject("prb");
-    prb_.save(w);
-    w.endObject();
-    w.beginObject("builder");
-    builder_.save(w);
-    w.endObject();
-    w.beginObject("microRam");
-    microRam_.save(w);
-    w.endObject();
-    w.beginObject("pcache");
-    pcache_.save(w);
-    w.endObject();
-    w.beginObject("fu");
-    fu_.save(w);
-    w.endObject();
-    w.beginObject("l1dPorts");
-    l1dPorts_.save(w);
-    w.endObject();
-    w.beginObject("faults");
-    faults_.save(w);
-    w.endObject();
-    w.u64Array("stats", sim::statsValues(stats_));
-    w.beginObject("sampler");
-    sampler_.save(w);
-    w.endObject();
-}
-
-void
-SsmtCore::restore(sim::SnapshotReader &r)
-{
-    cycle_ = r.u64("cycle");
-    r.setClock(cycle_);
-    fetchPc_ = r.u64("fetchPc");
-    nextSeq_ = r.u64("nextSeq");
-    lastRetiredSeq_ = r.u64("lastRetiredSeq");
-    fetchResumeCycle_ = r.u64("fetchResumeCycle");
-    stallOwnerSeq_ = r.u64("stallOwnerSeq");
-    halted_ = r.boolean("halted");
-    finalized_ = false;
-    r.u64ArrayInto("regReady", regReady_.data(), regReady_.size());
-    r.u64ArrayInto("lastWriterSeq", lastWriterSeq_.data(),
-                   lastWriterSeq_.size());
-
-    rob_.clear();
-    size_t n = r.enterArray("rob");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        RobEntry e;
-        e.seq = r.u64("seq");
-        e.pc = r.u64("pc");
-        r.enter("inst");
-        e.inst.restore(r);
-        r.leave();
-        e.completeCycle = r.u64("completeCycle");
-        e.value = r.u64("value");
-        e.memAddr = r.u64("memAddr");
-        e.taken = r.boolean("taken");
-        e.target = r.u64("target");
-        e.srcSeq[0] = r.u64("srcSeq0");
-        e.srcSeq[1] = r.u64("srcSeq1");
-        e.isTerm = r.boolean("isTerm");
-        rob_.push_back(e);
-        r.leave();
-    }
-    r.leave();
-
-    inflight_.clear();
-    n = r.enterArray("inflight");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        InFlightBranch br;
-        uint64_t seq = r.u64("seq");
-        br.pathId = r.u64("pathId");
-        br.resolveCycle = r.u64("resolveCycle");
-        br.actualTaken = r.boolean("actualTaken");
-        br.actualTarget = r.u64("actualTarget");
-        br.usedTaken = r.boolean("usedTaken");
-        br.usedTarget = r.u64("usedTarget");
-        br.hwCorrect = r.boolean("hwCorrect");
-        br.usedCorrectAtFetch = r.boolean("usedCorrectAtFetch");
-        br.microPredWrongConsumed =
-            r.boolean("microPredWrongConsumed");
-        inflight_.insert(seq, br);
-        r.leave();
-    }
-    r.leave();
-
-    n = r.enterArray("contexts");
-    r.requireSize("contexts", n, contexts_.size());
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        contexts_[i].restore(r);
-        r.leave();
-    }
-    r.leave();
-    liveCtx_ = 0;
-    dispatchableCtx_ = 0;
-    liveMatchers_ = 0;
-    liveMatcherMask_ = 0;
-    for (const Microcontext &ctx : contexts_) {
-        if (ctx.active)
-            liveCtx_++;
-        if (ctx.active && !ctx.aborted && ctx.thread &&
-            ctx.nextOp < ctx.thread->ops.size())
-            dispatchableCtx_++;
-        if (ctx.active && !ctx.aborted &&
-            ctx.matcher.status() == core::PathMatcher::Status::Live) {
-            liveMatchers_++;
-            size_t idx =
-                static_cast<size_t>(&ctx - contexts_.data());
-            if (idx < 64)
-                liveMatcherMask_ |= 1ull << idx;
-        }
-    }
-
-    microEvents_.clear();
-    std::vector<uint64_t> events_per_ctx(contexts_.size(), 0);
-    n = r.enterArray("microEvents");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        MicroCompletion e;
-        e.cycle = r.u64("cycle");
-        // processMicroEvents indexes contexts_ with it unchecked.
-        uint64_t ctx = r.u64("ctx");
-        if (ctx >= contexts_.size())
-            r.fail("microEvents[" + std::to_string(i) + "].ctx " +
-                   std::to_string(ctx) + " names no microcontext");
-        e.ctx = static_cast<uint32_t>(ctx);
-        events_per_ctx[ctx]++;
-        e.isStPCache = r.boolean("isStPCache");
-        e.pathId = r.u64("pathId");
-        e.targetSeq = r.u64("targetSeq");
-        e.taken = r.boolean("taken");
-        e.target = r.u64("target");
-        microEvents_.appendVerbatim(e);
-        r.leave();
-    }
-    r.leave();
-    // processMicroEvents decrements both counters once per event, so
-    // each must count exactly the events: one short panics on an idle
-    // context or wraps the window count.
-    for (size_t c = 0; c < contexts_.size(); c++) {
-        if (contexts_[c].opsInFlight != events_per_ctx[c])
-            r.fail("contexts[" + std::to_string(c) + "].opsInFlight " +
-                   std::to_string(contexts_[c].opsInFlight) +
-                   " differs from its " +
-                   std::to_string(events_per_ctx[c]) + " micro-events");
-    }
-    microOpsInWindow_ = r.u64("microOpsInWindow");
-    if (microOpsInWindow_ != n)
-        r.fail("microOpsInWindow " + std::to_string(microOpsInWindow_) +
-               " differs from the " + std::to_string(n) +
-               " micro-events");
-    // Dispatch wraps rrStart_ + i by subtracting n once, and tick()'s
-    // rotation never wraps a value past n back.
-    uint64_t rr_start = r.u64("rrStart");
-    if (rr_start >= contexts_.size())
-        r.fail("rrStart " + std::to_string(rr_start) +
-               " names no microcontext");
-    rrStart_ = static_cast<uint32_t>(rr_start);
-
-    builderBusy_ = r.boolean("builderBusy");
-    builderReadyCycle_ = r.u64("builderReadyCycle");
-    pendingInstall_ = core::MicroThread();
-    if (builderBusy_) {
-        r.enter("pendingInstall");
-        pendingInstall_.restore(r);
-        r.leave();
-    }
-
-    oraclePromoted_.clear();
-    for (uint64_t id : r.u64Array("oraclePromoted"))
-        oraclePromoted_.insert(id);
-    suppressed_.clear();
-    for (uint64_t id : r.u64Array("suppressed"))
-        suppressed_.insert(id);
-    feedback_.clear();
-    n = r.enterArray("feedback");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        RoutineFeedback fb;
-        uint64_t id = r.u64("id");
-        fb.spawns = r.u64("spawns");
-        fb.useful = r.u64("useful");
-        feedback_.insert(id, fb);
-        r.leave();
-    }
-    r.leave();
-    spawnSuppressUntil_ = r.u64("spawnSuppressUntil");
-    pendingSpawnDelay_ = r.u64("pendingSpawnDelay");
-
-    r.enter("memory");
-    mem_.restore(r);
-    r.leave();
-    r.enter("regs");
-    regs_.restore(r);
-    r.leave();
-    r.enter("hierarchy");
-    hier_.restore(r);
-    r.leave();
-    r.enter("frontend");
-    fep_.restore(r);
-    r.leave();
-    if (vpred_) {
-        r.enter("vpred");
-        vpred_->restore(r);
-        r.leave();
-        r.enter("apred");
-        apred_->restore(r);
-        r.leave();
-    }
-    r.enter("tracker");
-    tracker_.restore(r);
-    r.leave();
-    r.enter("pathCache");
-    pathCache_.restore(r);
-    r.leave();
-    r.enter("prb");
-    prb_.restore(r);
-    r.leave();
-    r.enter("builder");
-    builder_.restore(r);
-    r.leave();
-    r.enter("microRam");
-    microRam_.restore(r);
-    r.leave();
-    if (!vpred_) {
-        // Only pruning builds Vp/Ap ops, and spawning one reads the
-        // predictors that exist only with pruning.
-        bool pruned = !pendingInstall_.predPositions.empty();
-        for (core::PathId id : microRam_.ids())
-            pruned = pruned || !microRam_.find(id)->predPositions.empty();
-        if (pruned)
-            r.fail("a routine holds Vp/Ap ops but pruning is off");
-    }
-    r.enter("pcache");
-    pcache_.restore(r);
-    r.leave();
-    r.enter("fu");
-    fu_.restore(r);
-    r.leave();
-    r.enter("l1dPorts");
-    l1dPorts_.restore(r);
-    r.leave();
-    r.enter("faults");
-    faults_.restore(r);
-    r.leave();
-    sim::statsFromValues(stats_, r.u64Array("stats"));
-    r.enter("sampler");
-    sampler_.restore(r);
-    r.leave();
-}
-
-static_assert(sim::SnapshotterLike<SsmtCore>);
-SSMT_SNAPSHOT_PIN_LAYOUT(SsmtCore, 3768);
 
 } // namespace cpu
 } // namespace ssmt

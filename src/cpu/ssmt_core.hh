@@ -42,7 +42,6 @@
 #include "sim/invariants.hh"
 #include "sim/machine_config.hh"
 #include "sim/metrics.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "vpred/value_predictor.hh"
 
@@ -51,7 +50,7 @@ namespace ssmt
 namespace cpu
 {
 
-class SsmtCore : public sim::Snapshotter
+class SsmtCore
 {
   public:
     SsmtCore(const isa::Program &prog,
@@ -71,12 +70,13 @@ class SsmtCore : public sim::Snapshotter
      * the skipped ticks would have performed (front-end bubbles,
      * dispatch round-robin rotation). The next tick() lands at most
      * at @p stop, so external tick loops keep their cycle-precise
-     * stopping points (watchdogs, mid-run checkpoints). A no-op when
-     * fault injection is armed — that's a per-cycle dice roll.
+     * stopping points. A no-op when fault injection is armed — that's
+     * a per-cycle dice roll.
      *
      * Calling this between ticks is an identity on the architectural
-     * trajectory: every golden counter, series sample and snapshot
-     * stays byte-for-byte what a tick-by-tick run produces.
+     * trajectory: every golden counter and series sample stays
+     * byte-for-byte what a tick-by-tick run produces, and so do the
+     * counters, gauges and registers at any stop cycle.
      */
     void fastForward(uint64_t stop);
 
@@ -91,16 +91,6 @@ class SsmtCore : public sim::Snapshotter
         finalizeStats();
         return stats_;
     }
-
-    /**
-     * Checkpoint/restore the complete mutable machine state
-     * (sim/snapshot.hh). save() requires a non-finalized core;
-     * restore() expects a core freshly constructed from the same
-     * program and a structurally identical config (the mechanism
-     * mode may differ — warmup fan-out).
-     */
-    void save(sim::SnapshotWriter &w) const override;
-    void restore(sim::SnapshotReader &r) override;
 
     const sim::Stats &stats() const { return stats_; }
     uint64_t cycle() const { return cycle_; }
@@ -185,8 +175,6 @@ class SsmtCore : public sim::Snapshotter
      * window, so live seqs span less than windowSize — a power-of-two
      * ring over seq turns the per-branch insert/find/take the fetch
      * and retire paths pay into one masked array index, no hashing.
-     * Serialization order is canonicalized by the owner (sorted by
-     * seq), so the container's layout is not architectural.
      */
     class InFlightRing
     {
@@ -247,23 +235,6 @@ class SsmtCore : public sim::Snapshotter
 
         size_t size() const { return live_; }
 
-        void
-        clear()
-        {
-            for (Slot &slot : slots_)
-                slot.live = false;
-            live_ = 0;
-        }
-
-        template <typename Fn>
-        void
-        forEach(Fn fn) const
-        {
-            for (const Slot &slot : slots_)
-                if (slot.live)
-                    fn(slot.seq, slot.br);
-        }
-
       private:
         struct Slot
         {
@@ -279,9 +250,8 @@ class SsmtCore : public sim::Snapshotter
 
     /** A scheduled microthread-op completion. */
     // Members are zero-initialized: dispatch fills the prediction
-    // fields only for Store_PCache completions, and the snapshot
-    // serializes every event verbatim — indeterminate padding fields
-    // would make checkpoint bytes depend on stack history.
+    // fields only for Store_PCache completions, so every other event
+    // carries zeros there rather than stack leftovers.
     struct MicroCompletion
     {
         uint64_t cycle = 0;
@@ -303,8 +273,8 @@ class SsmtCore : public sim::Snapshotter
     memory::Hierarchy hier_;
     bpred::FrontEndPredictor fep_;
     /** Value and address predictors (Section 4.2.5). Only pruning
-     *  reads what they learn, so they exist, train and snapshot only
-     *  when builder.pruningEnabled is set. */
+     *  reads what they learn, so they exist and train only when
+     *  builder.pruningEnabled is set. */
     std::optional<vpred::ValuePredictor> vpred_;
     std::optional<vpred::ValuePredictor> apred_;
     core::PathTracker tracker_;
@@ -344,34 +314,32 @@ class SsmtCore : public sim::Snapshotter
      *  same std::push_heap/pop_heap permutation (and therefore the
      *  same architecturally visible same-cycle tie order) as the old
      *  payload heap, but sifting 16-byte keys instead of 48-byte
-     *  records. Checkpoints serialize the backing-array order
-     *  verbatim, as before. */
+     *  records. */
     sim::CompletionHeap<MicroCompletion> microEvents_;
     uint64_t microOpsInWindow_ = 0;
     uint32_t rrStart_ = 0;
-    /** Count of contexts with active set — derived state (restore
-     *  recomputes it) letting the per-branch matcher feed and the
-     *  per-cycle dispatch scan exit without touching the array. */
+    /** Count of contexts with active set — derived state letting the
+     *  per-branch matcher feed and the per-cycle dispatch scan exit
+     *  without touching the array. */
     uint32_t liveCtx_ = 0;
     /** Count of contexts that can still dispatch ops (active, not
-     *  aborted, nextOp short of the routine end) — derived state
-     *  (restore recomputes it) so the per-cycle dispatch scan and
-     *  fastForward()'s eligibility sweep exit in O(1) when every
-     *  live context is merely draining. */
+     *  aborted, nextOp short of the routine end) — derived state so
+     *  the per-cycle dispatch scan and fastForward()'s eligibility
+     *  sweep exit in O(1) when every live context is merely
+     *  draining. */
     uint32_t dispatchableCtx_ = 0;
     /** Count of contexts whose path matcher is still Live (active,
-     *  not aborted) — derived state (restore recomputes it) so the
-     *  per-control-flow matcher feed skips the context array
-     *  entirely once every in-flight routine has matched or left its
-     *  path, which is the common state while ops drain. */
+     *  not aborted) — derived state so the per-control-flow matcher
+     *  feed skips the context array entirely once every in-flight
+     *  routine has matched or left its path, which is the common
+     *  state while ops drain. */
     uint32_t liveMatchers_ = 0;
     /** Bit per context with a Live matcher (bit i = contexts_[i]),
      *  kept in lockstep with liveMatchers_ while the context count
      *  fits in 64 bits: the per-taken-branch matcher feed then walks
      *  only the set bits, in index order, instead of scanning every
-     *  context record. Derived state, recomputed on restore; unused
-     *  (feedMatchers falls back to the full scan) beyond 64
-     *  contexts. */
+     *  context record. Derived state; unused (feedMatchers falls
+     *  back to the full scan) beyond 64 contexts. */
     uint64_t liveMatcherMask_ = 0;
 
     // ---- Builder occupancy ----

@@ -2,7 +2,6 @@
 
 #include "isa/program.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -26,22 +25,6 @@ run(const Program &prog, RegFile &regs, MemoryImage &mem,
     }
     return count;
 }
-
-
-void
-RegFile::save(sim::SnapshotWriter &w) const
-{
-    w.u64Array("regs", regs_.data(), regs_.size());
-}
-
-void
-RegFile::restore(sim::SnapshotReader &r)
-{
-    r.u64ArrayInto("regs", regs_.data(), regs_.size());
-}
-
-static_assert(sim::SnapshotterLike<RegFile>);
-SSMT_SNAPSHOT_PIN_LAYOUT(RegFile, 32 * 8);
 
 } // namespace isa
 } // namespace ssmt

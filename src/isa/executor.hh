@@ -21,11 +21,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace isa
 {
 
@@ -49,9 +44,6 @@ class RegFile
     }
 
     bool operator==(const RegFile &other) const = default;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     std::array<uint64_t, kNumRegs> regs_;

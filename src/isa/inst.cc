@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -68,30 +67,6 @@ Inst::toString() const
     }
     return buf;
 }
-
-
-void
-Inst::save(sim::SnapshotWriter &w) const
-{
-    w.u64("op", static_cast<uint64_t>(op));
-    w.u64("rd", rd);
-    w.u64("rs1", rs1);
-    w.u64("rs2", rs2);
-    w.i64("imm", imm);
-}
-
-void
-Inst::restore(sim::SnapshotReader &r)
-{
-    op = static_cast<Opcode>(r.u64("op"));
-    rd = static_cast<RegIndex>(r.u64("rd"));
-    rs1 = static_cast<RegIndex>(r.u64("rs1"));
-    rs2 = static_cast<RegIndex>(r.u64("rs2"));
-    imm = r.i64("imm");
-}
-
-static_assert(sim::SnapshotterLike<Inst>);
-SSMT_SNAPSHOT_PIN_LAYOUT(Inst, 16);
 
 } // namespace isa
 } // namespace ssmt

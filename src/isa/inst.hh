@@ -20,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace isa
 {
 
@@ -87,9 +82,6 @@ struct Inst
     std::string toString() const;
 
     bool operator==(const Inst &other) const = default;
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 };
 
 } // namespace isa

@@ -1,8 +1,5 @@
 #include "isa/memory_image.hh"
 
-#include <algorithm>
-
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -27,45 +24,6 @@ MemoryImage::pageFor(uint64_t addr, bool create) const
     lastPage_ = raw;
     return raw;
 }
-
-
-void
-MemoryImage::save(sim::SnapshotWriter &w) const
-{
-    // Pages sorted by page number for canonical bytes.
-    std::vector<uint64_t> index;
-    index.reserve(pages_.size());
-    pages_.forEach([&](uint64_t page_num, const std::unique_ptr<Page> &) {
-        index.push_back(page_num);
-    });
-    std::sort(index.begin(), index.end());
-    w.beginArray("pages");
-    for (uint64_t page_num : index) {
-        const Page *page = pages_.find(page_num)->get();
-        w.beginObject();
-        w.u64("index", page_num);
-        w.hexWords("words", page->words, kWordsPerPage);
-        w.endObject();
-    }
-    w.endArray();
-}
-
-void
-MemoryImage::restore(sim::SnapshotReader &r)
-{
-    clear();
-    const size_t n = r.enterArray("pages");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        auto page = std::make_unique<Page>();
-        r.hexWords("words", page->words, kWordsPerPage);
-        pages_.insert(r.u64("index"), std::move(page));
-        r.leave();
-    }
-    r.leave();
-}
-
-static_assert(sim::SnapshotterLike<MemoryImage>);
 
 } // namespace isa
 } // namespace ssmt

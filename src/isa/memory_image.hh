@@ -20,11 +20,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace isa
 {
 
@@ -66,18 +61,6 @@ class MemoryImage
 
     /** Number of pages currently materialized (for tests). */
     size_t numPages() const { return pages_.size(); }
-
-    /** Drop all contents. */
-    void
-    clear()
-    {
-        pages_.clear();
-        lastPageNum_ = ~0ull;
-        lastPage_ = nullptr;
-    }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     struct Page

@@ -1,7 +1,5 @@
 #include "memory/cache.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -98,46 +96,6 @@ Cache::invalidate(uint64_t addr)
         }
     }
 }
-
-void
-Cache::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> valid, tag, last_use;
-    valid.reserve(sets_.size());
-    for (const Line &line : sets_) {
-        valid.push_back(line.valid);
-        tag.push_back(line.tag);
-        last_use.push_back(line.lastUse);
-    }
-    w.u64Array("valid", valid);
-    w.u64Array("tag", tag);
-    w.u64Array("lastUse", last_use);
-    w.u64("stamp", stamp_);
-    w.u64("hits", hits_);
-    w.u64("misses", misses_);
-}
-
-void
-Cache::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> valid = r.u64Array("valid");
-    std::vector<uint64_t> tag = r.u64Array("tag");
-    std::vector<uint64_t> last_use = r.u64Array("lastUse");
-    r.requireSize("valid", valid.size(), sets_.size());
-    r.requireSize("tag", tag.size(), sets_.size());
-    r.requireSize("lastUse", last_use.size(), sets_.size());
-    for (size_t i = 0; i < sets_.size(); i++) {
-        sets_[i].valid = valid[i] != 0;
-        sets_[i].tag = tag[i];
-        sets_[i].lastUse = last_use[i];
-        tags_[i] = sets_[i].valid ? sets_[i].tag : ~0ull;
-    }
-    stamp_ = r.u64("stamp");
-    hits_ = r.u64("hits");
-    misses_ = r.u64("misses");
-}
-
-static_assert(sim::SnapshotterLike<Cache>);
 
 } // namespace memory
 } // namespace ssmt

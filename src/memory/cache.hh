@@ -19,11 +19,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace memory
 {
 
@@ -87,9 +82,6 @@ class Cache
     uint64_t numSets() const { return numSets_; }
     uint32_t assoc() const { return assoc_; }
 
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
-
   private:
     struct Line
     {
@@ -109,7 +101,7 @@ class Cache
      *  contiguous run of tags instead of striding across 24-byte
      *  Lines. A tag match is re-verified against the Line (a real
      *  line tag could equal the ~0 sentinel), so the mirror can never
-     *  change an outcome. Not serialized; restore() rebuilds it. */
+     *  change an outcome. */
     sim::TableVector<uint64_t> tags_;
     uint64_t stamp_ = 0;
     uint64_t hits_ = 0;

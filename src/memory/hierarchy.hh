@@ -21,11 +21,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace memory
 {
 
@@ -98,9 +93,6 @@ class Hierarchy
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
     const HierarchyConfig &config() const { return config_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     HierarchyConfig config_;

@@ -16,12 +16,9 @@
  * swap purely on comparator outcomes — so the pop permutation,
  * including the order of same-cycle ties, is bit-for-bit the one the
  * old heap produced. Golden stats depend on that tie order; do not
- * "improve" the comparator.
- *
- * Snapshots keep their old wire format: forEachInOrder() walks the
- * heap's backing-array order (what the payload heap serialized
- * verbatim), and appendVerbatim() rebuilds that array without
- * re-sifting, so save → restore → save is byte-stable.
+ * "improve" the comparator. Only that pop order is architectural:
+ * nothing persists or walks the backing array, so a replacement
+ * queue has to reproduce the pop sequence and nothing else.
  */
 
 #ifndef SSMT_SIM_EVENT_QUEUE_HH
@@ -90,36 +87,6 @@ class CompletionHeap
         free_.push_back(heap_.front().slot);
         std::pop_heap(heap_.begin(), heap_.end(), LaterCycle{});
         heap_.pop_back();
-    }
-
-    void
-    clear()
-    {
-        heap_.clear();
-        slab_.clear();
-        free_.clear();
-    }
-
-    /** Visit pending events in backing-array (heap) order — the
-     *  serialization order the old payload heap used. */
-    template <typename Fn>
-    void
-    forEachInOrder(Fn fn) const
-    {
-        for (const Key &k : heap_)
-            fn(slab_[k.slot]);
-    }
-
-    /** Rebuild from a serialized heap: append without sifting. The
-     *  incoming sequence must be a saved backing array (already heap
-     *  ordered), so restoring in order reproduces the layout — and
-     *  the future pop sequence — exactly. */
-    void
-    appendVerbatim(const T &e)
-    {
-        uint32_t slot = static_cast<uint32_t>(slab_.size());
-        slab_.push_back(e);
-        heap_.push_back({e.cycle, slot});
     }
 
   private:

@@ -1,7 +1,5 @@
 #include "sim/faultinject.hh"
 
-#include "sim/snapshot.hh"
-
 namespace ssmt
 {
 namespace sim
@@ -132,33 +130,6 @@ FaultInjector::noteNoTarget()
     // per-cycle cost.
     nextEligible_ = lastFireCycle_ + 1 + roll() % 32;
 }
-
-void
-FaultInjector::save(SnapshotWriter &w) const
-{
-    w.u64("rng", rng_);
-    w.u64("nextEligible", nextEligible_);
-    w.u64("lastFireCycle", lastFireCycle_);
-    w.u64("armed", stats_.armed);
-    w.u64("injected", stats_.injected);
-    w.u64("noTarget", stats_.noTarget);
-}
-
-void
-FaultInjector::restore(SnapshotReader &r)
-{
-    // Overwrites the constructor's decorrelation rolls: the restored
-    // stream position is exactly where the capture-time stream was.
-    rng_ = r.u64("rng");
-    nextEligible_ = r.u64("nextEligible");
-    lastFireCycle_ = r.u64("lastFireCycle");
-    stats_.armed = r.u64("armed");
-    stats_.injected = r.u64("injected");
-    stats_.noTarget = r.u64("noTarget");
-}
-
-static_assert(SnapshotterLike<FaultInjector>);
-SSMT_SNAPSHOT_PIN_LAYOUT(FaultStats, 3 * 8);
 
 ArchSignature
 ArchSignature::of(const Stats &stats)

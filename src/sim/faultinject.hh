@@ -36,9 +36,6 @@ namespace ssmt
 namespace sim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Which speculative structure a plan attacks. */
 enum class FaultSite : uint8_t
 {
@@ -120,11 +117,6 @@ class FaultInjector
      *  re-arms after a short gap instead of a full period so sparse
      *  structures still collect their fault budget. */
     void noteNoTarget();
-
-    /** Checkpoint the RNG stream position, arming state and stats.
-     *  The plan itself is construction-time configuration. */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
 
   private:
     FaultPlan plan_;

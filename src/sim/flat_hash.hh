@@ -12,10 +12,9 @@
  * this change), and erase by backward shifting so no tombstones
  * accumulate: steady-state operation allocates nothing.
  *
- * Deliberate non-goals, so the simulator stays deterministic and
- * snapshot-stable:
- *  - iteration order is unspecified (like unordered_map); every
- *    serialization site sorts keys first, exactly as before,
+ * Deliberate non-goals, so the simulator stays deterministic:
+ *  - iteration order is unspecified (like unordered_map); a caller
+ *    whose result depends on the order sorts the keys first,
  *  - keys are uint64_t only (Seq_Nums, PathIds, pcs — every hot map
  *    in the machine), so there is no hasher policy to get wrong,
  *  - values may be non-trivial (shared_ptr, vector); they are moved
@@ -29,7 +28,6 @@
 #ifndef SSMT_SIM_FLAT_HASH_HH
 #define SSMT_SIM_FLAT_HASH_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -78,16 +76,6 @@ class FlatMap
             needed <<= 1;
         if (needed > slots_.size())
             rehash(needed);
-    }
-
-    void
-    clear()
-    {
-        for (Slot &slot : slots_) {
-            slot.used = false;
-            slot.value = V();
-        }
-        size_ = 0;
     }
 
     V *
@@ -267,7 +255,6 @@ class FlatSet
     size_t size() const { return map_.size(); }
     bool empty() const { return map_.empty(); }
     void reserve(size_t n) { map_.reserve(n); }
-    void clear() { map_.clear(); }
     bool contains(uint64_t key) const { return map_.contains(key); }
     void insert(uint64_t key) { map_[key] = Empty{}; }
     bool erase(uint64_t key) { return map_.erase(key); }
@@ -280,32 +267,12 @@ class FlatSet
             insert(*first);
     }
 
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        map_.forEach([&](uint64_t key, const Empty &) { fn(key); });
-    }
-
-    /** All members, sorted — the canonical serialization order. */
-    std::vector<uint64_t> sorted() const;
-
   private:
     struct Empty
     {
     };
     FlatMap<Empty> map_;
 };
-
-inline std::vector<uint64_t>
-FlatSet::sorted() const
-{
-    std::vector<uint64_t> out;
-    out.reserve(size());
-    forEach([&](uint64_t key) { out.push_back(key); });
-    std::sort(out.begin(), out.end());
-    return out;
-}
 
 /**
  * Fixed-capacity FIFO ring over a flat buffer: the reorder-buffer
@@ -338,13 +305,6 @@ class FlatRing
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     size_t capacity() const { return capacity_; }
-
-    void
-    clear()
-    {
-        head_ = 0;
-        size_ = 0;
-    }
 
     void
     push_back(const T &value)

@@ -8,7 +8,7 @@
  * writes to a temporary sibling in the *same directory* (rename(2) is
  * only atomic within a filesystem), fsyncs it, then renames over the
  * destination, so a `kill -9` at any instant cannot leave a partial
- * golden/, results/ or snapshot JSON behind.
+ * golden/, results/ or result-store JSON behind.
  */
 
 #ifndef SSMT_SIM_FSIO_HH

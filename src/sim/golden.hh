@@ -59,7 +59,7 @@ std::vector<std::pair<std::string, uint64_t>>
 flattenStats(const Stats &stats);
 
 /** Values-only form of flattenStats (same canonical order), for the
- *  compact encodings (ssmt-snapshot-v1) that pair it with
+ *  compact encodings (the job-result codec) that pair it with
  *  statsFromValues instead of repeating the names. */
 std::vector<uint64_t> statsValues(const Stats &stats);
 

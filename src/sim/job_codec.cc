@@ -30,13 +30,10 @@ encodeJobResult(const BatchResult &result,
     w.u64("noTarget", result.faults.noTarget);
     w.endObject();
 
-    w.str("snapshot", result.artifacts.snapshot);
-    w.u64("snapshotCycle", result.artifacts.snapshotCycle);
-
-    // The IntervalSampler::save layout, emitted from the bare
-    // MetricsSeries (the sampler that produced it lives inside the
-    // finished run). Geometry does not travel; decode rebuilds it
-    // from the config exactly like snapshot restore does.
+    // The series layout IntervalSampler::restore reads, emitted from
+    // the bare MetricsSeries (the sampler that produced it lives
+    // inside the finished run). Geometry does not travel; decode
+    // rebuilds it from the config.
     const MetricsSeries &series = result.artifacts.series;
     w.u64("seriesInterval", series.interval);
     if (series.interval != 0) {
@@ -110,9 +107,6 @@ decodeJobResult(const std::string &text, const MachineConfig &config,
     result->faults.injected = r.u64("injected");
     result->faults.noTarget = r.u64("noTarget");
     r.leave();
-
-    result->artifacts.snapshot = r.str("snapshot");
-    result->artifacts.snapshotCycle = r.u64("snapshotCycle");
 
     uint64_t interval = r.u64("seriesInterval");
     if (interval != 0) {

@@ -4,9 +4,9 @@
  * process uses to ship one BatchResult back to its parent (and the
  * document format the campaign result store keeps on disk).
  *
- * Canonical in the ssmt-snapshot-v1 tradition: integers only, fixed
- * field order, Stats as a sim::statsValues array, the metrics series
- * in the exact IntervalSampler::save layout. Two identical runs
+ * Canonical (sim/snapshot.hh's writer): integers only, fixed field
+ * order, Stats as a sim::statsValues array, the metrics series in
+ * the layout IntervalSampler::restore reads. Two identical runs
  * encode byte-identically regardless of host, worker count, or
  * whether they ran in-process or in a child — which is what makes
  * "isolated == in-process" and "resumed manifest == uninterrupted
@@ -14,11 +14,12 @@
  *
  * Deliberately NOT encoded:
  *   - hostSeconds (wall-clock is host noise; the parent re-stamps),
- *   - histogram/series geometry (reconstructed from the config, as
- *     snapshot restore does),
+ *   - histogram/series geometry (reconstructed from the config),
  *   - warnings (they go to stderr; a document holds only what the
- *     simulation computed). Fields are read by key, so an older
- *     document that carries a `warnings` array still decodes.
+ *     simulation computed).
+ * Fields are read by key, so an older document that still carries a
+ * `warnings` array or the retired machine-checkpoint keys
+ * (`snapshot`, `snapshotCycle`) decodes.
  */
 
 #ifndef SSMT_SIM_JOB_CODEC_HH
@@ -38,9 +39,9 @@ extern const char kJobResultSchema[];   ///< "ssmt-job-result-v1"
 /**
  * Serialize one job's outcome.
  *
- * @param checkpoint vestigial: always "" (jobs run once and never
- *        resume from a checkpoint). Kept, with @p final_attempt, so
- *        the document bytes and the benchmark's calls stay unchanged
+ * @param checkpoint vestigial: always "" (jobs run once and nothing
+ *        resumes). Kept, with @p final_attempt, because the
+ *        benchmark calls this signature
  * @param final_attempt vestigial: always true
  */
 std::string encodeJobResult(const BatchResult &result,

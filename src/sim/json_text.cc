@@ -15,8 +15,8 @@ namespace
 {
 
 /** Deepest container nesting parseJson accepts. Our own documents
- *  nest at most 8 levels (golden/ 2, results/ manifests and store
- *  entries 5, machine snapshots 8); the cap bounds the parser's
+ *  nest at most 5 levels (golden/ 2, results/ manifests and store
+ *  entries 5); the cap bounds the parser's
  *  recursion (and the tree's recursive destruction) far below what a
  *  worker thread's stack holds, so hostile input fails instead of
  *  overflowing it. */

@@ -2,7 +2,7 @@
  * @file
  * A minimal JSON reader for the simulator's own machine-readable
  * artifacts (`ssmt-golden-v1` golden-stats snapshots, campaign
- * specs, journals and manifests, machine snapshots), plus the string
+ * specs, journals, manifests and job results), plus the string
  * escaper their writers share.
  *
  * This is deliberately not a general-purpose JSON library: it parses

@@ -60,11 +60,13 @@ namespace
 //
 // One entry per structural knob: the fingerprint prints through it
 // and applyConfigSetting parses through it, so the two share one key
-// set and one value syntax. Order is part of the fingerprint format:
-// append new knobs at the end of their section. Excluded on purpose:
-// mode (warmup fan-out restores into any mode), maxInsts/maxCycles
-// (run control; budget extension on resume), traceCapacity/tracePath
-// (observability only).
+// set and one value syntax. Order is part of the fingerprint format,
+// and every store key hashes those bytes: append new knobs at the end
+// of their section. Excluded on purpose: mode (a store key names it
+// beside the fingerprint), maxInsts/maxCycles (run control, not
+// machine structure; a store key names a non-default retire cap
+// itself) and traceCapacity/tracePath (observability only: no
+// counter depends on them).
 
 template <typename T>
 void

@@ -76,8 +76,8 @@ struct MachineConfig
     /** Conditional-direction backend: the Table 3 hybrid (default),
      *  or a modern competitor (tage, perceptron) for the "is it
      *  still worth it?" cross study. Participates in
-     *  configFingerprint, so snapshots never cross-restore between
-     *  backends. */
+     *  configFingerprint, so a result stored under one backend is
+     *  never served for another. */
     bpred::PredictorKind predictor = bpred::PredictorKind::Hybrid;
     uint64_t bpredComponentEntries = 128 * 1024;
     uint64_t bpredSelectorEntries = 64 * 1024;
@@ -165,9 +165,9 @@ struct MachineConfig
 
 /**
  * Structural fingerprint of @p config, `v1;key=value;...` over every
- * knob that shapes the serialized machine state; every store key and
- * snapshot hashes these bytes. Deliberately *excludes* the mechanism
- * mode (so one warmup snapshot fans out across modes) and the pure
+ * knob that shapes the machine; every store key hashes these bytes,
+ * so they must not change. Deliberately *excludes* the mechanism
+ * mode (a store key names it beside the fingerprint) and the pure
  * run-control knobs (maxInsts/maxCycles, trace capture).
  */
 std::string configFingerprint(const MachineConfig &config);

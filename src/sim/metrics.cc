@@ -69,8 +69,6 @@ OccupancyHistogram::restore(SnapshotReader &r)
     sum_ = r.u64("sum");
 }
 
-static_assert(SnapshotterLike<OccupancyHistogram>);
-
 // ---------------------------------------------------------------------
 // IntervalSampler
 // ---------------------------------------------------------------------
@@ -140,31 +138,6 @@ IntervalSampler::finalize(uint64_t cycle, const Stats &stats,
 }
 
 void
-IntervalSampler::save(SnapshotWriter &w) const
-{
-    w.beginArray("samples");
-    for (const Sample &s : series_.samples) {
-        w.beginObject();
-        w.u64("cycle", s.cycle);
-        w.u64Array("counters", statsValues(s.stats));
-        const uint64_t gauges[5] = {
-            s.gauges.prbEntries, s.gauges.liveMicrocontexts,
-            s.gauges.pcacheValidEntries, s.gauges.microRamRoutines,
-            s.gauges.windowFill};
-        w.u64Array("gauges", gauges, 5);
-        w.endObject();
-    }
-    w.endArray();
-    w.beginArray("histograms");
-    for (const OccupancyHistogram &h : series_.histograms) {
-        w.beginObject();
-        h.save(w);
-        w.endObject();
-    }
-    w.endArray();
-}
-
-void
 IntervalSampler::restore(SnapshotReader &r)
 {
     series_.samples.clear();
@@ -193,10 +166,6 @@ IntervalSampler::restore(SnapshotReader &r)
     }
     r.leave();
 }
-
-static_assert(SnapshotterLike<IntervalSampler>);
-SSMT_SNAPSHOT_PIN_LAYOUT(OccupancyGauges, 5 * 8);
-SSMT_SNAPSHOT_PIN_LAYOUT(Sample, 57 * 8);
 
 // ---------------------------------------------------------------------
 // Serialization (ssmt-series-v1)
@@ -241,36 +210,7 @@ appendHistogram(std::ostringstream &out,
     out << "]}";
 }
 
-void
-appendSeriesBody(std::ostringstream &out, const MetricsSeries &series,
-                 const char *sample_sep, const char *indent)
-{
-    out << "\"interval\": " << series.interval << ","
-        << sample_sep << indent << "\"samples\": [";
-    for (size_t i = 0; i < series.samples.size(); i++) {
-        out << (i ? "," : "") << sample_sep << indent << "  ";
-        appendSample(out, series.samples[i]);
-    }
-    out << sample_sep << indent << "],";
-    out << sample_sep << indent << "\"histograms\": [";
-    for (size_t i = 0; i < series.histograms.size(); i++) {
-        out << (i ? "," : "") << sample_sep << indent << "  ";
-        appendHistogram(out, series.histograms[i]);
-    }
-    out << sample_sep << indent << "]";
-}
-
 } // namespace
-
-std::string
-seriesJson(const MetricsSeries &series)
-{
-    std::ostringstream out;
-    out << "{\"schema\": \"" << kSeriesSchema << "\", ";
-    appendSeriesBody(out, series, "", "");
-    out << "}";
-    return out.str();
-}
 
 std::string
 seriesDocumentJson(const MetricsSeries &series,
@@ -280,9 +220,19 @@ seriesDocumentJson(const MetricsSeries &series,
     std::ostringstream out;
     out << "{\n  \"schema\": \"" << kSeriesSchema
         << "\",\n  \"workload\": \"" << workload
-        << "\",\n  \"config\": \"" << config << "\",\n  ";
-    appendSeriesBody(out, series, "\n", "  ");
-    out << "\n}\n";
+        << "\",\n  \"config\": \"" << config
+        << "\",\n  \"interval\": " << series.interval
+        << ",\n  \"samples\": [";
+    for (size_t i = 0; i < series.samples.size(); i++) {
+        out << (i ? "," : "") << "\n    ";
+        appendSample(out, series.samples[i]);
+    }
+    out << "\n  ],\n  \"histograms\": [";
+    for (size_t i = 0; i < series.histograms.size(); i++) {
+        out << (i ? "," : "") << "\n    ";
+        appendHistogram(out, series.histograms[i]);
+    }
+    out << "\n  ]\n}\n";
     return out.str();
 }
 

@@ -92,8 +92,9 @@ class OccupancyHistogram
                         : 0.0;
     }
 
-    /** Checkpoint the accumulated counts. Name, capacity and bucket
-     *  width are construction-time geometry and not serialized. */
+    /** Encode and decode the accumulated counts: the job codec's
+     *  series layout. Name, capacity and bucket width are
+     *  construction-time geometry and not serialized. */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
@@ -157,10 +158,10 @@ class IntervalSampler
 
     const MetricsSeries &series() const { return series_; }
 
-    /** Checkpoint the captured samples and histogram counts. The
-     *  interval and histogram geometry come from construction and
-     *  must match (restore() rejects a histogram-count mismatch). */
-    void save(SnapshotWriter &w) const;
+    /** Decode the samples and histogram counts the job codec wrote
+     *  (encodeJobResult). The interval and histogram geometry come
+     *  from construction and must match (a histogram-count mismatch
+     *  throws SimError(ParseError)). */
     void restore(SnapshotReader &r);
 
   private:
@@ -169,19 +170,17 @@ class IntervalSampler
 };
 
 /**
- * Compact canonical serialization of @p series:
- *   {"schema": "ssmt-series-v1", "interval": N,
+ * Canonical ssmt-series-v1 artifact document of @p series, one
+ * sample per line for diffability:
+ *   {"schema": "ssmt-series-v1", "workload": ..., "config": ...,
+ *    "interval": N,
  *    "samples": [{"cycle": C, "counters": {...}, "gauges": {...}}],
  *    "histograms": [{"name": ..., "capacity": ..., "bucketWidth": ...,
  *                    "samples": ..., "min": ..., "max": ..., "sum": ...,
  *                    "buckets": [...]}]}
  * Counters use sim::flattenStats order, so two identical simulations
- * serialize byte-identically. Embeddable in a bench record.
+ * serialize byte-identically.
  */
-std::string seriesJson(const MetricsSeries &series);
-
-/** Standalone artifact document: seriesJson plus workload/config
- *  identification, one sample per line for diffability. */
 std::string seriesDocumentJson(const MetricsSeries &series,
                                const std::string &workload,
                                const std::string &config);

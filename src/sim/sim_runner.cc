@@ -7,7 +7,6 @@
 #include "sim/invariants.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -36,9 +35,7 @@ runProgram(const isa::Program &prog, const MachineConfig &config)
 Stats
 runProgramChecked(const isa::Program &prog, const MachineConfig &config,
                   const std::string &label, uint64_t cycle_budget,
-                  FaultStats *fault_stats, RunArtifacts *artifacts,
-                  uint64_t snapshot_at_cycle,
-                  const std::string *resume_from)
+                  FaultStats *fault_stats, RunArtifacts *artifacts)
 {
     config.validateOrThrow();
 
@@ -50,30 +47,7 @@ runProgramChecked(const isa::Program &prog, const MachineConfig &config,
         *artifacts = RunArtifacts{};
 
     cpu::SsmtCore core(prog, cfg);
-    if (resume_from && !resume_from->empty())
-        restoreMachineSnapshot(core, prog, cfg, *resume_from);
-
-    // The external equivalent of core.run(), so the checkpoint can be
-    // captured mid-run — after the target tick completes, before the
-    // end-of-run finalization folds Prediction Cache reclamation into
-    // the counters.
-    while (!core.done() && core.cycle() < cfg.maxCycles &&
-           core.retiredInsts() < cfg.maxInsts) {
-        // Skip quiescent cycles, but never past the snapshot point:
-        // the capture below must still observe its exact cycle.
-        bool snapshot_armed = artifacts && snapshot_at_cycle > 0 &&
-                              core.cycle() < snapshot_at_cycle;
-        core.fastForward(snapshot_armed ? snapshot_at_cycle
-                                        : cfg.maxCycles);
-        core.tick();
-        if (artifacts && snapshot_at_cycle > 0 &&
-            core.cycle() == snapshot_at_cycle) {
-            artifacts->snapshot =
-                writeMachineSnapshot(core, prog, cfg, label);
-            artifacts->snapshotCycle = core.cycle();
-        }
-    }
-    Stats stats = core.finish();
+    Stats stats = core.run();
     if (fault_stats)
         *fault_stats = core.faultStats();
     if (artifacts) {

@@ -31,12 +31,6 @@ struct RunArtifacts
     /** Bounded pipeline-event capture (cfg.traceCapacity > 0),
      *  oldest first; feed to cpu::chromeTraceJson() for Perfetto. */
     std::vector<cpu::TraceRecord> trace;
-    /** ssmt-snapshot-v1 document captured at @ref snapshotCycle when
-     *  the run was asked to checkpoint (empty otherwise; batch jobs
-     *  never ask). Captured even when the run later trips the
-     *  watchdog. */
-    std::string snapshot;
-    uint64_t snapshotCycle = 0;
 };
 
 /** Run @p prog to completion under @p config and return the stats.
@@ -60,29 +54,15 @@ Stats runProgram(const isa::Program &prog, const MachineConfig &config);
  * @param label       run name used in error context strings
  * @param cycle_budget per-job watchdog; 0 = no watchdog
  * @param fault_stats  optional out-param: what the fault plan did
- * @param artifacts    optional out-param: time-series, trace and
- *                     (when requested) the machine snapshot; reset
- *                     at entry
- * @param snapshot_at_cycle capture an ssmt-snapshot-v1 checkpoint
- *                     into @p artifacts after this cycle completes
- *                     (0 = never; requires @p artifacts). The
- *                     snapshot-at-N + resume run is byte-identical,
- *                     in golden stats and metrics series, to the
- *                     straight-through run.
- * @param resume_from  optional ssmt-snapshot-v1 document to restore
- *                     before running (nullptr/empty = fresh start);
- *                     must match the program and the structural
- *                     config, but may use a different mechanism mode
- *                     (warmup fan-out) or larger run budgets
+ * @param artifacts    optional out-param: time-series and trace;
+ *                     reset at entry
  */
 Stats runProgramChecked(const isa::Program &prog,
                         const MachineConfig &config,
                         const std::string &label,
                         uint64_t cycle_budget = 0,
                         FaultStats *fault_stats = nullptr,
-                        RunArtifacts *artifacts = nullptr,
-                        uint64_t snapshot_at_cycle = 0,
-                        const std::string *resume_from = nullptr);
+                        RunArtifacts *artifacts = nullptr);
 
 /** IPC speed-up of @p test over @p baseline, as plotted in the
  *  paper's Figures 6 and 7 (1.0 = no change). */

@@ -1,24 +1,21 @@
 /**
  * @file
- * ssmt-snapshot-v1 encoder/decoder and the whole-machine envelope.
+ * The canonical JSON writer and reader, and the program hash.
  */
 
 #include "sim/snapshot.hh"
 
 #include <cassert>
+#include <cstdio>
 
-#include "cpu/ssmt_core.hh"
 #include "isa/program.hh"
 #include "sim/json_text.hh"
-#include "sim/machine_config.hh"
 #include "sim/sim_error.hh"
 
 namespace ssmt
 {
 namespace sim
 {
-
-const char kSnapshotSchema[] = "ssmt-snapshot-v1";
 
 // ---------------------------------------------------------------------------
 // SnapshotWriter
@@ -35,8 +32,6 @@ appendU64(std::string &out, uint64_t value)
                   static_cast<unsigned long long>(value));
     out += buf;
 }
-
-constexpr char kHexDigits[] = "0123456789abcdef";
 
 } // namespace
 
@@ -167,27 +162,10 @@ SnapshotWriter::u64Array(const char *key, const std::vector<uint64_t> &v)
     u64Array(key, v.data(), v.size());
 }
 
-void
-SnapshotWriter::hexWords(const char *key, const uint64_t *words, size_t n)
-{
-    emitKey(key);
-    out_ += '"';
-    for (size_t i = 0; i < n; i++) {
-        uint64_t w = words[i];
-        // Little-endian byte order, two hex digits per byte.
-        for (int b = 0; b < 8; b++) {
-            uint8_t byte = static_cast<uint8_t>(w >> (8 * b));
-            out_ += kHexDigits[byte >> 4];
-            out_ += kHexDigits[byte & 0xf];
-        }
-    }
-    out_ += '"';
-}
-
 const std::string &
 SnapshotWriter::text() const
 {
-    assert(scopes_.empty() && "unbalanced snapshot writer scopes");
+    assert(scopes_.empty() && "unbalanced writer scopes");
     return out_;
 }
 
@@ -200,10 +178,10 @@ SnapshotReader::SnapshotReader(const std::string &text)
     std::string err;
     if (!parseJson(text, root_, &err)) {
         throw SimError(ErrorCode::ParseError, "snapshot",
-                       "malformed snapshot document: " + err);
+                       "malformed document: " + err);
     }
     if (root_.kind != JsonValue::Kind::Object)
-        fail("snapshot root is not an object");
+        fail("document root is not an object");
     stack_.push_back(&root_);
 }
 
@@ -227,7 +205,7 @@ SnapshotReader::member(const char *key) const
         fail(std::string("expected an object around key '") + key + "'");
     const JsonValue *v = cur().find(key);
     if (!v)
-        fail(std::string("missing snapshot key '") + key + "'");
+        fail(std::string("missing key '") + key + "'");
     return *v;
 }
 
@@ -236,7 +214,7 @@ SnapshotReader::enter(const char *key)
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::Object)
-        fail(std::string("snapshot key '") + key + "' is not an object");
+        fail(std::string("key '") + key + "' is not an object");
     stack_.push_back(&v);
 }
 
@@ -245,7 +223,7 @@ SnapshotReader::enterArray(const char *key)
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::Array)
-        fail(std::string("snapshot key '") + key + "' is not an array");
+        fail(std::string("key '") + key + "' is not an array");
     stack_.push_back(&v);
     return v.items.size();
 }
@@ -264,7 +242,7 @@ void
 SnapshotReader::leave()
 {
     if (stack_.size() <= 1)
-        fail("leave() below the snapshot root");
+        fail("leave() below the document root");
     stack_.pop_back();
 }
 
@@ -280,7 +258,7 @@ SnapshotReader::u64(const char *key) const
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::Number || !v.isInteger)
-        fail(std::string("snapshot key '") + key +
+        fail(std::string("key '") + key +
              "' is not an exact integer");
     return v.integer;
 }
@@ -290,7 +268,7 @@ SnapshotReader::boolean(const char *key) const
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::Bool)
-        fail(std::string("snapshot key '") + key + "' is not a bool");
+        fail(std::string("key '") + key + "' is not a bool");
     return v.boolean;
 }
 
@@ -299,7 +277,7 @@ SnapshotReader::str(const char *key) const
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::String)
-        fail(std::string("snapshot key '") + key + "' is not a string");
+        fail(std::string("key '") + key + "' is not a string");
     return v.text;
 }
 
@@ -308,12 +286,12 @@ SnapshotReader::strArray(const char *key) const
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::Array)
-        fail(std::string("snapshot key '") + key + "' is not an array");
+        fail(std::string("key '") + key + "' is not an array");
     std::vector<std::string> out;
     out.reserve(v.items.size());
     for (const JsonValue &item : v.items) {
         if (item.kind != JsonValue::Kind::String)
-            fail(std::string("snapshot array '") + key +
+            fail(std::string("array '") + key +
                  "' holds a non-string element");
         out.push_back(item.text);
     }
@@ -325,12 +303,12 @@ SnapshotReader::u64Array(const char *key) const
 {
     const JsonValue &v = member(key);
     if (v.kind != JsonValue::Kind::Array)
-        fail(std::string("snapshot key '") + key + "' is not an array");
+        fail(std::string("key '") + key + "' is not an array");
     std::vector<uint64_t> out;
     out.reserve(v.items.size());
     for (const JsonValue &item : v.items) {
         if (item.kind != JsonValue::Kind::Number || !item.isInteger)
-            fail(std::string("snapshot array '") + key +
+            fail(std::string("array '") + key +
                  "' holds a non-integer element");
         out.push_back(item.integer);
     }
@@ -348,46 +326,20 @@ SnapshotReader::u64ArrayInto(const char *key, uint64_t *out,
 }
 
 void
-SnapshotReader::hexWords(const char *key, uint64_t *words,
-                         size_t n) const
-{
-    const std::string hex = str(key);
-    requireSize(key, hex.size(), n * 16);
-    auto nibble = [&](char c) -> uint64_t {
-        if (c >= '0' && c <= '9')
-            return static_cast<uint64_t>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<uint64_t>(c - 'a' + 10);
-        fail(std::string("snapshot key '") + key +
-             "' holds a non-hex character");
-    };
-    for (size_t i = 0; i < n; i++) {
-        uint64_t w = 0;
-        for (int b = 0; b < 8; b++) {
-            const size_t at = i * 16 + static_cast<size_t>(b) * 2;
-            const uint64_t byte =
-                (nibble(hex[at]) << 4) | nibble(hex[at + 1]);
-            w |= byte << (8 * b);
-        }
-        words[i] = w;
-    }
-}
-
-void
 SnapshotReader::requireSize(const char *what, size_t got,
                             size_t want) const
 {
     if (got != want) {
-        fail(std::string("snapshot field '") + what + "' has " +
+        fail(std::string("field '") + what + "' has " +
              std::to_string(got) +
              " elements where the configured geometry needs " +
              std::to_string(want) +
-             " (snapshot taken under a different config?)");
+             " (written under a different config?)");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Envelope: program hash, whole-machine save/restore
+// Program hash
 // ---------------------------------------------------------------------------
 
 uint64_t
@@ -413,75 +365,6 @@ programHash(const isa::Program &prog)
         mix(init.value);
     }
     return h;
-}
-
-std::string
-writeMachineSnapshot(const cpu::SsmtCore &core, const isa::Program &prog,
-                     const MachineConfig &config,
-                     const std::string &label)
-{
-    SnapshotWriter w;
-    w.beginObject();
-    w.str("schema", kSnapshotSchema);
-    w.str("label", label);
-    w.str("program", prog.name());
-    w.u64("programHash", programHash(prog));
-    w.str("configFingerprint", configFingerprint(config));
-    w.str("mode", modeName(config.mode));
-    w.u64("cycle", core.cycle());
-    w.beginObject("machine");
-    core.save(w);
-    w.endObject();
-    w.endObject();
-    return w.text();
-}
-
-void
-restoreMachineSnapshot(cpu::SsmtCore &core, const isa::Program &prog,
-                       const MachineConfig &config,
-                       const std::string &text)
-{
-    SnapshotReader r(text);
-    const std::string schema = r.str("schema");
-    if (schema != kSnapshotSchema) {
-        throw SimError(ErrorCode::ParseError, "snapshot",
-                       "unsupported snapshot schema '" + schema +
-                           "' (this build reads " + kSnapshotSchema +
-                           ")");
-    }
-    const std::string snapProg = r.str("program");
-    if (snapProg != prog.name() ||
-        r.u64("programHash") != programHash(prog)) {
-        throw SimError(ErrorCode::ConfigInvalid, "snapshot",
-                       "snapshot was captured from program '" +
-                           snapProg + "', which does not match '" +
-                           prog.name() + "'");
-    }
-    const std::string fp = r.str("configFingerprint");
-    if (fp != configFingerprint(config)) {
-        throw SimError(
-            ErrorCode::ConfigInvalid, "snapshot",
-            "snapshot config fingerprint does not match the current "
-            "machine config (only mode / run-control / observability "
-            "knobs may differ across a restore)");
-    }
-    r.enter("machine");
-    core.restore(r);
-    r.leave();
-}
-
-uint64_t
-snapshotCycle(const std::string &text)
-{
-    SnapshotReader r(text);
-    return r.u64("cycle");
-}
-
-std::string
-snapshotLabel(const std::string &text)
-{
-    SnapshotReader r(text);
-    return r.str("label");
 }
 
 } // namespace sim

@@ -1,7 +1,5 @@
 #include "vpred/value_predictor.hh"
 
-#include "sim/snapshot.hh"
-
 #include "sim/logging.hh"
 
 namespace ssmt
@@ -33,52 +31,6 @@ ValuePredictor::stride(uint64_t pc) const
     const Entry *entry = find(pc);
     return entry ? entry->stride : 0;
 }
-
-
-void
-ValuePredictor::save(sim::SnapshotWriter &w) const
-{
-    std::vector<uint64_t> valid, tag, last_value, stride, conf;
-    valid.reserve(table_.size());
-    for (const Entry &e : table_) {
-        valid.push_back(e.valid);
-        tag.push_back(e.tag);
-        last_value.push_back(e.lastValue);
-        stride.push_back(static_cast<uint64_t>(e.stride));
-        conf.push_back(static_cast<uint64_t>(e.conf));
-    }
-    w.u64Array("valid", valid);
-    w.u64Array("tag", tag);
-    w.u64Array("lastValue", last_value);
-    w.u64Array("stride", stride);
-    w.u64Array("conf", conf);
-    w.u64("trainings", trainings_);
-}
-
-void
-ValuePredictor::restore(sim::SnapshotReader &r)
-{
-    std::vector<uint64_t> valid = r.u64Array("valid");
-    std::vector<uint64_t> tag = r.u64Array("tag");
-    std::vector<uint64_t> last_value = r.u64Array("lastValue");
-    std::vector<uint64_t> stride = r.u64Array("stride");
-    std::vector<uint64_t> conf = r.u64Array("conf");
-    r.requireSize("valid", valid.size(), table_.size());
-    r.requireSize("tag", tag.size(), table_.size());
-    r.requireSize("lastValue", last_value.size(), table_.size());
-    r.requireSize("stride", stride.size(), table_.size());
-    r.requireSize("conf", conf.size(), table_.size());
-    for (size_t i = 0; i < table_.size(); i++) {
-        table_[i].valid = valid[i] != 0;
-        table_[i].tag = tag[i];
-        table_[i].lastValue = last_value[i];
-        table_[i].stride = static_cast<int64_t>(stride[i]);
-        table_[i].conf = static_cast<int>(conf[i]);
-    }
-    trainings_ = r.u64("trainings");
-}
-
-static_assert(sim::SnapshotterLike<ValuePredictor>);
 
 } // namespace vpred
 } // namespace ssmt

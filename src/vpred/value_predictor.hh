@@ -23,11 +23,6 @@
 
 namespace ssmt
 {
-namespace sim
-{
-class SnapshotWriter;
-class SnapshotReader;
-}
 namespace vpred
 {
 
@@ -103,9 +98,6 @@ class ValuePredictor
     int64_t stride(uint64_t pc) const;
 
     uint64_t trainings() const { return trainings_; }
-
-    void save(sim::SnapshotWriter &w) const;
-    void restore(sim::SnapshotReader &r);
 
   private:
     struct Entry

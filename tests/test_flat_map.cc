@@ -20,12 +20,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/microram.hh"
 #include "heap_pop.hh"
-#include "isa/inst.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_hash.hh"
-#include "sim/snapshot.hh"
 
 namespace
 {
@@ -148,8 +145,8 @@ TEST(FlatMap, GrowthAtHighLoadFactorKeepsEveryEntry)
 
 TEST(FlatMap, IterationOrderIsAFunctionOfOperationHistory)
 {
-    // The serialization sites sort keys, so iteration order is not
-    // part of the wire format — but determinism still matters: two
+    // Callers that need an order sort the keys, so iteration order
+    // is not part of any output — but determinism still matters: two
     // tables built by the same operation sequence must iterate
     // identically (the hash mix is a fixed function of the key, with
     // no per-process or per-platform seeding).
@@ -176,15 +173,6 @@ TEST(FlatMap, IterationOrderIsAFunctionOfOperationHistory)
     });
     ASSERT_EQ(order_a.size(), order_b.size());
     EXPECT_EQ(order_a, order_b);
-
-    // And the canonical serialization order (FlatSet::sorted) is the
-    // sorted key set, independent of table layout history.
-    sim::FlatSet set;
-    for (uint64_t key : order_a)
-        set.insert(key);
-    std::vector<uint64_t> sorted_keys = order_a;
-    std::sort(sorted_keys.begin(), sorted_keys.end());
-    EXPECT_EQ(set.sorted(), sorted_keys);
 }
 
 TEST(FlatMap, TakeFusesFindAndErase)
@@ -348,107 +336,6 @@ TEST(CompletionHeap, PopPermutationMatchesPayloadHeapExactly)
         if (!ref.v.empty())
             ASSERT_EQ(heap.nextCycle(), ref.v.front().cycle);
     }
-}
-
-TEST(CompletionHeap, VerbatimRoundTripPreservesPopOrder)
-{
-    sim::CompletionHeap<Ev> heap;
-    std::mt19937_64 rng(777);
-    uint64_t tag = 0;
-    for (int i = 0; i < 200; i++) {
-        Ev e{50 + rng() % 10, tag++};
-        heap.push(e);
-    }
-    Ev sink;
-    for (int i = 0; i < 80; i++)
-        ASSERT_TRUE(test::popReady(heap, ~0ull, sink));
-
-    // Serialize in backing-array order, rebuild verbatim.
-    std::vector<Ev> wire;
-    heap.forEachInOrder([&](const Ev &e) { wire.push_back(e); });
-    sim::CompletionHeap<Ev> rebuilt;
-    for (const Ev &e : wire)
-        rebuilt.appendVerbatim(e);
-    ASSERT_EQ(rebuilt.size(), heap.size());
-
-    // Re-serialization is byte-stable...
-    std::vector<Ev> wire2;
-    rebuilt.forEachInOrder([&](const Ev &e) { wire2.push_back(e); });
-    ASSERT_EQ(wire2.size(), wire.size());
-    for (size_t i = 0; i < wire.size(); i++) {
-        EXPECT_EQ(wire2[i].cycle, wire[i].cycle);
-        EXPECT_EQ(wire2[i].tag, wire[i].tag);
-    }
-    // ...and the future pop sequence is identical.
-    Ev a, b;
-    while (true) {
-        bool got_a = test::popReady(heap, ~0ull, a);
-        bool got_b = test::popReady(rebuilt, ~0ull, b);
-        ASSERT_EQ(got_a, got_b);
-        if (!got_a)
-            break;
-        EXPECT_EQ(a.cycle, b.cycle);
-        EXPECT_EQ(a.tag, b.tag);
-    }
-}
-
-// ---- MicroRam snapshot round-trip (FlatMap-backed, pointer and
-// ---- denormalized-prefix rebinding in the spawn index) ----
-
-core::MicroThread
-makeThread(core::PathId id, uint64_t spawn_pc, uint64_t prefix_pc)
-{
-    core::MicroThread t;
-    t.pathId = id;
-    t.spawnPc = spawn_pc;
-    core::ExpectedBranch expect;
-    expect.pc = prefix_pc;
-    expect.target = prefix_pc + 4;
-    t.prefix.push_back(expect);
-    core::MicroOp op;
-    op.inst.op = isa::Opcode::StPCache;
-    t.ops.push_back(op);
-    return t;
-}
-
-TEST(MicroRamSnapshot, RoundTripRebindsSpawnIndex)
-{
-    core::MicroRam ram(16);
-    ram.setProgramSize(600);
-    ram.insert(makeThread(1, 100, 90));
-    ram.insert(makeThread(2, 100, 91));
-    ram.insert(makeThread(3, 500, 92));
-    ram.remove(2);
-
-    sim::SnapshotWriter w;
-    w.beginObject();
-    ram.save(w);
-    w.endObject();
-    std::string text = w.text();
-
-    core::MicroRam fresh(16);
-    fresh.setProgramSize(600);
-    sim::SnapshotReader r(text);
-    fresh.restore(r);
-
-    // Canonical bytes: re-save is identical.
-    sim::SnapshotWriter w2;
-    w2.beginObject();
-    fresh.save(w2);
-    w2.endObject();
-    EXPECT_EQ(w2.text(), text);
-
-    // The raw routine pointers and the denormalized prefix head in
-    // the spawn index must point at the *restored* store.
-    ASSERT_EQ(fresh.routinesAt(100).size(), 1u);
-    const core::SpawnTarget &target = fresh.routinesAt(100)[0];
-    EXPECT_EQ(target.id, 1u);
-    EXPECT_EQ(target.thread.get(), fresh.find(1));
-    EXPECT_EQ(target.prefixLen, 1u);
-    EXPECT_EQ(target.lastPrefixAddr, 90u * isa::kInstBytes);
-    ASSERT_EQ(fresh.routinesAt(500).size(), 1u);
-    EXPECT_EQ(fresh.routinesAt(500)[0].thread.get(), fresh.find(3));
-    EXPECT_TRUE(fresh.routinesAt(101).empty());
 }
 
 } // namespace

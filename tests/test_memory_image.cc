@@ -61,15 +61,6 @@ TEST(MemoryImageTest, ReadDoesNotMaterializePages)
     EXPECT_EQ(mem.numPages(), 0u);
 }
 
-TEST(MemoryImageTest, ClearDropsEverything)
-{
-    MemoryImage mem;
-    mem.store(0x5000, 9);
-    mem.clear();
-    EXPECT_EQ(mem.numPages(), 0u);
-    EXPECT_EQ(mem.load(0x5000), 0u);
-}
-
 /** Property: random store/load sequences behave like a map. */
 TEST(MemoryImageTest, RandomisedAgainstReferenceMap)
 {

@@ -172,8 +172,10 @@ TEST(MetricsTest, SeriesBitIdenticalAcrossWorkerCounts)
     for (size_t i = 0; i < serial.size(); i++) {
         ASSERT_TRUE(serial[i].ok());
         ASSERT_TRUE(parallel[i].ok());
-        EXPECT_EQ(sim::seriesJson(serial[i].artifacts.series),
-                  sim::seriesJson(parallel[i].artifacts.series));
+        EXPECT_EQ(
+            sim::seriesDocumentJson(serial[i].artifacts.series, "", ""),
+            sim::seriesDocumentJson(parallel[i].artifacts.series, "",
+                                    ""));
     }
 }
 
@@ -185,12 +187,17 @@ TEST(MetricsTest, SeriesJsonParsesWithSchemaAndCounters)
     cpu::SsmtCore core(testProgram(), cfg);
     const sim::Stats &stats = core.run();
 
+    // The artifact document parses and carries the run
+    // identification, the interval, the samples and the histograms.
     sim::JsonValue root;
     std::string err;
-    ASSERT_TRUE(
-        sim::parseJson(sim::seriesJson(core.series()), root, &err))
+    ASSERT_TRUE(sim::parseJson(
+        sim::seriesDocumentJson(core.series(), "wl", "cfg"), root,
+        &err))
         << err;
     EXPECT_EQ(root.str("schema"), "ssmt-series-v1");
+    EXPECT_EQ(root.str("workload"), "wl");
+    EXPECT_EQ(root.str("config"), "cfg");
     EXPECT_EQ(root.u64("interval", 0), 500u);
     const sim::JsonValue *samples = root.find("samples");
     ASSERT_NE(samples, nullptr);
@@ -203,16 +210,6 @@ TEST(MetricsTest, SeriesJsonParsesWithSchemaAndCounters)
     const sim::JsonValue *hists = root.find("histograms");
     ASSERT_NE(hists, nullptr);
     EXPECT_EQ(hists->items.size(), 5u);
-
-    // The standalone artifact document parses too and carries the
-    // run identification.
-    ASSERT_TRUE(sim::parseJson(
-        sim::seriesDocumentJson(core.series(), "wl", "cfg"), root,
-        &err))
-        << err;
-    EXPECT_EQ(root.str("schema"), "ssmt-series-v1");
-    EXPECT_EQ(root.str("workload"), "wl");
-    EXPECT_EQ(root.str("config"), "cfg");
 }
 
 TEST(MetricsTest, ConfigValidatesObservabilityKnobs)

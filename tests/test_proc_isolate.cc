@@ -58,7 +58,7 @@ std::string
 witness(const sim::BatchResult &r, const std::string &name)
 {
     return sim::goldenJson({name, "test", r.stats}) +
-           sim::seriesJson(r.artifacts.series);
+           sim::seriesDocumentJson(r.artifacts.series, "", "");
 }
 
 TEST(ProcIsolate, CleanJobsByteIdenticalToInProcess)

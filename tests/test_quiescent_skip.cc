@@ -8,9 +8,8 @@
  *   - the golden stats document (ssmt-golden-v1),
  *   - the interval time-series (ssmt-series-v1), whose due points
  *     the skipper must land on exactly,
- *   - a machine checkpoint captured at a fixed mid-run cycle
- *     (ssmt-snapshot-v1 component serialization), which also round
- *     trips: resuming from it finishes with the tick-by-tick stats.
+ *   - the machine at a fixed mid-run stop cycle: the clock, every
+ *     counter, the occupancy gauges and the architectural registers.
  *
  * This is the contract that lets the cycle loop get faster without
  * the goldens ever being re-blessed; the suite carries the
@@ -20,12 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cpu/ssmt_core.hh"
+#include "isa/executor.hh"
 #include "sim/golden.hh"
 #include "sim/metrics.hh"
-#include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -33,20 +34,30 @@ namespace
 
 using namespace ssmt;
 
-/** Mid-run checkpoint cycle: late enough that microthreads are in
- *  flight under the mechanism modes, early enough that every
- *  workload is still running. Runs that finish sooner simply skip
- *  the snapshot leg (consistently in both runs). */
+/** Mid-run stop cycle: late enough that microthreads are in flight
+ *  under the mechanism modes, early enough that every workload is
+ *  still running. Runs that finish sooner simply skip the stop
+ *  comparison (consistently in both runs). */
 constexpr uint64_t kSnapCycle = 1500;
 
-std::string
-coreSnapshotText(const cpu::SsmtCore &core)
+/** What the machine shows at kSnapCycle. */
+struct StopState
 {
-    sim::SnapshotWriter w;
-    w.beginObject();
-    core.save(w);
-    w.endObject();
-    return w.text();
+    bool reached = false;   ///< false when the run ended earlier
+    uint64_t cycle = 0;
+    std::vector<uint64_t> counters;
+    std::vector<uint64_t> gauges;
+    isa::RegFile regs;
+};
+
+StopState
+stopState(const cpu::SsmtCore &core)
+{
+    const sim::OccupancyGauges g = core.currentGauges();
+    return {true, core.cycle(), sim::statsValues(core.stats()),
+            {g.prbEntries, g.liveMicrocontexts, g.pcacheValidEntries,
+             g.microRamRoutines, g.windowFill},
+            core.archRegs()};
 }
 
 std::string
@@ -60,11 +71,11 @@ struct RunCapture
 {
     std::string golden;
     std::string series;
-    std::string snapshot;   ///< empty when the run ended early
+    StopState atStop;
 };
 
 /** Drive @p core with the external tick loop, optionally calling
- *  fastForward between ticks, capturing a checkpoint at kSnapCycle. */
+ *  fastForward between ticks, capturing the machine at kSnapCycle. */
 RunCapture
 driveRun(cpu::SsmtCore &core, const sim::MachineConfig &cfg,
          const std::string &workload, bool skip_quiescent)
@@ -73,18 +84,17 @@ driveRun(cpu::SsmtCore &core, const sim::MachineConfig &cfg,
     while (!core.done() && core.cycle() < cfg.maxCycles &&
            core.retiredInsts() < cfg.maxInsts) {
         if (skip_quiescent) {
-            // Never skip past the checkpoint cycle: the capture
-            // below must observe it exactly (the same arming logic
-            // sim_runner uses for mid-run checkpoints).
+            // Never skip past the stop cycle: the capture below must
+            // observe it exactly.
             bool armed = core.cycle() < kSnapCycle;
             core.fastForward(armed ? kSnapCycle : cfg.maxCycles);
         }
         core.tick();
         if (core.cycle() == kSnapCycle)
-            cap.snapshot = coreSnapshotText(core);
+            cap.atStop = stopState(core);
     }
     cap.golden = goldenText(workload, core.finish());
-    cap.series = sim::seriesJson(core.series());
+    cap.series = sim::seriesDocumentJson(core.series(), "", "");
     return cap;
 }
 
@@ -98,7 +108,7 @@ expectSkipIdentity(sim::Mode mode)
         cfg.mode = mode;
         // Sampling on, at an interval that does not divide
         // kSnapCycle: skip targets must respect due points that are
-        // unrelated to the checkpoint arming.
+        // unrelated to the stop cycle.
         cfg.sampleInterval = 700;
 
         cpu::SsmtCore plain(prog, cfg);
@@ -110,25 +120,15 @@ expectSkipIdentity(sim::Mode mode)
         // Byte-identity of every observable artifact.
         EXPECT_EQ(skipped.golden, tick_by_tick.golden);
         EXPECT_EQ(skipped.series, tick_by_tick.series);
-        ASSERT_EQ(skipped.snapshot, tick_by_tick.snapshot);
 
-        // Checkpoint round trip: resume the skipping run's snapshot
-        // into a fresh core, finish (with skipping), and land on the
-        // tick-by-tick stats.
-        if (!skipped.snapshot.empty()) {
-            cpu::SsmtCore resumed(prog, cfg);
-            sim::SnapshotReader r(skipped.snapshot);
-            resumed.restore(r);
-            EXPECT_EQ(resumed.cycle(), kSnapCycle);
-            while (!resumed.done() &&
-                   resumed.cycle() < cfg.maxCycles &&
-                   resumed.retiredInsts() < cfg.maxInsts) {
-                resumed.fastForward(cfg.maxCycles);
-                resumed.tick();
-            }
-            EXPECT_EQ(goldenText(name, resumed.finish()),
-                      tick_by_tick.golden);
-        }
+        // The same machine at the stop cycle.
+        const StopState &a = skipped.atStop;
+        const StopState &b = tick_by_tick.atStop;
+        ASSERT_EQ(a.reached, b.reached);
+        EXPECT_EQ(a.cycle, b.cycle);
+        EXPECT_EQ(a.counters, b.counters);
+        EXPECT_EQ(a.gauges, b.gauges);
+        EXPECT_TRUE(a.regs == b.regs);
     }
 }
 
@@ -156,7 +156,7 @@ TEST(QuiescentSkip, RunEntryPointSkipsAndMatchesExternalLoop)
 {
     // SsmtCore::run() fast-forwards internally; the external
     // tick-by-tick loop must land on the same stats document. This
-    // is the equivalence sim_runner's two drivers rest on.
+    // is the equivalence every external tick loop rests on.
     isa::Program prog = workloads::makeWorkload("mcf_2k");
     sim::MachineConfig cfg = sim::goldenMachineConfig();
     cfg.sampleInterval = 700;
@@ -169,7 +169,8 @@ TEST(QuiescentSkip, RunEntryPointSkipsAndMatchesExternalLoop)
     cpu::SsmtCore external(prog, cfg);
     RunCapture cap = driveRun(external, cfg, "mcf_2k", false);
     EXPECT_EQ(internal_golden, cap.golden);
-    EXPECT_EQ(sim::seriesJson(internal.series()), cap.series);
+    EXPECT_EQ(sim::seriesDocumentJson(internal.series(), "", ""),
+              cap.series);
 }
 
 } // namespace

@@ -111,8 +111,8 @@ TEST(ConfigTest, ModeNames)
                  "microthread-no-predictions");
 }
 
-/** Fingerprint bytes that existing result stores and snapshots
- *  hash: the field table must reproduce them exactly. */
+/** Fingerprint bytes that existing result stores hash: the field
+ *  table must reproduce them exactly. */
 const char kDefaultFingerprint[] =
     "v1;fetchWidth=16;maxBranchPredsPerCycle=3;"
     "maxICacheLinesPerCycle=3;frontendDepth=8;redirectPenalty=12;"

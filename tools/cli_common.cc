@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "sim/jobs.hh"
 
@@ -151,6 +152,9 @@ jobsFlag(const ArgParser &args, const std::string &flag)
     uint64_t jobs = args.u64(flag);
     if (jobs == 0)
         args.fail(flag + " must be >= 1 (or 'auto')");
+    if (jobs > std::numeric_limits<unsigned>::max())
+        args.fail(flag + " must be at most " +
+                  std::to_string(std::numeric_limits<unsigned>::max()));
     return static_cast<unsigned>(jobs);
 }
 

@@ -115,8 +115,8 @@ class ArgParser
  * explicit "auto" spelling both mean "use every core": auto maps to
  * sim::hostThreads(), an absent flag defers to the shared
  * sim::resolveJobs chain (SSMT_JOBS, then host cores) so the
- * environment override keeps working. A literal 0 or malformed
- * number exits 2.
+ * environment override keeps working. A literal 0, a value past
+ * the range of unsigned or a malformed number exits 2.
  */
 unsigned jobsFlag(const ArgParser &args,
                   const std::string &flag = "--jobs");
@@ -125,8 +125,8 @@ unsigned jobsFlag(const ArgParser &args,
  * Resolve a `--predictor NAME` flag into a direction-backend kind
  * (hybrid, tage, perceptron — see bpred::parsePredictorKind). The
  * flag absent means the default hybrid; an unknown name exits 2.
- * Note snapshots fingerprint the backend, so artifacts produced
- * under different --predictor values never cross-restore.
+ * The config fingerprint names the backend, so results stored
+ * under different --predictor values never serve each other.
  */
 bpred::PredictorKind
 predictorFlag(const ArgParser &args,
