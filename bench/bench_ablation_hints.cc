@@ -54,7 +54,7 @@ main(int argc, char **argv)
             cfg.staticDifficultHints = hints[w];
         if (v == 3)
             cfg.throttleEnabled = true;
-        results[w][v] = sim::runProgram(suite[w].make({}), cfg);
+        results[w][v] = sim::runProgramChecked(suite[w].make({}), cfg);
     });
 
     std::printf("Ablation: dynamic vs profile-hinted promotion, and "

@@ -41,10 +41,10 @@ main()
         isa::Program prog = workloads::makeSynthetic(spec);
 
         sim::MachineConfig cfg;
-        sim::Stats base = sim::runProgram(prog, cfg);
+        sim::Stats base = sim::runProgramChecked(prog, cfg);
         cfg.mode = sim::Mode::Microthread;
         cfg.builder.pruningEnabled = true;
-        sim::Stats mt = sim::runProgram(prog, cfg);
+        sim::Stats mt = sim::runProgramChecked(prog, cfg);
         std::printf("%5d%% %12.2f%% %12.2f%% %9.3fx %11.1f%%\n", bias,
                     100 * base.hwMispredictRate(),
                     100 * mt.usedMispredictRate(),

@@ -49,7 +49,7 @@ main()
         sim::MachineConfig cfg;
         cfg.mode = row.mode;
         cfg.builder.pruningEnabled = row.pruning;
-        sim::Stats stats = sim::runProgram(prog, cfg);
+        sim::Stats stats = sim::runProgramChecked(prog, cfg);
         if (row.mode == sim::Mode::Baseline)
             base = stats;
         std::printf("%-24s %8.3f %8.3fx %9.2f%% %10llu\n", row.label,
@@ -62,7 +62,7 @@ main()
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.builder.pruningEnabled = true;
-    sim::Stats mt = sim::runProgram(prog, cfg);
+    sim::Stats mt = sim::runProgramChecked(prog, cfg);
     std::printf("\nmicrothread activity (with pruning):\n");
     std::printf("  spawn attempts %llu, spawned %llu, completed "
                 "%llu\n",

@@ -60,7 +60,7 @@ main()
 
     // 1. The baseline Table 3 machine.
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
+    sim::Stats base = sim::runProgramChecked(prog, cfg);
     std::printf("baseline:    IPC %.3f, hardware mispredict rate "
                 "%.2f%%\n",
                 base.ipc(), 100 * base.hwMispredictRate());
@@ -68,7 +68,7 @@ main()
     // 2. The same machine with the difficult-path mechanism.
     cfg.mode = sim::Mode::Microthread;
     cfg.builder.pruningEnabled = true;
-    sim::Stats mt = sim::runProgram(prog, cfg);
+    sim::Stats mt = sim::runProgramChecked(prog, cfg);
     std::printf("microthread: IPC %.3f, used mispredict rate "
                 "%.2f%%\n\n",
                 mt.ipc(), 100 * mt.usedMispredictRate());

@@ -177,7 +177,7 @@ run(int argc, char **argv)
                     hints_file.c_str());
     }
 
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     std::printf("%s on %s: IPC %.4f over %llu insts / %llu cycles, "
                 "used mispredict %.4f\n",
                 workload.c_str(), sim::modeName(cfg.mode),
@@ -195,11 +195,12 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // A bad config is a usage error, not a crash.
+    // A bad config is a usage error, not a crash; a run that ends
+    // inconsistent fails like a failed suite cell.
     try {
         return run(argc, argv);
     } catch (const sim::SimError &err) {
         std::fprintf(stderr, "ssmt_sim: %s\n", err.what());
-        return 2;
+        return err.code() == sim::ErrorCode::InvariantViolation ? 1 : 2;
     }
 }

@@ -132,7 +132,7 @@ class SsmtCore
     /**
      * Occupancy-bound self-check over the core's structures (PRB,
      * Prediction Cache, MicroRAM, Path Cache, window,
-     * microcontexts). Valid at any cycle; sim::runProgram invokes it
+     * microcontexts). Valid at any cycle; sim::runProgramChecked runs it
      * at end-of-run alongside StatsChecker.
      */
     std::vector<sim::InvariantViolation>

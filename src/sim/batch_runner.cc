@@ -142,8 +142,7 @@ runJobOnce(const BatchJob &job, const BatchPolicy &policy,
     try {
         result.stats =
             runProgramChecked(job.program, job.config, job.name,
-                              policy.cycleBudget, &result.faults,
-                              &result.artifacts);
+                              policy.cycleBudget, &result.faults);
     } catch (const SimError &err) {
         result.error = err.what();
         result.errorCode = err.code();

@@ -40,7 +40,6 @@
 #include "sim/faultinject.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_error.hh"
-#include "sim/sim_runner.hh"
 #include "sim/stats.hh"
 
 namespace ssmt
@@ -83,10 +82,12 @@ struct BatchJob
     CrashKind crash = CrashKind::None;
 };
 
-/** The outcome of one BatchJob, in submission order: what its
- *  simulation computed, plus the host time it took. Nothing else —
- *  warnings go to stderr — so every field but hostSeconds is
- *  identical at any worker count, in-process or isolated. */
+/** The outcome of one BatchJob, in submission order: the counters
+ *  its simulation computed, plus the host time it took. Nothing else
+ *  — warnings go to stderr, and a run's series and trace reach only
+ *  a runProgramChecked caller that asks for them (ssmt_trace) — so
+ *  every field but hostSeconds is identical at any worker count,
+ *  in-process or isolated. */
 struct BatchResult
 {
     Stats stats;
@@ -103,10 +104,6 @@ struct BatchResult
     unsigned attempts = 0;
     /** What the job's fault plan did, if one was configured. */
     FaultStats faults;
-    /** Observability captures (config.sampleInterval /
-     *  config.traceCapacity); empty when those knobs are off. Like
-     *  Stats, bit-identical across worker counts. */
-    RunArtifacts artifacts;
 
     bool ok() const { return errorCode == ErrorCode::None; }
 };

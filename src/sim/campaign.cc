@@ -88,7 +88,6 @@ writeSpecFields(SnapshotWriter &w, const CampaignSpec &spec)
     }
     w.u64Array("seeds", spec.seeds);
     w.u64("scale", spec.scale);
-    w.u64("sampleInterval", spec.sampleInterval);
     w.u64("maxInsts", spec.maxInsts);
     w.beginObject("faults");
     w.str("site", faultSiteName(spec.faults.site));
@@ -169,6 +168,14 @@ checkSpec(const CampaignSpec &spec)
                         "and seeds must each be unique");
         }
     }
+    // A crash entry that names no cell would crash nothing, and the
+    // test it arms would pass without its crash.
+    for (const auto &crash : spec.crashes) {
+        if (!names.count(crash.first)) {
+            specInvalid("crash entry '" + crash.first +
+                        "' names no cell of the grid");
+        }
+    }
 }
 
 } // namespace
@@ -220,7 +227,6 @@ parseSpec(const std::string &text)
     }
     spec.seeds = r.u64Array("seeds");
     spec.scale = r.u64("scale");
-    spec.sampleInterval = r.u64("sampleInterval");
     spec.maxInsts = r.u64("maxInsts");
     r.enter("faults");
     std::string site = r.str("site");
@@ -284,7 +290,6 @@ MachineConfig
 cellConfig(const CampaignSpec &spec, const CampaignCell &cell)
 {
     MachineConfig config;
-    config.sampleInterval = spec.sampleInterval;
     if (spec.maxInsts > 0)
         config.maxInsts = spec.maxInsts;
     config.faults = spec.faults;

@@ -90,7 +90,6 @@ struct CampaignSpec
      *  (workload, mode), using the fault plan's own seed". */
     std::vector<uint64_t> seeds = {0};
     uint64_t scale = 1;             ///< WorkloadParams::scale
-    uint64_t sampleInterval = 0;    ///< metrics series capture
     uint64_t maxInsts = 0;          ///< 0 = MachineConfig default
     /** Fault plan applied to every cell; a non-zero cell seed
      *  overrides plan.seed. site None = no injection. */
@@ -107,7 +106,8 @@ struct CampaignSpec
 
     /** Crash-injection test hook: cell name -> deliberate child
      *  failure (isolate mode; see CrashKind). Part of the spec so a
-     *  resumed crash test replays identically. */
+     *  resumed crash test replays identically. Each entry must name
+     *  a cell of the grid. */
     std::vector<std::pair<std::string, CrashKind>> crashes;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/invariants.hh"
 
-#include "sim/logging.hh"
-
 namespace ssmt
 {
 namespace sim
@@ -192,18 +190,6 @@ StatsChecker::describe(const std::vector<InvariantViolation> &violations)
         out += '\n';
     }
     return out;
-}
-
-void
-StatsChecker::enforce(const Stats &stats, const std::string &label)
-{
-    std::vector<InvariantViolation> violations = check(stats);
-    if (violations.empty())
-        return;
-    SSMT_PANIC("stats invariant violation in run '" + label + "' (" +
-               std::to_string(violations.size()) + " relation" +
-               (violations.size() == 1 ? "" : "s") + "):\n" +
-               describe(violations));
 }
 
 } // namespace sim

@@ -8,9 +8,9 @@
  * more often than it was promoted, and so on. A refactor that
  * silently breaks one of these relations produces plausible-looking
  * numbers that no longer describe the paper's machine. The checker
- * encodes each relation once, names it, and is invoked at the end of
- * every run (sim::runProgram) and per job (sim::BatchRunner), so a
- * violated relation aborts with a diagnostic instead of flowing into
+ * encodes each relation once, names it, and runs at the end of every
+ * run (sim::runProgramChecked), so a violated relation fails the run
+ * with SimError(InvariantViolation) naming it instead of flowing into
  * a results table.
  *
  * Every relation listed here holds in *all* five machine modes; the
@@ -46,13 +46,6 @@ class StatsChecker
      * @return the violated relations (empty = consistent).
      */
     static std::vector<InvariantViolation> check(const Stats &stats);
-
-    /**
-     * check() and SSMT_PANIC on the first inconsistency, naming
-     * every violated relation; @p label identifies the run (workload
-     * or job name) in the diagnostic.
-     */
-    static void enforce(const Stats &stats, const std::string &label);
 
     /** Render @p violations one-per-line for diagnostics. */
     static std::string

@@ -5,21 +5,24 @@
  * document format the campaign result store keeps on disk).
  *
  * Canonical (sim/snapshot.hh's writer): integers only, fixed field
- * order, Stats as a sim::statsValues array, the metrics series in
- * the layout IntervalSampler::restore reads. Two identical runs
- * encode byte-identically regardless of host, worker count, or
- * whether they ran in-process or in a child — which is what makes
- * "isolated == in-process" and "resumed manifest == uninterrupted
- * manifest" testable as string equality.
+ * order, Stats as a sim::statsValues array. A document carries the
+ * job's error, its end-of-run counters and its fault tally — nothing
+ * a campaign does not read back. Two identical runs encode
+ * byte-identically regardless of host, worker count, or whether they
+ * ran in-process or in a child — which is what makes "isolated ==
+ * in-process" and "resumed manifest == uninterrupted manifest"
+ * testable as string equality.
  *
  * Deliberately NOT encoded:
  *   - hostSeconds (wall-clock is host noise; the parent re-stamps),
- *   - histogram/series geometry (reconstructed from the config),
+ *   - a run's interval series and pipeline trace (ssmt_trace gets
+ *     them from sim::runProgramChecked's RunArtifacts, in-process),
  *   - warnings (they go to stderr; a document holds only what the
  *     simulation computed).
  * Fields are read by key, so an older document that still carries a
- * `warnings` array or the retired machine-checkpoint keys
- * (`snapshot`, `snapshotCycle`) decodes.
+ * `warnings` array, the retired machine-checkpoint keys (`snapshot`,
+ * `snapshotCycle`), the series and trace sections or the vestigial
+ * `final` and `checkpoint` keys decodes.
  */
 
 #ifndef SSMT_SIM_JOB_CODEC_HH
@@ -39,23 +42,22 @@ extern const char kJobResultSchema[];   ///< "ssmt-job-result-v1"
 /**
  * Serialize one job's outcome.
  *
- * @param checkpoint vestigial: always "" (jobs run once and nothing
+ * @param checkpoint vestigial: must be "" (jobs run once and nothing
  *        resumes). Kept, with @p final_attempt, because the
- *        benchmark calls this signature
- * @param final_attempt vestigial: always true
+ *        benchmark calls this signature; neither is written
+ * @param final_attempt vestigial: must be true
  */
 std::string encodeJobResult(const BatchResult &result,
                             const std::string &checkpoint,
                             bool final_attempt);
 
 /**
- * Inverse of encodeJobResult. @p config must be the job's config: it
- * supplies the sampling interval and histogram geometry the series
- * decode is reconstructed against (geometry never travels). Throws
- * SimError(ParseError) on a malformed, truncated or
- * schema-mismatched document; @p result is then unspecified.
- * result.hostSeconds is left at 0 for the caller to stamp.
- * @p checkpoint and @p final_attempt receive the vestigial fields.
+ * Inverse of encodeJobResult. Throws SimError(ParseError) on a
+ * malformed, truncated or schema-mismatched document; @p result is
+ * then unspecified. result.hostSeconds is left at 0 for the caller
+ * to stamp. @p config, @p checkpoint and @p final_attempt are
+ * vestigial, kept because the benchmark calls this signature:
+ * @p config is not read, and the out-parameters receive "" and true.
  */
 void decodeJobResult(const std::string &text,
                      const MachineConfig &config, BatchResult *result,

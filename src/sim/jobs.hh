@@ -31,8 +31,10 @@ namespace sim
 unsigned hostThreads();
 
 /** Resolve a requested worker count: @p requested if non-zero, else
- *  SSMT_JOBS (when set to a positive integer), else hostThreads().
- *  Always >= 1. */
+ *  SSMT_JOBS under --jobs's rules (decimal digits from 1 to the range
+ *  of unsigned), else hostThreads(). SSMT_JOBS=auto means
+ *  hostThreads(); any other value counts as unset, with one warning
+ *  per process. Always >= 1. */
 unsigned resolveJobs(unsigned requested);
 
 } // namespace sim

@@ -1,11 +1,9 @@
 #include "sim/metrics.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "sim/fsio.hh"
 #include "sim/golden.hh"
-#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -44,29 +42,6 @@ OccupancyHistogram::add(uint64_t value)
         max_ = value;
     sum_ += value;
     samples_++;
-}
-
-void
-OccupancyHistogram::save(SnapshotWriter &w) const
-{
-    w.u64Array("buckets", buckets_);
-    w.u64("samples", samples_);
-    w.u64("min", min_);
-    w.u64("max", max_);
-    w.u64("sum", sum_);
-}
-
-void
-OccupancyHistogram::restore(SnapshotReader &r)
-{
-    std::vector<uint64_t> buckets = r.u64Array("buckets");
-    r.requireSize("histogram buckets", buckets.size(),
-                  buckets_.size());
-    buckets_ = std::move(buckets);
-    samples_ = r.u64("samples");
-    min_ = r.u64("min");
-    max_ = r.u64("max");
-    sum_ = r.u64("sum");
 }
 
 // ---------------------------------------------------------------------
@@ -135,36 +110,6 @@ IntervalSampler::finalize(uint64_t cycle, const Stats &stats,
     }
     series_.samples.push_back({cycle, stats, gauges});
     feedHistograms(series_.histograms, gauges);
-}
-
-void
-IntervalSampler::restore(SnapshotReader &r)
-{
-    series_.samples.clear();
-    size_t n = r.enterArray("samples");
-    for (size_t i = 0; i < n; i++) {
-        r.enterItem(i);
-        Sample s;
-        s.cycle = r.u64("cycle");
-        statsFromValues(s.stats, r.u64Array("counters"));
-        uint64_t gauges[5];
-        r.u64ArrayInto("gauges", gauges, 5);
-        s.gauges = {gauges[0], gauges[1], gauges[2], gauges[3],
-                    gauges[4]};
-        series_.samples.push_back(std::move(s));
-        r.leave();
-    }
-    r.leave();
-    // The histograms themselves are rebuilt by the constructor from
-    // the machine config; only their accumulated counts travel.
-    size_t h = r.enterArray("histograms");
-    r.requireSize("histograms", h, series_.histograms.size());
-    for (size_t i = 0; i < h; i++) {
-        r.enterItem(i);
-        series_.histograms[i].restore(r);
-        r.leave();
-    }
-    r.leave();
 }
 
 // ---------------------------------------------------------------------

@@ -36,9 +36,6 @@ namespace ssmt
 namespace sim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 extern const char kSeriesSchema[];  ///< "ssmt-series-v1"
 
 /** Point-in-time fill levels of the core's bounded structures. */
@@ -91,12 +88,6 @@ class OccupancyHistogram
                               static_cast<double>(samples_)
                         : 0.0;
     }
-
-    /** Encode and decode the accumulated counts: the job codec's
-     *  series layout. Name, capacity and bucket width are
-     *  construction-time geometry and not serialized. */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
 
   private:
     std::string name_;
@@ -157,12 +148,6 @@ class IntervalSampler
                   const OccupancyGauges &gauges);
 
     const MetricsSeries &series() const { return series_; }
-
-    /** Decode the samples and histogram counts the job codec wrote
-     *  (encodeJobResult). The interval and histogram geometry come
-     *  from construction and must match (a histogram-count mismatch
-     *  throws SimError(ParseError)). */
-    void restore(SnapshotReader &r);
 
   private:
     uint64_t interval_;

@@ -14,25 +14,6 @@ namespace sim
 {
 
 Stats
-runProgram(const isa::Program &prog, const MachineConfig &config)
-{
-    config.validateOrThrow();
-    cpu::SsmtCore core(prog, config);
-    Stats stats = core.run();
-    // End-of-run self-check: a violated counter relation or occupancy
-    // bound is a simulator bug and must never flow into a results
-    // table (or a golden snapshot).
-    std::vector<InvariantViolation> violations =
-        core.checkStructuralInvariants();
-    if (!violations.empty()) {
-        SSMT_PANIC("structural invariant violation at end of run:\n" +
-                   StatsChecker::describe(violations));
-    }
-    StatsChecker::enforce(stats, modeName(config.mode));
-    return stats;
-}
-
-Stats
 runProgramChecked(const isa::Program &prog, const MachineConfig &config,
                   const std::string &label, uint64_t cycle_budget,
                   FaultStats *fault_stats, RunArtifacts *artifacts)

@@ -33,19 +33,15 @@ struct RunArtifacts
     std::vector<cpu::TraceRecord> trace;
 };
 
-/** Run @p prog to completion under @p config and return the stats.
- *  Panics on an end-of-run invariant violation (a simulator bug must
- *  never flow into a results table); throws SimError(ConfigInvalid)
- *  on an unsatisfiable configuration. */
-Stats runProgram(const isa::Program &prog, const MachineConfig &config);
-
 /**
- * The throwing flavor of runProgram for batch/campaign drivers:
- * every failure mode becomes a SimError the caller can record
- * instead of dying —
+ * Run @p prog to completion under @p config and return the stats:
+ * the one way every tool, bench, example and test runs a program.
+ * Every failure mode is a SimError the caller can record instead of
+ * dying —
  *  - ConfigInvalid from MachineConfig::validate(),
  *  - InvariantViolation when the end-of-run StatsChecker or
- *    structural self-check trips,
+ *    structural self-check trips (a simulator bug must never flow
+ *    into a results table),
  *  - WatchdogExpired when @p cycle_budget > 0 and the run neither
  *    halted nor reached a configured stop within it. A run that
  *    does finish inside the budget computes exactly the unbudgeted
@@ -59,7 +55,7 @@ Stats runProgram(const isa::Program &prog, const MachineConfig &config);
  */
 Stats runProgramChecked(const isa::Program &prog,
                         const MachineConfig &config,
-                        const std::string &label,
+                        const std::string &label = "",
                         uint64_t cycle_budget = 0,
                         FaultStats *fault_stats = nullptr,
                         RunArtifacts *artifacts = nullptr);

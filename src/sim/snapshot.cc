@@ -148,18 +148,12 @@ SnapshotWriter::str(const char *key, const std::string &value)
 }
 
 void
-SnapshotWriter::u64Array(const char *key, const uint64_t *data, size_t n)
-{
-    beginArray(key);
-    for (size_t i = 0; i < n; i++)
-        u64(data[i]);
-    endArray();
-}
-
-void
 SnapshotWriter::u64Array(const char *key, const std::vector<uint64_t> &v)
 {
-    u64Array(key, v.data(), v.size());
+    beginArray(key);
+    for (uint64_t value : v)
+        u64(value);
+    endArray();
 }
 
 const std::string &
@@ -313,29 +307,6 @@ SnapshotReader::u64Array(const char *key) const
         out.push_back(item.integer);
     }
     return out;
-}
-
-void
-SnapshotReader::u64ArrayInto(const char *key, uint64_t *out,
-                             size_t n) const
-{
-    std::vector<uint64_t> v = u64Array(key);
-    requireSize(key, v.size(), n);
-    for (size_t i = 0; i < n; i++)
-        out[i] = v[i];
-}
-
-void
-SnapshotReader::requireSize(const char *what, size_t got,
-                            size_t want) const
-{
-    if (got != want) {
-        fail(std::string("field '") + what + "' has " +
-             std::to_string(got) +
-             " elements where the configured geometry needs " +
-             std::to_string(want) +
-             " (written under a different config?)");
-    }
 }
 
 // ---------------------------------------------------------------------------

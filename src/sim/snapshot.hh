@@ -2,8 +2,7 @@
  * @file
  * The canonical JSON writer and reader every ssmt document goes
  * through (the job-result codec, campaign specs, journals and
- * manifests, interval series), plus the program content hash that
- * store keys name.
+ * manifests), plus the program content hash that store keys name.
  *
  * The encoding is canonical: integers only (nothing round-trips
  * through a double), fixed field order chosen by the writer's
@@ -54,7 +53,6 @@ class SnapshotWriter
     void boolean(const char *key, bool value);
     void str(const std::string &value);
     void str(const char *key, const std::string &value);
-    void u64Array(const char *key, const uint64_t *data, size_t n);
     void u64Array(const char *key, const std::vector<uint64_t> &v);
 
     /** The finished document; all scopes must be closed. */
@@ -97,21 +95,13 @@ class SnapshotReader
     std::string str(const char *key) const;
     std::vector<std::string> strArray(const char *key) const;
     std::vector<uint64_t> u64Array(const char *key) const;
-    /** u64Array with an exact expected length (throws otherwise). */
-    void u64ArrayInto(const char *key, uint64_t *out, size_t n) const;
-
-    /** Throw SimError(ParseError) unless @p got == @p want; lets a
-     *  decoder pin serialized lengths against its geometry. */
-    void requireSize(const char *what, size_t got, size_t want) const;
-
-    /** Throw SimError(ParseError) saying @p what: lets a decoder
-     *  refuse a value it cannot hold. */
-    [[noreturn]] void fail(const std::string &what) const;
 
   private:
     JsonValue root_;
     std::vector<const JsonValue *> stack_;
 
+    /** Throw SimError(ParseError) saying @p what. */
+    [[noreturn]] void fail(const std::string &what) const;
     const JsonValue &cur() const;
     const JsonValue &member(const char *key) const;
 };

@@ -21,6 +21,7 @@
 
 #include "sim/batch_runner.hh"
 #include "sim/jobs.hh"
+#include "sim/logging.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
@@ -155,10 +156,24 @@ TEST(BatchRunnerTest, ResolveJobsPriority)
     EXPECT_EQ(sim::resolveJobs(2), 2u);
     EXPECT_EQ(sim::BatchRunner(0).jobs(), 5u);
 
-    // Nonsense values fall through to the host core count (>= 1).
-    ::setenv("SSMT_JOBS", "bogus", 1);
-    EXPECT_GE(sim::resolveJobs(0), 1u);
+    // Nonsense values fall through to the host core count (>= 1),
+    // under --jobs's rules: a trailing letter, a value past unsigned
+    // (which used to wrap, to 1 or even 0), a blank or a zero count
+    // as unset, with one warning for the process.
+    const uint64_t warned_before = ssmt::detail::warnEmittedTotal();
+    for (const char *bad : {"bogus", "4x", "4294967297", "4294967296",
+                            " 2", "0", "-1", "+2", ""}) {
+        ::setenv("SSMT_JOBS", bad, 1);
+        EXPECT_EQ(sim::resolveJobs(0), sim::hostThreads())
+            << "SSMT_JOBS='" << bad << "'";
+        EXPECT_EQ(sim::BatchRunner(0).jobs(), sim::hostThreads())
+            << "SSMT_JOBS='" << bad << "'";
+    }
+    EXPECT_LE(ssmt::detail::warnEmittedTotal() - warned_before, 1u);
+    ::setenv("SSMT_JOBS", "auto", 1);
+    EXPECT_EQ(sim::resolveJobs(0), sim::hostThreads());
     ::unsetenv("SSMT_JOBS");
+    EXPECT_EQ(sim::resolveJobs(0), sim::hostThreads());
     EXPECT_GE(sim::resolveJobs(0), 1u);
 }
 

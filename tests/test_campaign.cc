@@ -57,8 +57,7 @@ freshDir(const std::string &name)
     return dir;
 }
 
-/** A two-workload, two-mode grid on the lightest real workload mix;
- *  sampling on so series travel through the store too. */
+/** A two-mode, two-seed grid on the lightest real workload. */
 sim::CampaignSpec
 smallSpec()
 {
@@ -67,7 +66,6 @@ smallSpec()
     spec.workloads = {"comp"};
     spec.modes = {sim::Mode::Baseline, sim::Mode::Microthread};
     spec.seeds = {0, 7};
-    spec.sampleInterval = 2000;
     return spec;
 }
 
@@ -109,7 +107,7 @@ TEST(CampaignSpec, VariantLessSpecJsonIsPinned)
               "{\"name\":\"campaign-test\",\"workloads\":[{\"name\":"
               "\"comp\"}],\"modes\":[{\"name\":\"baseline\"},{\"name\":"
               "\"microthread\"}],\"seeds\":[0,7],\"scale\":1,"
-              "\"sampleInterval\":2000,\"maxInsts\":0,\"faults\":{"
+              "\"maxInsts\":0,\"faults\":{"
               "\"site\":\"none\",\"seed\":1,\"count\":0,\"startCycle\":0,"
               "\"period\":200},\"cycleBudget\":0,\"isolate\":false,"
               "\"wallDeadlineMs\":0,\"memLimitMb\":0,"
@@ -149,7 +147,6 @@ TEST(CampaignSpec, VariantsRoundTripAndNameCells)
     sim::MachineConfig pruned = sim::cellConfig(spec, cells[2]);
     EXPECT_EQ(pruned.mode, sim::Mode::Microthread);
     EXPECT_TRUE(pruned.builder.pruningEnabled);
-    EXPECT_EQ(pruned.sampleInterval, spec.sampleInterval);
     EXPECT_EQ(sim::cellConfig(spec, cells[3]).mode,
               sim::Mode::MicrothreadNoPredictions);
 
@@ -222,7 +219,6 @@ TEST(CampaignSpec, RejectsDuplicateCells)
     sim::CampaignSpec base = smallSpec();
     base.modes = {sim::Mode::Baseline};
     base.seeds = {1};
-    base.sampleInterval = 0;
     base.maxInsts = 2000;
 
     sim::CampaignSpec workloads = base;
@@ -241,6 +237,30 @@ TEST(CampaignSpec, RejectsDuplicateCells)
         EXPECT_TRUE(rejected([&] { sim::campaignGc(spec, dir); }))
             << sim::specJson(spec);
     }
+    EXPECT_FALSE(sim::pathExists(dir + "/journal.jsonl"));
+}
+
+TEST(CampaignSpec, RejectsCrashNamingNoCell)
+{
+    // A misspelt cell would crash nothing, and the crash test it arms
+    // would pass without its crash.
+    std::string dir = freshDir("crashtypo");
+    sim::CampaignSpec spec = smallSpec();
+    spec.isolate = true;
+    spec.crashes.emplace_back("comp/baselne/s0", sim::CrashKind::Abort);
+    auto expect_refused = [](const std::function<void()> &call) {
+        try {
+            call();
+            ADD_FAILURE() << "a crash entry naming no cell was accepted";
+        } catch (const sim::SimError &err) {
+            EXPECT_EQ(err.code(), sim::ErrorCode::ConfigInvalid);
+            EXPECT_NE(std::string(err.what()).find("comp/baselne/s0"),
+                      std::string::npos)
+                << err.what();
+        }
+    };
+    expect_refused([&] { sim::runCampaign(spec, dir, {}); });
+    expect_refused([&] { sim::campaignGc(spec, dir); });
     EXPECT_FALSE(sim::pathExists(dir + "/journal.jsonl"));
 }
 
@@ -355,7 +375,6 @@ TEST(Campaign, StoredFailureIsNotACacheHit)
     sim::CampaignSpec spec = smallSpec();
     spec.modes = {sim::Mode::Microthread};
     spec.seeds = {0};
-    spec.sampleInterval = 0;
     spec.maxInsts = 20000;
     spec.cycleBudget = 1;
     std::string dir = freshDir("stored-failure");
@@ -459,7 +478,6 @@ TEST(Campaign, CappedCellIsNotServedAsTheFullLengthOne)
     sim::CampaignSpec spec = smallSpec();
     spec.modes = {sim::Mode::Microthread};
     spec.seeds = {0};
-    spec.sampleInterval = 0;
     spec.maxInsts = 2000;
     std::string dir = freshDir("capped");
     sim::CampaignOptions opts;
@@ -613,7 +631,6 @@ TEST(Campaign, StoreKeysMatchPerCellFormula)
     sim::CampaignSpec spec = smallSpec();
     spec.workloads = {"comp", "go"};
     spec.scale = 2;
-    spec.sampleInterval = 0;
     spec.maxInsts = 20000;
 
     std::string dir = freshDir("keys");
@@ -764,7 +781,7 @@ TEST(Campaign, Fig7VariantsMatchHandBuiltConfigs)
     for (size_t v = 0; v < configs.size(); v++) {
         SCOPED_TRACE(first.cells[v].name);
         EXPECT_EQ(sim::statsValues(first.results[v].stats),
-                  sim::statsValues(sim::runProgram(comp, configs[v])));
+                  sim::statsValues(sim::runProgramChecked(comp, configs[v])));
     }
 
     std::string manifest = sim::readFileOrEmpty(first.manifestPath);

@@ -37,7 +37,7 @@ TEST(OracleAllTest, RemovesEveryMispredict)
     isa::Program prog = workloads::makeSynthetic(kernelSpec());
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::OracleAllBranches;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     EXPECT_EQ(stats.usedMispredicts, 0u);
     EXPECT_GT(stats.oracleOverrides, 0u);
 }
@@ -46,11 +46,11 @@ TEST(OracleAllTest, UpperBoundsDifficultPathOracle)
 {
     isa::Program prog = workloads::makeWorkload("go");
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
+    sim::Stats base = sim::runProgramChecked(prog, cfg);
     cfg.mode = sim::Mode::OracleDifficultPath;
-    sim::Stats path_oracle = sim::runProgram(prog, cfg);
+    sim::Stats path_oracle = sim::runProgramChecked(prog, cfg);
     cfg.mode = sim::Mode::OracleAllBranches;
-    sim::Stats all_oracle = sim::runProgram(prog, cfg);
+    sim::Stats all_oracle = sim::runProgramChecked(prog, cfg);
     EXPECT_GE(sim::speedup(all_oracle, base),
               sim::speedup(path_oracle, base) - 1e-9);
     EXPECT_GT(sim::speedup(all_oracle, base), 1.2);
@@ -64,9 +64,9 @@ TEST(OracleAllTest, IntroClaimShapeOnMispredictBoundWork)
     // depends on the workload mix).
     isa::Program prog = workloads::makeWorkload("twolf_2k");
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
+    sim::Stats base = sim::runProgramChecked(prog, cfg);
     cfg.mode = sim::Mode::OracleAllBranches;
-    sim::Stats oracle = sim::runProgram(prog, cfg);
+    sim::Stats oracle = sim::runProgramChecked(prog, cfg);
     EXPECT_GT(sim::speedup(oracle, base), 1.5);
 }
 
@@ -88,7 +88,7 @@ TEST(ThrottleTest, SuppressesUselessRoutines)
     cfg.throttleEnabled = true;
     cfg.throttleMinUseful = 0.10;
     cfg.throttleWindow = 16;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     ASSERT_GT(stats.spawns, 0u);
     EXPECT_GT(stats.throttleDemotions, 0u);
 }
@@ -98,10 +98,10 @@ TEST(ThrottleTest, LeavesUsefulRoutinesAlone)
     isa::Program prog = workloads::makeSynthetic(kernelSpec());
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats plain = sim::runProgram(prog, cfg);
+    sim::Stats plain = sim::runProgramChecked(prog, cfg);
     cfg.throttleEnabled = true;
     cfg.throttleMinUseful = 0.005;      // only punish near-zero yield
-    sim::Stats throttled = sim::runProgram(prog, cfg);
+    sim::Stats throttled = sim::runProgramChecked(prog, cfg);
     // Throttling must not meaningfully reduce delivered predictions.
     EXPECT_GE(throttled.predEarly + throttled.predLate,
               (plain.predEarly + plain.predLate) / 2);
@@ -119,11 +119,11 @@ TEST(ThrottleTest, ReducesSpawnTrafficOnHopelessKernel)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.staticDifficultHints = hints;
-    sim::Stats plain = sim::runProgram(prog, cfg);
+    sim::Stats plain = sim::runProgramChecked(prog, cfg);
     cfg.throttleEnabled = true;
     cfg.throttleMinUseful = 0.10;
     cfg.throttleWindow = 16;
-    sim::Stats throttled = sim::runProgram(prog, cfg);
+    sim::Stats throttled = sim::runProgramChecked(prog, cfg);
     EXPECT_LT(throttled.spawns, plain.spawns);
 }
 
@@ -133,7 +133,7 @@ TEST(ThrottleTest, OffByDefault)
     EXPECT_FALSE(cfg.throttleEnabled);
     isa::Program prog = workloads::makeSynthetic(kernelSpec());
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     EXPECT_EQ(stats.throttleDemotions, 0u);
 }
 
@@ -156,12 +156,12 @@ TEST(HintTest, HintsPromoteWithoutTrainingInterval)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.staticDifficultHints = profiler.difficultPathIds(10, 0.10);
-    sim::Stats hinted = sim::runProgram(prog, cfg);
+    sim::Stats hinted = sim::runProgramChecked(prog, cfg);
     EXPECT_GT(hinted.hintPromotions, 0u);
 
     sim::MachineConfig plain_cfg;
     plain_cfg.mode = sim::Mode::Microthread;
-    sim::Stats dynamic = sim::runProgram(prog, plain_cfg);
+    sim::Stats dynamic = sim::runProgramChecked(prog, plain_cfg);
     // Hints ramp the mechanism faster, so at least as many routines
     // get built over this short run.
     EXPECT_GE(hinted.promotionsCompleted,
@@ -254,7 +254,7 @@ TEST(HintTest, BogusHintsAreHarmless)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.staticDifficultHints = {0xdead, 0xbeef, 0x1234};
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     // Nonexistent paths never retire a matching branch, so the
     // hints simply never fire.
     EXPECT_EQ(stats.hintPromotions, 0u);

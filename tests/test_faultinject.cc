@@ -255,7 +255,7 @@ TEST(FaultInjectTest, ArchitecturalInvarianceCampaign)
 TEST(FaultInjectTest, CheckerStillFlagsCorruptedStats)
 {
     isa::Program prog = workloads::makeSynthetic(hardSpec());
-    Stats stats = runProgram(prog, mtConfig());
+    Stats stats = runProgramChecked(prog, mtConfig());
     ASSERT_TRUE(StatsChecker::check(stats).empty());
 
     Stats corrupt = stats;

@@ -225,16 +225,6 @@ TEST(StatsCheckerTest, DescribeNamesTheRelation)
               std::string::npos);
 }
 
-TEST(StatsCheckerDeathTest, EnforcePanicsWithLabelAndRelation)
-{
-    sim::Stats corrupt = cleanStats();
-    corrupt.spawnAttempts += 1;
-    EXPECT_DEATH(sim::StatsChecker::enforce(corrupt, "mcf_2k"),
-                 "mcf_2k.*spawn-conservation");
-    // A clean vector must pass silently.
-    sim::StatsChecker::enforce(cleanStats(), "mcf_2k");
-}
-
 TEST(StatsCheckerTest, NoFalsePositivesAcrossSuiteAndModes)
 {
     // Every workload, in the golden microthread config plus the

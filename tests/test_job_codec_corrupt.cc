@@ -29,24 +29,19 @@ using namespace ssmt;
 class JobDocumentCorrupt : public ::testing::Test
 {
   protected:
-    /** One microthread run of the synthetic kernel with a short
-     *  sample interval and a small trace ring, so the document
-     *  carries stats, a series and a trace and stays small enough to
-     *  decode every prefix of. */
+    /** One microthread run of the synthetic kernel: the document
+     *  carries its error fields, counters and fault tally, small
+     *  enough to decode every prefix of. */
     static void
     SetUpTestSuite()
     {
         cfg_.mode = sim::Mode::Microthread;
-        cfg_.sampleInterval = 4000;
-        cfg_.traceCapacity = 12;
         isa::Program prog = workloads::makeSynthetic({});
         sim::BatchResult result;
         result.attempts = 1;
         result.stats = sim::runProgramChecked(
-            prog, cfg_, "corrupt-corpus", 0, &result.faults,
-            &result.artifacts);
-        ASSERT_GT(result.artifacts.series.samples.size(), 1u);
-        ASSERT_FALSE(result.artifacts.trace.empty());
+            prog, cfg_, "corrupt-corpus", 0, &result.faults);
+        ASSERT_GT(result.stats.spawns, 0u);
         doc_ = sim::encodeJobResult(result, "", true);
         ASSERT_EQ(decodeVerdict(doc_), sim::ErrorCode::None);
     }
@@ -149,42 +144,54 @@ TEST_F(JobDocumentCorrupt, DuplicatedAndSplicedDocumentsAreRejected)
               sim::ErrorCode::ParseError);
     // Close the document early at a key boundary: structurally valid
     // JSON is not enough, the decoder must still demand every field.
-    for (const char *key : {"\"stats\"", "\"faults\"", "\"series\"",
-                            "\"trace\"", "\"checkpoint\""}) {
+    for (const char *key : {"\"errorCode\"", "\"error\"",
+                            "\"attempts\"", "\"stats\"",
+                            "\"faults\"", "\"noTarget\""}) {
         size_t at = doc_.find(key);
         ASSERT_NE(at, std::string::npos) << key;
         ASSERT_GT(at, 1u);
         // Drop the comma before the key too.
-        EXPECT_EQ(decodeVerdict(doc_.substr(0, at - 1) + "}"),
+        std::string head = doc_.substr(0, at - 1);
+        bool in_faults = head.find("\"faults\"") != std::string::npos;
+        EXPECT_EQ(decodeVerdict(head + (in_faults ? "}}" : "}")),
                   sim::ErrorCode::ParseError)
             << "closed before " << key;
     }
-    // Splice the tail of the document onto its own head, one sample
-    // apart: the series nesting no longer closes where it should.
-    size_t first = doc_.find("{\"cycle\":");
-    size_t second = doc_.find("{\"cycle\":", first + 1);
-    ASSERT_NE(second, std::string::npos);
-    EXPECT_EQ(decodeVerdict(doc_.substr(0, second) +
-                            doc_.substr(first + 1)),
+    // Splice the tail of the document onto its own head, from inside
+    // the counter array: a number follows where a key should.
+    size_t stats = doc_.find("\"stats\":[");
+    size_t faults = doc_.find(",\"faults\"");
+    ASSERT_NE(stats, std::string::npos);
+    ASSERT_NE(faults, std::string::npos);
+    EXPECT_EQ(decodeVerdict(doc_.substr(0, faults + 1) +
+                            doc_.substr(stats + 9)),
               sim::ErrorCode::ParseError);
 }
 
 TEST_F(JobDocumentCorrupt, RetiredKeysAreIgnored)
 {
-    // A store written before the machine checkpoint and the warning
-    // arrays were retired still decodes: fields are read by key.
-    const std::string anchor = "\"seriesInterval\"";
+    // A store written before the machine checkpoint, the warning
+    // arrays, the series and trace sections and the vestigial
+    // final/checkpoint keys were retired still decodes: fields are
+    // read by key.
+    const std::string anchor = "\"stats\"";
     size_t at = doc_.find(anchor);
     ASSERT_NE(at, std::string::npos);
     const std::string old_doc =
         doc_.substr(0, at) +
-        "\"snapshot\":\"\",\"snapshotCycle\":0,\"warnings\":[\"w\"]," +
-        doc_.substr(at);
+        "\"final\":true,\"snapshot\":\"\",\"snapshotCycle\":0,"
+        "\"warnings\":[\"w\"]," +
+        doc_.substr(at, doc_.size() - 1 - at) +
+        ",\"series\":{\"samples\":[],"
+        "\"histograms\":[]},\"trace\":[{\"cycle\":1}],"
+        "\"checkpoint\":\"\"}";
     sim::BatchResult out;
-    std::string checkpoint;
+    std::string checkpoint = "stale";
     bool final_attempt = false;
     sim::decodeJobResult(old_doc, cfg_, &out, &checkpoint,
                          &final_attempt);
+    EXPECT_EQ(checkpoint, "");
+    EXPECT_TRUE(final_attempt);
     EXPECT_EQ(sim::encodeJobResult(out, checkpoint, final_attempt),
               doc_);
 }

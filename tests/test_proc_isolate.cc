@@ -23,7 +23,6 @@
 #include "sim/batch_runner.hh"
 #include "sim/golden.hh"
 #include "sim/job_codec.hh"
-#include "sim/metrics.hh"
 #include "sim/proc_runner.hh"
 #include "sim/sim_error.hh"
 #include "workloads/workloads.hh"
@@ -33,8 +32,7 @@ namespace
 
 using namespace ssmt;
 
-/** A fast mixed batch: synthetic kernel under three modes, series
- *  sampling on so the artifact path is exercised too. */
+/** A fast mixed batch: synthetic kernel under three modes. */
 std::vector<sim::BatchJob>
 smallBatch()
 {
@@ -45,20 +43,18 @@ smallBatch()
           sim::Mode::OracleDifficultPath}) {
         sim::MachineConfig cfg;
         cfg.mode = mode;
-        cfg.sampleInterval = 500;
         batch.push_back(
             {std::string("synth/") + sim::modeName(mode), prog, cfg});
     }
     return batch;
 }
 
-/** Byte-level equality witness for one result: golden counters plus
- *  the canonical series serialization. */
+/** Byte-level equality witness for one result: its golden
+ *  counters. */
 std::string
 witness(const sim::BatchResult &r, const std::string &name)
 {
-    return sim::goldenJson({name, "test", r.stats}) +
-           sim::seriesDocumentJson(r.artifacts.series, "", "");
+    return sim::goldenJson({name, "test", r.stats});
 }
 
 TEST(ProcIsolate, CleanJobsByteIdenticalToInProcess)
@@ -174,7 +170,6 @@ TEST(ProcIsolate, MoreJobsThanWorkersByteIdenticalToInProcess)
     std::vector<sim::BatchJob> batch = smallBatch();
     for (sim::BatchJob job : smallBatch()) {
         job.name += "/again";
-        job.config.sampleInterval = 0;
         batch.push_back(job);
     }
     std::vector<sim::BatchResult> in_process =
@@ -253,10 +248,12 @@ TEST(ProcIsolate, CpuLimitHoldsPerJobNotPerWorker)
     const double before = parentCpuSeconds();
     sim::detail::runJobOnce(job, sim::BatchPolicy{}, probe);
     const double per_job = parentCpuSeconds() - before;
-    ASSERT_TRUE(probe.ok()) << probe.error;
-    ASSERT_LT(per_job, 0.4) << "the premise needs a job well under "
-                               "half the limit";
     const size_t count = static_cast<size_t>(2.5 / per_job) + 1;
+    const std::string sizing = "per_job " + std::to_string(per_job) +
+                               " s, count " + std::to_string(count);
+    ASSERT_TRUE(probe.ok()) << probe.error << " (" << sizing << ")";
+    ASSERT_LT(per_job, 0.4) << "the premise needs a job well under "
+                               "half the limit (" << sizing << ")";
     std::vector<sim::BatchJob> batch(count, job);
 
     sim::BatchPolicy policy;
@@ -266,18 +263,30 @@ TEST(ProcIsolate, CpuLimitHoldsPerJobNotPerWorker)
         sim::BatchRunner(1).run(batch, policy);
     for (size_t i = 0; i < count; i++) {
         SCOPED_TRACE("job " + std::to_string(i) + " of " +
-                     std::to_string(count));
+                     std::to_string(count) + ", " + sizing);
         EXPECT_TRUE(results[i].ok()) << results[i].error;
     }
 
     // One job with all that work runs past its budget: the kernel's
-    // SIGXCPU ends its worker, and the job is reported as killed.
+    // SIGXCPU ends its worker, and the job is reported as killed. The
+    // runaway starts a fresh worker, whose first fraction of a second
+    // rounds up to 1 s, so its real limit is 2 s. It is sized at 3x
+    // that, with no retire cap to stop it short, so a probe slowed by
+    // a busy host still leaves it far past the limit; the kernel
+    // stops it there, so the size costs no time.
+    const size_t runaway_jobs =
+        static_cast<size_t>(3 * 2.0 / per_job) + 1;
     sim::BatchJob runaway = job;
-    runaway.program = workloads::makeCompress({16 * (count + 1), 0x5eed});
+    runaway.program =
+        workloads::makeCompress({16 * runaway_jobs, 0x5eed});
+    runaway.config.maxInsts = ~0ull;
     results = sim::BatchRunner(1).run({runaway}, policy);
-    EXPECT_EQ(results[0].errorCode, sim::ErrorCode::JobKilled);
+    EXPECT_EQ(results[0].errorCode, sim::ErrorCode::JobKilled)
+        << results[0].error << " (" << sizing << ", runaway "
+        << runaway_jobs << " jobs' work)";
     EXPECT_EQ(results[0].error, "[job-killed] isolate: child exceeded "
-                                "the cpu limit (SIGXCPU)");
+                                "the cpu limit (SIGXCPU)")
+        << sizing;
 }
 
 /** True when this process has no child, running or unreaped. */

@@ -24,7 +24,7 @@ TEST(StressTest, ScaledRunStaysConsistent)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.builder.pruningEnabled = true;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     EXPECT_GT(stats.retiredInsts, 700'000u);
     // Global invariants at scale.
     EXPECT_EQ(stats.spawnAttempts, stats.spawnAbortPrefix +
@@ -48,8 +48,8 @@ TEST(StressTest, ScaleLeavesRatesRoughlyStable)
     isa::Program big = workloads::makeWorkload("perl", big_params);
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
-    double ipc_small = sim::runProgram(small, cfg).ipc();
-    double ipc_big = sim::runProgram(big, cfg).ipc();
+    double ipc_small = sim::runProgramChecked(small, cfg).ipc();
+    double ipc_big = sim::runProgramChecked(big, cfg).ipc();
     EXPECT_NEAR(ipc_big, ipc_small, 0.25 * ipc_small);
 }
 
@@ -83,7 +83,7 @@ TEST(StressTest, EarlyRecoveriesOccurOnLateCorrections)
     isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg);
     EXPECT_GT(stats.predLate, 0u);
     EXPECT_GT(stats.earlyRecoveries, 0u);
 }

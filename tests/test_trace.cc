@@ -101,9 +101,9 @@ TEST(TraceTest, TracingDoesNotPerturbTiming)
         workloads::makeSynthetic(workloads::SyntheticSpec{});
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats off = sim::runProgram(prog, cfg);
+    sim::Stats off = sim::runProgramChecked(prog, cfg);
     cfg.traceCapacity = 4096;
-    sim::Stats on = sim::runProgram(prog, cfg);
+    sim::Stats on = sim::runProgramChecked(prog, cfg);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.spawns, on.spawns);
 }

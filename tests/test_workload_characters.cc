@@ -21,7 +21,7 @@ sim::Stats
 baselineOf(const char *name)
 {
     sim::MachineConfig cfg;
-    return sim::runProgram(workloads::makeWorkload(name), cfg);
+    return sim::runProgramChecked(workloads::makeWorkload(name), cfg);
 }
 
 TEST(WorkloadCharacterTest, EonAndM88ksimAreWellBehaved)
@@ -119,7 +119,7 @@ TEST(WorkloadCharacterTest, GapCarriesAreHardButComputable)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     sim::Stats mt =
-        sim::runProgram(workloads::makeWorkload("gap_2k"), cfg);
+        sim::runProgramChecked(workloads::makeWorkload("gap_2k"), cfg);
     if (mt.microPredCorrect + mt.microPredWrong > 50) {
         EXPECT_GT(mt.microPredCorrect,
                   9 * (mt.microPredWrong + 1));

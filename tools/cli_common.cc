@@ -1,7 +1,6 @@
 #include "cli_common.hh"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -86,15 +85,8 @@ ArgParser::u64(const std::string &flag, uint64_t def) const
     if (it == values_.end() || it->second.empty())
         return def;
     const std::string &text = it->second.back();
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long parsed =
-        std::strtoull(text.c_str(), &end, 10);
-    // strtoull skips blanks, takes a sign and wraps "-1" to 2^64-1:
-    // only plain decimal digits that fit count as a number here.
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE) {
+    uint64_t parsed = 0;
+    if (!parseU64(text, &parsed)) {
         std::fprintf(stderr, "%s: %s needs a number (got '%s')\n",
                      argv0_.c_str(), flag.c_str(), text.c_str());
         usage(2);
@@ -176,6 +168,17 @@ predictorFlag(const ArgParser &args, const std::string &flag)
                   known + ")");
     }
     return kind;
+}
+
+bool
+parseU64(const std::string &text, uint64_t *out)
+{
+    // Unlike strtoull, from_chars skips no blanks, takes no sign
+    // (strtoull wraps "-1" to 2^64-1) and fails past 2^64-1 instead
+    // of saturating.
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 std::vector<std::string>

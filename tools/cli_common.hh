@@ -132,6 +132,11 @@ bpred::PredictorKind
 predictorFlag(const ArgParser &args,
               const std::string &flag = "--predictor");
 
+/** Parse @p text as ArgParser::u64 does: plain decimal digits (no
+ *  blanks, no sign) up to 2^64-1. @return false otherwise, leaving
+ *  @p out alone. */
+bool parseU64(const std::string &text, uint64_t *out);
+
 /** Split "a,b,c" into {"a","b","c"}, dropping empty segments. */
 std::vector<std::string> splitCommas(const std::string &arg);
 

@@ -73,7 +73,6 @@ const char kUsage[] =
     "  --modes m1,m2|all     mode axis (default microthread)\n"
     "  --seeds s1,s2         fault-seed axis (default 0)\n"
     "  --scale N             workload scale (default 1)\n"
-    "  --sample-interval N   metrics series capture interval\n"
     "  --max-insts N         per-cell instruction cap (a capped cell\n"
     "                        is stored apart from the uncapped one)\n"
     "  --fault-site S --fault-count N [--fault-seed S]\n"
@@ -117,7 +116,6 @@ parseOptions(int argc, char **argv)
                          {"--modes", nullptr, true},
                          {"--seeds", nullptr, true},
                          {"--scale", nullptr, true},
-                         {"--sample-interval", nullptr, true},
                          {"--max-insts", nullptr, true},
                          {"--fault-site", nullptr, true},
                          {"--fault-count", nullptr, true},
@@ -148,10 +146,10 @@ parseOptions(int argc, char **argv)
     sim::CampaignSpec &spec = opt.spec;
     for (const char *flag :
          {"--name", "--workloads", "--modes", "--seeds", "--scale",
-          "--sample-interval", "--max-insts", "--fault-site",
-          "--fault-count", "--fault-seed", "--fault-start",
-          "--fault-period", "--isolate", "--deadline-ms",
-          "--mem-limit-mb", "--cpu-limit", "--budget", "--crash"}) {
+          "--max-insts", "--fault-site", "--fault-count",
+          "--fault-seed", "--fault-start", "--fault-period",
+          "--isolate", "--deadline-ms", "--mem-limit-mb",
+          "--cpu-limit", "--budget", "--crash"}) {
         if (args.has(flag)) {
             if (opt.command == "resume")
                 args.fail(std::string("resume replays the journal's "
@@ -184,10 +182,8 @@ parseOptions(int argc, char **argv)
         spec.seeds.clear();
         for (const std::string &text :
              cli::splitCommas(args.str("--seeds"))) {
-            char *end = nullptr;
-            unsigned long long seed =
-                std::strtoull(text.c_str(), &end, 10);
-            if (!end || end == text.c_str() || *end != '\0')
+            uint64_t seed = 0;
+            if (!cli::parseU64(text, &seed))
                 args.fail("--seeds needs numbers (got '" + text +
                           "')");
             spec.seeds.push_back(seed);
@@ -196,8 +192,6 @@ parseOptions(int argc, char **argv)
             args.fail("--seeds needs at least one seed");
     }
     spec.scale = args.u64("--scale", spec.scale);
-    spec.sampleInterval =
-        args.u64("--sample-interval", spec.sampleInterval);
     spec.maxInsts = args.u64("--max-insts", spec.maxInsts);
     if (args.has("--fault-site")) {
         std::string name = args.str("--fault-site");

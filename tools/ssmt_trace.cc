@@ -14,9 +14,12 @@
  *                                      event streamed as one JSON
  *                                      line (unbounded capture)
  *
- * Both artifacts are deterministic: identical (workload, config,
- * scale, seed) runs produce byte-identical files regardless of
- * --jobs, because each simulation is an isolated single-threaded
+ * Each workload runs through sim::runProgramChecked on
+ * BatchRunner::forEach, and the files come from its RunArtifacts:
+ * no batch result, job document or campaign carries a series or a
+ * trace. Both artifacts are deterministic: identical (workload,
+ * config, scale, seed) runs produce byte-identical files regardless
+ * of --jobs, because each simulation is an isolated single-threaded
  * core and sampling happens at fixed cycle multiples.
  *
  * Usage:
@@ -38,6 +41,8 @@
 #include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/metrics.hh"
+#include "sim/sim_error.hh"
+#include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -57,6 +62,17 @@ struct Options
     unsigned jobs = 0;
     std::string outDir = ".";
     bool jsonl = false;
+};
+
+/** One workload's run: its machine, and what it captured or why it
+ *  failed. */
+struct Run
+{
+    std::string name;
+    isa::Program program;
+    sim::MachineConfig config;
+    sim::RunArtifacts artifacts;
+    std::string error;      ///< empty on success
 };
 
 const char kUsage[] =
@@ -132,8 +148,8 @@ main(int argc, char **argv)
     params.scale = opt.scale;
     params.seed = opt.seed;
 
-    std::vector<sim::BatchJob> batch;
-    batch.reserve(opt.workloads.size());
+    std::vector<Run> runs;
+    runs.reserve(opt.workloads.size());
     for (const std::string &name : opt.workloads) {
         bool found = false;
         for (const auto &info : workloads::allWorkloads()) {
@@ -143,7 +159,7 @@ main(int argc, char **argv)
                     job_cfg.tracePath =
                         opt.outDir + "/" + name + ".trace.jsonl";
                 }
-                batch.push_back({name, info.make(params), job_cfg});
+                runs.push_back({name, info.make(params), job_cfg, {}, {}});
                 found = true;
                 break;
             }
@@ -155,25 +171,33 @@ main(int argc, char **argv)
         }
     }
 
-    sim::BatchRunner runner(opt.jobs);
-    std::vector<sim::BatchResult> results = runner.run(batch);
+    sim::BatchRunner(opt.jobs).forEach(runs.size(), [&](size_t i) {
+        Run &run = runs[i];
+        try {
+            sim::runProgramChecked(run.program, run.config, run.name, 0,
+                                   nullptr, &run.artifacts);
+        } catch (const sim::SimError &err) {
+            run.error = err.what();
+        }
+    });
 
     int failures = 0;
-    for (size_t i = 0; i < results.size(); i++) {
-        const std::string &name = batch[i].name;
-        const sim::BatchResult &result = results[i];
-        if (!result.ok()) {
+    std::string summary;
+    for (const Run &run : runs) {
+        const std::string &name = run.name;
+        if (!run.error.empty()) {
             std::fprintf(stderr, "%s: simulation failed: %s\n",
-                         name.c_str(), result.error.c_str());
+                         name.c_str(), run.error.c_str());
+            summary += name + ": " + run.error + "\n";
             failures++;
             continue;
         }
 
-        std::string config_name = sim::modeName(batch[i].config.mode);
+        std::string config_name = sim::modeName(run.config.mode);
         if (opt.sampleInterval > 0) {
             std::string path =
                 opt.outDir + "/" + name + ".series.json";
-            if (!sim::writeSeriesFile(path, result.artifacts.series,
+            if (!sim::writeSeriesFile(path, run.artifacts.series,
                                       name, config_name)) {
                 std::fprintf(stderr, "%s: cannot write %s\n",
                              name.c_str(), path.c_str());
@@ -181,35 +205,32 @@ main(int argc, char **argv)
                 continue;
             }
             std::printf("%s: %zu samples (interval %llu) -> %s\n",
-                        name.c_str(),
-                        result.artifacts.series.samples.size(),
+                        name.c_str(), run.artifacts.series.samples.size(),
                         static_cast<unsigned long long>(
-                            result.artifacts.series.interval),
+                            run.artifacts.series.interval),
                         path.c_str());
         }
         if (opt.traceCapacity > 0) {
             std::string path =
                 opt.outDir + "/" + name + ".trace.json";
             if (!sim::writeFileAtomic(
-                    path, cpu::chromeTraceJson(result.artifacts.trace))) {
+                    path, cpu::chromeTraceJson(run.artifacts.trace))) {
                 std::fprintf(stderr, "%s: cannot write %s\n",
                              name.c_str(), path.c_str());
                 failures++;
                 continue;
             }
             std::printf("%s: %zu trace records -> %s\n", name.c_str(),
-                        result.artifacts.trace.size(), path.c_str());
+                        run.artifacts.trace.size(), path.c_str());
         }
         if (opt.jsonl) {
             std::printf("%s: JSONL stream -> %s\n", name.c_str(),
-                        batch[i].config.tracePath.c_str());
+                        run.config.tracePath.c_str());
         }
     }
 
     if (failures) {
-        std::fputs(sim::BatchRunner::failureSummary(batch, results)
-                       .c_str(),
-                   stderr);
+        std::fputs(summary.c_str(), stderr);
         return 1;
     }
     return 0;
