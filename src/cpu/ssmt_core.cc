@@ -5,6 +5,7 @@
 
 #include "sim/golden.hh"
 #include "sim/logging.hh"
+#include "sim/sim_error.hh"
 
 namespace ssmt
 {
@@ -39,8 +40,9 @@ SsmtCore::SsmtCore(const isa::Program &prog,
 {
     SSMT_ASSERT(prog.size() > 0, "cannot simulate an empty program");
     if (!cfg_.tracePath.empty() && !trace_.streamTo(cfg_.tracePath)) {
-        SSMT_WARN("cannot open tracePath '" + cfg_.tracePath +
-                  "' for JSONL streaming; trace stream disabled");
+        throw sim::SimError(sim::ErrorCode::IoError, "ssmt_core",
+                            "cannot open tracePath '" + cfg_.tracePath +
+                                "' for JSONL streaming");
     }
     SSMT_ASSERT(config.pathN >= 1 && config.pathN <= 16,
                 "path n must be in [1,16]");

@@ -53,6 +53,8 @@ namespace cpu
 class SsmtCore
 {
   public:
+    /** Throws SimError(IoError) when config.tracePath is set and
+     *  cannot be opened. */
     SsmtCore(const isa::Program &prog,
              const sim::MachineConfig &config);
 

@@ -1,7 +1,7 @@
 #include "cpu/trace.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <map>
 
 namespace ssmt
 {
@@ -29,31 +29,18 @@ traceEventName(TraceEvent event)
     return "?";
 }
 
-std::string
-TraceRecord::toJsonLine() const
+void
+TraceRecord::writeJson(sim::SnapshotWriter &w) const
 {
-    char buf[192];
-    if (ctx == kNoTraceCtx) {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"cycle\": %llu, \"event\": \"%s\", "
-                      "\"pc\": %llu, \"seq\": %llu, \"aux\": %llu}",
-                      static_cast<unsigned long long>(cycle),
-                      traceEventName(event),
-                      static_cast<unsigned long long>(pc),
-                      static_cast<unsigned long long>(seq),
-                      static_cast<unsigned long long>(aux));
-    } else {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"cycle\": %llu, \"event\": \"%s\", "
-                      "\"pc\": %llu, \"seq\": %llu, \"aux\": %llu, "
-                      "\"ctx\": %u}",
-                      static_cast<unsigned long long>(cycle),
-                      traceEventName(event),
-                      static_cast<unsigned long long>(pc),
-                      static_cast<unsigned long long>(seq),
-                      static_cast<unsigned long long>(aux), ctx);
-    }
-    return buf;
+    w.beginObject();
+    w.u64("cycle", cycle);
+    w.str("event", traceEventName(event));
+    w.u64("pc", pc);
+    w.u64("seq", seq);
+    w.u64("aux", aux);
+    if (ctx != kNoTraceCtx)
+        w.u64("ctx", ctx);
+    w.endObject();
 }
 
 PipelineTrace::PipelineTrace(size_t capacity) : ring_(capacity)
@@ -104,10 +91,11 @@ PipelineTrace::recordSlow(uint64_t cycle, TraceEvent event,
             size_++;
     }
     if (stream_) {
-        TraceRecord rec{cycle, event, pc, seq, aux, ctx};
-        std::string line = rec.toJsonLine();
-        line += '\n';
+        line_.clear();
+        TraceRecord{cycle, event, pc, seq, aux, ctx}.writeJson(line_);
+        const std::string &line = line_.text();
         std::fwrite(line.data(), 1, line.size(), stream_);
+        std::fputc('\n', stream_);
     }
 }
 
@@ -137,50 +125,6 @@ constexpr uint32_t kPrimaryTid = 0;
 constexpr uint32_t kMechanismTid = 1;
 constexpr uint32_t kCtxTidBase = 2;
 
-void
-appendInstant(std::ostringstream &out, bool &first,
-              const TraceRecord &rec, uint32_t tid)
-{
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    out << "{\"name\": \"" << traceEventName(rec.event)
-        << "\", \"cat\": "
-        << (tid == kMechanismTid ? "\"mechanism\"" : "\"pipeline\"")
-        << ", \"ph\": \"i\", \"s\": \"t\", \"ts\": " << rec.cycle
-        << ", \"pid\": 0, \"tid\": " << tid
-        << ", \"args\": {\"pc\": " << rec.pc
-        << ", \"seq\": " << rec.seq << ", \"path\": " << rec.aux
-        << "}}";
-}
-
-void
-appendSlice(std::ostringstream &out, bool &first, uint64_t start,
-            uint64_t end, uint32_t tid, uint64_t path_id,
-            uint64_t spawn_seq, const char *outcome)
-{
-    uint64_t dur = end > start ? end - start : 1;
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    out << "{\"name\": \"uthread " << path_id
-        << "\", \"cat\": \"uthread\", \"ph\": \"X\", \"ts\": "
-        << start << ", \"dur\": " << dur
-        << ", \"pid\": 0, \"tid\": " << tid
-        << ", \"args\": {\"path\": " << path_id
-        << ", \"spawnSeq\": " << spawn_seq << ", \"outcome\": \""
-        << outcome << "\"}}";
-}
-
-void
-appendThreadName(std::ostringstream &out, bool &first, uint32_t tid,
-                 const std::string &name)
-{
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    out << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-        << "\"tid\": " << tid << ", \"args\": {\"name\": \"" << name
-        << "\"}}";
-}
-
 /** A microthread slice opened by Spawn, awaiting its end event. */
 struct OpenSlice
 {
@@ -189,85 +133,63 @@ struct OpenSlice
     uint64_t spawnSeq = 0;
 };
 
-/**
- * The per-context open-slice table, previously a std::map. Contexts
- * number in the single digits, so a flat vector kept sorted by
- * context id beats the red-black tree's node allocation per spawn —
- * and the ordered final sweep ("in-flight" slices) falls out of the
- * sort order, keeping the emitted JSON byte-identical.
- */
-class OpenSlices
-{
-  public:
-    OpenSlice *
-    find(uint32_t ctx)
-    {
-        auto it = lowerBound(ctx);
-        if (it != entries_.end() && it->first == ctx)
-            return &it->second;
-        return nullptr;
-    }
-
-    void
-    put(uint32_t ctx, const OpenSlice &slice)
-    {
-        auto it = lowerBound(ctx);
-        if (it != entries_.end() && it->first == ctx)
-            it->second = slice;
-        else
-            entries_.insert(it, {ctx, slice});
-    }
-
-    void
-    erase(uint32_t ctx)
-    {
-        auto it = lowerBound(ctx);
-        if (it != entries_.end() && it->first == ctx)
-            entries_.erase(it);
-    }
-
-    /** Entries in ascending context order. */
-    const std::vector<std::pair<uint32_t, OpenSlice>> &
-    sorted() const
-    {
-        return entries_;
-    }
-
-  private:
-    std::vector<std::pair<uint32_t, OpenSlice>> entries_;
-
-    std::vector<std::pair<uint32_t, OpenSlice>>::iterator
-    lowerBound(uint32_t ctx)
-    {
-        return std::lower_bound(
-            entries_.begin(), entries_.end(), ctx,
-            [](const std::pair<uint32_t, OpenSlice> &entry,
-               uint32_t key) { return entry.first < key; });
-    }
-};
-
 } // namespace
 
 std::string
 chromeTraceJson(const std::vector<TraceRecord> &records)
 {
-    std::ostringstream out;
-    out << "{\n  \"displayTimeUnit\": \"ms\",\n"
-        << "  \"otherData\": {\"schema\": \"ssmt-chrome-trace-v1\", "
-        << "\"timeUnit\": \"1 ts = 1 cycle\"},\n"
-        << "  \"traceEvents\": [";
-    bool first = true;
+    sim::SnapshotWriter w(sim::SnapshotWriter::Layout::Spaced);
+    w.beginObject(sim::SnapshotWriter::kLines);
+    w.str("displayTimeUnit", "ms");
+    w.beginObject("otherData");
+    w.str("schema", "ssmt-chrome-trace-v1");
+    w.str("timeUnit", "1 ts = 1 cycle");
+    w.endObject();
+    w.beginArray("traceEvents", sim::SnapshotWriter::kLines);
 
-    appendThreadName(out, first, kPrimaryTid, "primary");
-    appendThreadName(out, first, kMechanismTid, "mechanism");
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    out << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-        << "\"args\": {\"name\": \"ssmt\"}}";
+    auto thread_name = [&w](uint32_t tid, const std::string &name) {
+        w.beginObject();
+        w.str("name", "thread_name");
+        w.str("ph", "M");
+        w.u64("pid", 0);
+        w.u64("tid", tid);
+        w.beginObject("args");
+        w.str("name", name);
+        w.endObject();
+        w.endObject();
+    };
+    auto slice = [&w](uint32_t ctx, const OpenSlice &thread,
+                      uint64_t end, const char *outcome) {
+        uint64_t start = thread.startCycle;
+        w.beginObject();
+        w.str("name", "uthread " + std::to_string(thread.pathId));
+        w.str("cat", "uthread");
+        w.str("ph", "X");
+        w.u64("ts", start);
+        w.u64("dur", end > start ? end - start : 1);
+        w.u64("pid", 0);
+        w.u64("tid", kCtxTidBase + ctx);
+        w.beginObject("args");
+        w.u64("path", thread.pathId);
+        w.u64("spawnSeq", thread.spawnSeq);
+        w.str("outcome", outcome);
+        w.endObject();
+        w.endObject();
+    };
+
+    thread_name(kPrimaryTid, "primary");
+    thread_name(kMechanismTid, "mechanism");
+    w.beginObject();
+    w.str("name", "process_name");
+    w.str("ph", "M");
+    w.u64("pid", 0);
+    w.beginObject("args");
+    w.str("name", "ssmt");
+    w.endObject();
+    w.endObject();
 
     // One track per microcontext that appears in the capture, named
     // in first-appearance order (matching the historical output).
-    OpenSlices open;
     uint64_t last_cycle = 0;
     std::vector<uint32_t> named;
     for (const TraceRecord &rec : records) {
@@ -277,66 +199,61 @@ chromeTraceJson(const std::vector<TraceRecord> &records)
         if (std::find(named.begin(), named.end(), rec.ctx) ==
             named.end()) {
             named.push_back(rec.ctx);
-            appendThreadName(out, first, kCtxTidBase + rec.ctx,
-                             "uctx" + std::to_string(rec.ctx));
+            thread_name(kCtxTidBase + rec.ctx,
+                        "uctx" + std::to_string(rec.ctx));
         }
     }
 
+    // Every event is an instant on its track; microthread lifetimes
+    // also become slices on their context's track.
+    std::map<uint32_t, OpenSlice> open;
     for (const TraceRecord &rec : records) {
-        switch (rec.event) {
-          case TraceEvent::Fetch:
-          case TraceEvent::Retire:
-          case TraceEvent::Mispredict:
-            appendInstant(out, first, rec, kPrimaryTid);
-            break;
-          case TraceEvent::Spawn: {
-            appendInstant(out, first, rec, kMechanismTid);
-            if (rec.ctx == kNoTraceCtx)
-                break;
-            if (const OpenSlice *stale = open.find(rec.ctx)) {
-                // The matching end event was lost (ring eviction);
-                // close the stale slice at this spawn.
-                appendSlice(out, first, stale->startCycle,
-                            rec.cycle, kCtxTidBase + rec.ctx,
-                            stale->pathId, stale->spawnSeq,
-                            "truncated");
-            }
-            open.put(rec.ctx, {rec.cycle, rec.aux, rec.seq});
-            break;
-          }
-          case TraceEvent::ThreadAbort:
-          case TraceEvent::ThreadComplete: {
-            appendInstant(out, first, rec, kMechanismTid);
-            if (rec.ctx == kNoTraceCtx)
-                break;
-            const OpenSlice *slice = open.find(rec.ctx);
-            if (!slice)
-                break;      // spawn fell off the ring
-            appendSlice(out, first, slice->startCycle, rec.cycle,
-                        kCtxTidBase + rec.ctx, slice->pathId,
-                        slice->spawnSeq,
-                        rec.event == TraceEvent::ThreadComplete
-                            ? "complete"
-                            : "abort");
-            open.erase(rec.ctx);
-            break;
-          }
-          default:
-            appendInstant(out, first, rec, kMechanismTid);
-            break;
+        bool primary = rec.event == TraceEvent::Fetch ||
+                       rec.event == TraceEvent::Retire ||
+                       rec.event == TraceEvent::Mispredict;
+        w.beginObject();
+        w.str("name", traceEventName(rec.event));
+        w.str("cat", primary ? "pipeline" : "mechanism");
+        w.str("ph", "i");
+        w.str("s", "t");
+        w.u64("ts", rec.cycle);
+        w.u64("pid", 0);
+        w.u64("tid", primary ? kPrimaryTid : kMechanismTid);
+        w.beginObject("args");
+        w.u64("pc", rec.pc);
+        w.u64("seq", rec.seq);
+        w.u64("path", rec.aux);
+        w.endObject();
+        w.endObject();
+        if (rec.ctx == kNoTraceCtx)
+            continue;
+
+        auto it = open.find(rec.ctx);
+        if (rec.event == TraceEvent::Spawn) {
+            // A slice still open lost its end event (ring eviction);
+            // close it at this spawn.
+            if (it != open.end())
+                slice(rec.ctx, it->second, rec.cycle, "truncated");
+            open[rec.ctx] = {rec.cycle, rec.aux, rec.seq};
+        } else if (rec.event == TraceEvent::ThreadComplete ||
+                   rec.event == TraceEvent::ThreadAbort) {
+            if (it == open.end())
+                continue;       // its spawn fell off the ring
+            slice(rec.ctx, it->second, rec.cycle,
+                  rec.event == TraceEvent::ThreadComplete ? "complete"
+                                                          : "abort");
+            open.erase(it);
         }
     }
 
-    // Microthreads still in flight when the capture ended.
-    for (const auto &entry : open.sorted()) {
-        appendSlice(out, first, entry.second.startCycle,
-                    last_cycle + 1, kCtxTidBase + entry.first,
-                    entry.second.pathId, entry.second.spawnSeq,
-                    "in-flight");
-    }
+    // Microthreads still in flight when the capture ended, in
+    // ascending context order.
+    for (const auto &[ctx, thread] : open)
+        slice(ctx, thread, last_cycle + 1, "in-flight");
 
-    out << "\n  ]\n}\n";
-    return out.str();
+    w.endArray();
+    w.endObject();
+    return w.text();
 }
 
 } // namespace cpu

@@ -16,7 +16,10 @@
  * track per microcontext carrying microthread-lifetime slices, a
  * mechanism track for Promote/Demote/Spawn/PredEarly/PredLate-style
  * events, and a primary track for fetch/retire/mispredict marks.
- * One simulated cycle is rendered as one microsecond.
+ * One simulated cycle is rendered as one microsecond. Both formats
+ * go through sim::SnapshotWriter's spaced layout: a JSONL line is
+ * one inline object, a Chrome trace has its root and `traceEvents`
+ * one item per line.
  */
 
 #ifndef SSMT_CPU_TRACE_HH
@@ -26,6 +29,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -64,8 +69,9 @@ struct TraceRecord
     /** Owning microcontext index, or kNoTraceCtx. */
     uint32_t ctx = kNoTraceCtx;
 
-    /** One-line JSON object (the JSONL streaming format). */
-    std::string toJsonLine() const;
+    /** Write this event as one inline object: a JSONL line with
+     *  "ctx" only when set. */
+    void writeJson(sim::SnapshotWriter &w) const;
 };
 
 class PipelineTrace
@@ -120,6 +126,8 @@ class PipelineTrace
     size_t size_ = 0;
     uint64_t totalRecorded_ = 0;
     std::FILE *stream_ = nullptr;
+    /** Reused for every JSONL line: no allocation per event. */
+    sim::SnapshotWriter line_{sim::SnapshotWriter::Layout::Spaced};
     /** Cache of (!ring_.empty() || stream_), maintained by the
      *  constructor and the stream open/close transitions. */
     bool armed_ = false;

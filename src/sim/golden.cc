@@ -8,6 +8,7 @@
 #include "sim/json_text.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
+#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -179,21 +180,17 @@ statsFromValues(Stats &out, const std::vector<uint64_t> &values)
 std::string
 goldenJson(const GoldenRun &run)
 {
-    std::string out = "{\n  \"schema\": \"";
-    out += kGoldenSchema;
-    out += "\",\n  \"workload\": \"";
-    appendJsonEscaped(out, run.workload);
-    out += "\",\n  \"config\": \"";
-    appendJsonEscaped(out, run.config);
-    out += "\",\n  \"counters\": {\n";
-    auto counters = flattenStats(run.stats);
-    for (size_t i = 0; i < counters.size(); i++) {
-        out += "    \"" + counters[i].first +
-               "\": " + std::to_string(counters[i].second) +
-               (i + 1 < counters.size() ? ",\n" : "\n");
-    }
-    out += "  }\n}\n";
-    return out;
+    SnapshotWriter w(SnapshotWriter::Layout::Spaced);
+    w.beginObject(SnapshotWriter::kLines);
+    w.str("schema", kGoldenSchema);
+    w.str("workload", run.workload);
+    w.str("config", run.config);
+    w.beginObject("counters", SnapshotWriter::kLines);
+    for (const auto &[name, value] : flattenStats(run.stats))
+        w.u64(name.c_str(), value);
+    w.endObject();
+    w.endObject();
+    return w.text();
 }
 
 bool
@@ -302,18 +299,9 @@ DriftAllowlist::parse(const std::string &text)
 DriftAllowlist
 DriftAllowlist::load(const std::string &path, bool *existed)
 {
-    std::FILE *file = std::fopen(path.c_str(), "r");
     if (existed)
-        *existed = file != nullptr;
-    if (!file)
-        return {};
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        text.append(buf, got);
-    std::fclose(file);
-    return parse(text);
+        *existed = pathExists(path);
+    return parse(readFileOrEmpty(path));
 }
 
 std::string

@@ -4,8 +4,8 @@
  * under a pinned MachineConfig, serialized canonically so that any
  * later commit can be diffed against it counter by counter.
  *
- * Schema (`"schema": "ssmt-golden-v1"`, escaped through
- * sim::appendJsonEscaped like every other writer):
+ * Schema (`"schema": "ssmt-golden-v1"`, written by sim::SnapshotWriter
+ * in its spaced layout, the root and `counters` one item per line):
  *
  *   {
  *     "schema": "ssmt-golden-v1",

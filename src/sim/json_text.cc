@@ -310,7 +310,7 @@ parseJson(const std::string &text, JsonValue &out, std::string *err)
 }
 
 void
-appendJsonEscaped(std::string &out, const std::string &text)
+appendJsonEscaped(std::string &out, std::string_view text)
 {
     for (char c : text) {
         switch (c) {

@@ -3,7 +3,7 @@
  * A minimal JSON reader for the simulator's own machine-readable
  * artifacts (`ssmt-golden-v1` golden-stats snapshots, campaign
  * specs, journals, manifests and job results), plus the string
- * escaper their writers share.
+ * escaper of their one writer, sim::SnapshotWriter.
  *
  * This is deliberately not a general-purpose JSON library: it parses
  * the documents our emitters write (objects, arrays, strings,
@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,11 +73,11 @@ bool parseJson(const std::string &text, JsonValue &out,
  * Append @p text to @p out as the body of a JSON string literal
  * (without the quotes): `"` and `\` get a backslash, newline, tab
  * and carriage return their short forms, and every other control
- * character a `\u00XX` escape. SnapshotWriter, the golden writer
+ * character a `\u00XX` escape. SnapshotWriter, the one JSON writer,
  * and perfbench (through BenchJson::escape) share this one escape
- * set, so keys and labels serialize canonically.
+ * set, so every string value serializes canonically.
  */
-void appendJsonEscaped(std::string &out, const std::string &text);
+void appendJsonEscaped(std::string &out, std::string_view text);
 
 } // namespace sim
 } // namespace ssmt

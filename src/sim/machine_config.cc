@@ -365,10 +365,12 @@ MachineConfig::validate() const
     require(maxCycles > 0, "maxCycles must be > 0");
 
     // A sample retains every Stats counter plus the gauges (~450
-    // bytes); refuse intervals that could ask for an absurd series.
+    // bytes) and a trace record 48 bytes; refuse a series or a ring
+    // that could ask for an absurd allocation.
+    constexpr uint64_t kMaxRetained = 50'000'000;
     if (sampleInterval > 0) {
         uint64_t worst_case_samples = maxCycles / sampleInterval;
-        require(worst_case_samples <= 50'000'000,
+        require(worst_case_samples <= kMaxRetained,
                 "sampleInterval " + std::to_string(sampleInterval) +
                     " is too fine for maxCycles " +
                     std::to_string(maxCycles) + " (would retain up "
@@ -376,6 +378,9 @@ MachineConfig::validate() const
                     " samples); raise sampleInterval or lower "
                     "maxCycles");
     }
+    require(traceCapacity <= kMaxRetained,
+            "traceCapacity must be <= " + std::to_string(kMaxRetained) +
+                " records (got " + std::to_string(traceCapacity) + ")");
     require(tracePath.empty() || tracePath.back() != '/',
             "tracePath must name a file, not a directory (got '" +
                 tracePath + "')");

@@ -132,7 +132,8 @@ struct MachineConfig
     // ---- Run control ----
     uint64_t maxInsts = 100'000'000;    ///< retire-count safety stop
     uint64_t maxCycles = 2'000'000'000; ///< cycle safety stop
-    /** Pipeline-event trace ring capacity; 0 disables the ring. */
+    /** Pipeline-event trace ring capacity; 0 disables the ring.
+     *  validate() refuses more than 50,000,000 records. */
     size_t traceCapacity = 0;
 
     // ---- Observability (sim/metrics.hh, cpu/trace.hh) ----
@@ -142,7 +143,8 @@ struct MachineConfig
     uint64_t sampleInterval = 0;
     /** Stream every pipeline-trace event as one JSON line (JSONL)
      *  to this file — the unbounded capture mode, independent of the
-     *  bounded traceCapacity ring. Empty disables streaming. */
+     *  bounded traceCapacity ring. Empty disables streaming; a
+     *  file the core cannot open is SimError(IoError). */
     std::string tracePath;
 
     /** Seeded fault injection into speculative state (disabled by

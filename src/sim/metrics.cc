@@ -1,9 +1,7 @@
 #include "sim/metrics.hh"
 
-#include <sstream>
-
-#include "sim/fsio.hh"
 #include "sim/golden.hh"
+#include "sim/snapshot.hh"
 
 namespace ssmt
 {
@@ -116,77 +114,51 @@ IntervalSampler::finalize(uint64_t cycle, const Stats &stats,
 // Serialization (ssmt-series-v1)
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-void
-appendSample(std::ostringstream &out, const Sample &sample)
-{
-    out << "{\"cycle\": " << sample.cycle << ", \"counters\": {";
-    auto counters = flattenStats(sample.stats);
-    for (size_t i = 0; i < counters.size(); i++) {
-        out << (i ? ", " : "") << '"' << counters[i].first
-            << "\": " << counters[i].second;
-    }
-    out << "}, \"gauges\": {\"prbEntries\": "
-        << sample.gauges.prbEntries << ", \"liveMicrocontexts\": "
-        << sample.gauges.liveMicrocontexts
-        << ", \"pcacheValidEntries\": "
-        << sample.gauges.pcacheValidEntries
-        << ", \"microRamRoutines\": "
-        << sample.gauges.microRamRoutines
-        << ", \"windowFill\": " << sample.gauges.windowFill << "}}";
-}
-
-void
-appendHistogram(std::ostringstream &out,
-                const OccupancyHistogram &hist)
-{
-    out << "{\"name\": \"" << hist.name()
-        << "\", \"capacity\": " << hist.capacity()
-        << ", \"bucketWidth\": " << hist.bucketWidth()
-        << ", \"samples\": " << hist.samples()
-        << ", \"min\": " << hist.minValue()
-        << ", \"max\": " << hist.maxValue()
-        << ", \"sum\": " << hist.sum() << ", \"buckets\": [";
-    const std::vector<uint64_t> &buckets = hist.buckets();
-    for (size_t i = 0; i < buckets.size(); i++)
-        out << (i ? ", " : "") << buckets[i];
-    out << "]}";
-}
-
-} // namespace
-
 std::string
 seriesDocumentJson(const MetricsSeries &series,
                    const std::string &workload,
                    const std::string &config)
 {
-    std::ostringstream out;
-    out << "{\n  \"schema\": \"" << kSeriesSchema
-        << "\",\n  \"workload\": \"" << workload
-        << "\",\n  \"config\": \"" << config
-        << "\",\n  \"interval\": " << series.interval
-        << ",\n  \"samples\": [";
-    for (size_t i = 0; i < series.samples.size(); i++) {
-        out << (i ? "," : "") << "\n    ";
-        appendSample(out, series.samples[i]);
+    SnapshotWriter w(SnapshotWriter::Layout::Spaced);
+    w.beginObject(SnapshotWriter::kLines);
+    w.str("schema", kSeriesSchema);
+    w.str("workload", workload);
+    w.str("config", config);
+    w.u64("interval", series.interval);
+    w.beginArray("samples", SnapshotWriter::kLines);
+    for (const Sample &sample : series.samples) {
+        w.beginObject();
+        w.u64("cycle", sample.cycle);
+        w.beginObject("counters");
+        for (const auto &[name, value] : flattenStats(sample.stats))
+            w.u64(name.c_str(), value);
+        w.endObject();
+        w.beginObject("gauges");
+        w.u64("prbEntries", sample.gauges.prbEntries);
+        w.u64("liveMicrocontexts", sample.gauges.liveMicrocontexts);
+        w.u64("pcacheValidEntries", sample.gauges.pcacheValidEntries);
+        w.u64("microRamRoutines", sample.gauges.microRamRoutines);
+        w.u64("windowFill", sample.gauges.windowFill);
+        w.endObject();
+        w.endObject();
     }
-    out << "\n  ],\n  \"histograms\": [";
-    for (size_t i = 0; i < series.histograms.size(); i++) {
-        out << (i ? "," : "") << "\n    ";
-        appendHistogram(out, series.histograms[i]);
+    w.endArray();
+    w.beginArray("histograms", SnapshotWriter::kLines);
+    for (const OccupancyHistogram &hist : series.histograms) {
+        w.beginObject();
+        w.str("name", hist.name());
+        w.u64("capacity", hist.capacity());
+        w.u64("bucketWidth", hist.bucketWidth());
+        w.u64("samples", hist.samples());
+        w.u64("min", hist.minValue());
+        w.u64("max", hist.maxValue());
+        w.u64("sum", hist.sum());
+        w.u64Array("buckets", hist.buckets());
+        w.endObject();
     }
-    out << "\n  ]\n}\n";
-    return out.str();
-}
-
-bool
-writeSeriesFile(const std::string &path, const MetricsSeries &series,
-                const std::string &workload, const std::string &config)
-{
-    return writeFileAtomic(
-        path, seriesDocumentJson(series, workload, config));
+    w.endArray();
+    w.endObject();
+    return w.text();
 }
 
 } // namespace sim

@@ -155,8 +155,10 @@ class IntervalSampler
 };
 
 /**
- * Canonical ssmt-series-v1 artifact document of @p series, one
- * sample per line for diffability:
+ * Canonical ssmt-series-v1 artifact document of @p series, written
+ * by sim::SnapshotWriter in its spaced layout: the root, `samples`
+ * and `histograms` one item per line, each sample and histogram one
+ * inline object:
  *   {"schema": "ssmt-series-v1", "workload": ..., "config": ...,
  *    "interval": N,
  *    "samples": [{"cycle": C, "counters": {...}, "gauges": {...}}],
@@ -169,12 +171,6 @@ class IntervalSampler
 std::string seriesDocumentJson(const MetricsSeries &series,
                                const std::string &workload,
                                const std::string &config);
-
-/** Write seriesDocumentJson to @p path. @return true on success. */
-bool writeSeriesFile(const std::string &path,
-                     const MetricsSeries &series,
-                     const std::string &workload,
-                     const std::string &config);
 
 } // namespace sim
 } // namespace ssmt

@@ -6,10 +6,11 @@
 #include "sim/snapshot.hh"
 
 #include <cassert>
-#include <cstdio>
+#include <charconv>
 
 #include "isa/program.hh"
 #include "sim/json_text.hh"
+#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace ssmt
@@ -27,89 +28,114 @@ namespace
 void
 appendU64(std::string &out, uint64_t value)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(value));
-    out += buf;
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/** Start a line indented two spaces per level. */
+void
+appendNewline(std::string &out, int depth)
+{
+    out += '\n';
+    out.append(2 * depth, ' ');
 }
 
 } // namespace
 
-SnapshotWriter::SnapshotWriter()
+SnapshotWriter::SnapshotWriter(Layout layout)
+    : spaced_(layout == Layout::Spaced)
 {
     out_.reserve(4096);
 }
 
 void
+SnapshotWriter::clear()
+{
+    out_.clear();
+    depth_ = 0;
+}
+
+void
 SnapshotWriter::separator()
 {
-    if (scopes_.empty())
+    if (depth_ == 0)
         return;
-    if (first_.back())
-        first_.back() = false;
+    Scope &scope = scopes_[depth_ - 1];
+    if (scope.first)
+        scope.first = false;
     else
-        out_ += ',';
+        out_ += (scope.lines || !spaced_) ? "," : ", ";
+    if (scope.lines)
+        appendNewline(out_, depth_);
 }
 
 void
 SnapshotWriter::emitKey(const char *key)
 {
-    assert(!scopes_.empty() && scopes_.back() == '{');
+    assert(depth_ > 0 && scopes_[depth_ - 1].close == '}');
     separator();
     out_ += '"';
     out_ += key;
-    out_ += "\":";
+    out_ += spaced_ ? "\": " : "\":";
 }
 
 void
-SnapshotWriter::beginObject()
+SnapshotWriter::open(char bracket, bool lines)
+{
+    SSMT_ASSERT(depth_ < kMaxDepth, "JSON document nests too deep");
+    out_ += bracket;
+    scopes_[depth_++] = {bracket == '{' ? '}' : ']', lines, true};
+}
+
+void
+SnapshotWriter::close(char bracket)
+{
+    assert(depth_ > 0 && scopes_[depth_ - 1].close == bracket);
+    bool lines = scopes_[--depth_].lines;
+    if (lines)
+        appendNewline(out_, depth_);
+    out_ += bracket;
+    if (lines && depth_ == 0)
+        out_ += '\n';
+}
+
+void
+SnapshotWriter::beginObject(bool lines)
 {
     separator();
-    out_ += '{';
-    scopes_.push_back('{');
-    first_.push_back(true);
+    open('{', lines);
 }
 
 void
-SnapshotWriter::beginObject(const char *key)
+SnapshotWriter::beginObject(const char *key, bool lines)
 {
     emitKey(key);
-    out_ += '{';
-    scopes_.push_back('{');
-    first_.push_back(true);
+    open('{', lines);
 }
 
 void
 SnapshotWriter::endObject()
 {
-    assert(!scopes_.empty() && scopes_.back() == '{');
-    out_ += '}';
-    scopes_.pop_back();
-    first_.pop_back();
+    close('}');
 }
 
 void
-SnapshotWriter::beginArray(const char *key)
+SnapshotWriter::beginArray(const char *key, bool lines)
 {
     emitKey(key);
-    out_ += '[';
-    scopes_.push_back('[');
-    first_.push_back(true);
+    open('[', lines);
 }
 
 void
 SnapshotWriter::endArray()
 {
-    assert(!scopes_.empty() && scopes_.back() == '[');
-    out_ += ']';
-    scopes_.pop_back();
-    first_.pop_back();
+    close(']');
 }
 
 void
 SnapshotWriter::u64(uint64_t value)
 {
-    assert(!scopes_.empty() && scopes_.back() == '[');
+    assert(depth_ > 0 && scopes_[depth_ - 1].close == ']');
     separator();
     appendU64(out_, value);
 }
@@ -129,9 +155,9 @@ SnapshotWriter::boolean(const char *key, bool value)
 }
 
 void
-SnapshotWriter::str(const std::string &value)
+SnapshotWriter::str(std::string_view value)
 {
-    assert(!scopes_.empty() && scopes_.back() == '[');
+    assert(depth_ > 0 && scopes_[depth_ - 1].close == ']');
     separator();
     out_ += '"';
     appendJsonEscaped(out_, value);
@@ -139,7 +165,7 @@ SnapshotWriter::str(const std::string &value)
 }
 
 void
-SnapshotWriter::str(const char *key, const std::string &value)
+SnapshotWriter::str(const char *key, std::string_view value)
 {
     emitKey(key);
     out_ += '"';
@@ -159,7 +185,7 @@ SnapshotWriter::u64Array(const char *key, const std::vector<uint64_t> &v)
 const std::string &
 SnapshotWriter::text() const
 {
-    assert(scopes_.empty() && "unbalanced writer scopes");
+    assert(depth_ == 0 && "unbalanced writer scopes");
     return out_;
 }
 

@@ -228,6 +228,15 @@ TEST(MetricsTest, ConfigValidatesObservabilityKnobs)
     EXPECT_FALSE(cfg.validate().empty());
     cfg.tracePath = "artifacts/run.jsonl";
     EXPECT_TRUE(cfg.validate().empty());
+
+    // The ring is allocated up front: 50M records (2.4 GB) at most.
+    cfg.traceCapacity = 50'000'000;
+    EXPECT_TRUE(cfg.validate().empty());
+    cfg.traceCapacity = 50'000'001;
+    EXPECT_FALSE(cfg.validate().empty());
+    cfg.traceCapacity = SIZE_MAX;
+    ASSERT_EQ(cfg.validate().size(), 1u);
+    EXPECT_NE(cfg.validate()[0].find("traceCapacity"), std::string::npos);
 }
 
 } // namespace

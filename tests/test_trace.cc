@@ -10,7 +10,9 @@
 #include "cpu/ssmt_core.hh"
 #include "cpu/trace.hh"
 #include "sim/json_text.hh"
+#include "sim/sim_error.hh"
 #include "sim/sim_runner.hh"
+#include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -234,11 +236,37 @@ TEST(TraceTest, JsonlStreamCapturesEveryEvent)
 
 TEST(TraceTest, JsonLineIncludesContextOnlyWhenSet)
 {
-    TraceRecord plain{5, TraceEvent::Fetch, 1, 2, 3};
-    EXPECT_EQ(plain.toJsonLine().find("\"ctx\""), std::string::npos);
-    TraceRecord tagged{5, TraceEvent::Spawn, 1, 2, 3, 4};
-    EXPECT_NE(tagged.toJsonLine().find("\"ctx\": 4"),
-              std::string::npos);
+    sim::SnapshotWriter w(sim::SnapshotWriter::Layout::Spaced);
+    TraceRecord{5, TraceEvent::Fetch, 1, 2, 3}.writeJson(w);
+    EXPECT_EQ(w.text(), "{\"cycle\": 5, \"event\": \"fetch\", "
+                        "\"pc\": 1, \"seq\": 2, \"aux\": 3}");
+    w.clear();
+    TraceRecord{5, TraceEvent::Spawn, 1, 2, 3, 4}.writeJson(w);
+    EXPECT_EQ(w.text(), "{\"cycle\": 5, \"event\": \"spawn\", "
+                        "\"pc\": 1, \"seq\": 2, \"aux\": 3, "
+                        "\"ctx\": 4}");
+}
+
+TEST(TraceTest, UnopenableTracePathIsAnIoError)
+{
+    // A path under a regular file cannot be opened, even as root.
+    std::string file = testing::TempDir() + "/ssmt_trace_not_a_dir";
+    std::FILE *blocker = std::fopen(file.c_str(), "w");
+    ASSERT_NE(blocker, nullptr);
+    std::fclose(blocker);
+
+    sim::MachineConfig cfg;
+    cfg.tracePath = file + "/run.jsonl";
+    try {
+        cpu::SsmtCore core(tracedProgram(), cfg);
+        ADD_FAILURE() << "expected SimError(IoError)";
+    } catch (const sim::SimError &err) {
+        EXPECT_EQ(err.code(), sim::ErrorCode::IoError);
+        EXPECT_NE(std::string(err.what()).find(cfg.tracePath),
+                  std::string::npos)
+            << err.what();
+    }
+    std::remove(file.c_str());
 }
 
 } // namespace

@@ -28,7 +28,9 @@
  *              [--scale N] [--seed S] [--jobs N|auto] [--out-dir D]
  *              [--jsonl]
  *
- * Exit status: 0 clean, 1 simulation or I/O failure, 2 bad usage.
+ * D is created when missing. Exit status: 0 clean, 1 simulation or
+ * I/O failure (an --out-dir that cannot be created is found before
+ * anything runs), 2 bad usage or an invalid config.
  */
 
 #include <cstdio>
@@ -135,6 +137,9 @@ main(int argc, char **argv)
 {
     Options opt = parseOptions(argc, argv);
 
+    std::vector<workloads::WorkloadInfo> infos =
+        cli::resolveWorkloads(opt.workloads, "ssmt_trace");
+
     // The golden machine config keeps these artifacts comparable with
     // the committed snapshots; only the observability knobs (and any
     // explicit --mode) differ.
@@ -144,31 +149,31 @@ main(int argc, char **argv)
     cfg.sampleInterval = opt.sampleInterval;
     cfg.traceCapacity = opt.traceCapacity;
 
+    // Refuse a bad config or an unusable --out-dir once, before
+    // anything simulates.
+    try {
+        cfg.validateOrThrow();
+    } catch (const sim::SimError &err) {
+        std::fprintf(stderr, "ssmt_trace: %s\n", err.what());
+        return 2;
+    }
+    if (!sim::ensureDir(opt.outDir)) {
+        std::fprintf(stderr, "ssmt_trace: cannot create --out-dir '%s'\n",
+                     opt.outDir.c_str());
+        return 1;
+    }
+
     workloads::WorkloadParams params;
     params.scale = opt.scale;
     params.seed = opt.seed;
 
     std::vector<Run> runs;
-    runs.reserve(opt.workloads.size());
-    for (const std::string &name : opt.workloads) {
-        bool found = false;
-        for (const auto &info : workloads::allWorkloads()) {
-            if (info.name == name) {
-                sim::MachineConfig job_cfg = cfg;
-                if (opt.jsonl) {
-                    job_cfg.tracePath =
-                        opt.outDir + "/" + name + ".trace.jsonl";
-                }
-                runs.push_back({name, info.make(params), job_cfg, {}, {}});
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            std::fprintf(stderr, "unknown workload '%s'\n",
-                         name.c_str());
-            return 2;
-        }
+    runs.reserve(infos.size());
+    for (const workloads::WorkloadInfo &info : infos) {
+        sim::MachineConfig job_cfg = cfg;
+        if (opt.jsonl)
+            job_cfg.tracePath = opt.outDir + "/" + info.name + ".trace.jsonl";
+        runs.push_back({info.name, info.make(params), job_cfg, {}, {}});
     }
 
     sim::BatchRunner(opt.jobs).forEach(runs.size(), [&](size_t i) {
@@ -197,8 +202,9 @@ main(int argc, char **argv)
         if (opt.sampleInterval > 0) {
             std::string path =
                 opt.outDir + "/" + name + ".series.json";
-            if (!sim::writeSeriesFile(path, run.artifacts.series,
-                                      name, config_name)) {
+            if (!sim::writeFileAtomic(
+                    path, sim::seriesDocumentJson(run.artifacts.series,
+                                                  name, config_name))) {
                 std::fprintf(stderr, "%s: cannot write %s\n",
                              name.c_str(), path.c_str());
                 failures++;
